@@ -33,10 +33,9 @@ from .channels import (
     vec,
 )
 from .spectral import (
-    SpectralData,
     OperatorSpace,
+    SpectralSpace,
     asymptotic_projector,
-    channel_spectrum,
     fixed_space,
     fixed_space_adjoint,
     peripheral_projector,
@@ -61,7 +60,6 @@ from .structures import (
     transpose_channel,
     unconditional_recovery,
     unconditional_structure,
-    unitarily_correctable_structure_unital,
     unitarily_noiseless_structure,
 )
 from .codes import (
@@ -112,9 +110,8 @@ __all__ = [
     "is_unital",
     "restrict_to_subspace",
     "embed_classical",
-    "SpectralData",
     "OperatorSpace",
-    "channel_spectrum",
+    "SpectralSpace",
     "fixed_space",
     "fixed_space_adjoint",
     "rotating_space",
@@ -135,7 +132,6 @@ __all__ = [
     "noiseless_structure",
     "unitarily_noiseless_structure",
     "unconditional_structure",
-    "unitarily_correctable_structure_unital",
     "fixed_point_structure",
     "initialization_free_check",
     "Code",

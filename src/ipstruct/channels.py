@@ -219,20 +219,20 @@ def channel_from_kraus(
     if any(k.shape != (d_out, d_in) for k in ks):
         raise ValidationError("Kraus operators have inconsistent shapes")
     acc = sum(k.conj().T @ k for k in ks)
-    tp = bool(np.max(np.abs(acc - np.eye(d_in))) <= max(tol.equality, 1e-9))
+    tp = bool(np.max(np.abs(acc - np.eye(d_in))) <= tol.equality)
     return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out, trace_preserving=tp)
 
 
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
-    ks = np.stack(ch.kraus)
+    ks = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
     # index layout: row (b*dim_out + a), col (d*dim_in + c) holds
-    # sum_i conj(K_i[b, d]) K_i[a, c]
-    m = np.einsum("ibd,iac->badc", ks.conj(), ks)
+    # sum_i conj(K_i[b, d]) K_i[a, c]; one GEMM yields it at [(b, d), (a, c)]
+    m = (ks.conj().T @ ks).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
     return Superoperator(
         dim_in=ch.dim_in,
         dim_out=ch.dim_out,
-        matrix=m.reshape(ch.dim_out**2, ch.dim_in**2),
+        matrix=m.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2),
     )
 
 
@@ -293,11 +293,10 @@ def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpRepor
     acc_un = sum(k @ k.conj().T for k in ch.kraus)
     unital_residual = float(np.max(np.abs(acc_un - np.eye(ch.dim_out))))
     choi_min = float(np.linalg.eigvalsh(choi_matrix(ch)).min())
-    thr = max(tol.equality, 1e-9)
     return CptpReport(
-        trace_preserving=tp_residual <= thr,
-        completely_positive=choi_min >= -thr,
-        unital=unital_residual <= thr,
+        trace_preserving=tp_residual <= tol.equality,
+        completely_positive=choi_min >= -tol.equality,
+        unital=unital_residual <= tol.equality,
         tp_residual=tp_residual,
         choi_min_eigenvalue=choi_min,
         unital_residual=unital_residual,
@@ -306,7 +305,7 @@ def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpRepor
 
 def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     acc = sum(k @ k.conj().T for k in ch.kraus)
-    return bool(np.max(np.abs(acc - np.eye(ch.dim_out))) <= max(tol.equality, 1e-9))
+    return bool(np.max(np.abs(acc - np.eye(ch.dim_out))) <= tol.equality)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .channels import (
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
-from .spectral import asymptotic_projector
+from .spectral import fixed_space
 from .structures import noiseless_structure, transpose_channel
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -250,7 +250,7 @@ def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL)
     if ch.dim_in != code.dim or ch.dim_out != code.dim:
         return False
     for s in code.states:
-        if trace_norm(apply_channel(ch, s) - s) > max(tol.equality, 1e-9):
+        if trace_norm(apply_channel(ch, s) - s) > tol.equality:
             return False
     return True
 
@@ -267,7 +267,7 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
     sup = to_superoperator(ch)
-    avg = asymptotic_projector(ch, tol)
+    avg = fixed_space(sup, tol).projector
     eye = np.eye(sup.matrix.shape[0], dtype=complex)
     maps = [
         ("time-average", avg.matrix),

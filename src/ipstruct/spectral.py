@@ -1,16 +1,22 @@
 """Eigenstructure of channel superoperators.
 
 The asymptotic behaviour of a trace-preserving map is governed by its
-peripheral spectrum (eigenvalues on the unit circle).  This module extracts:
+peripheral spectrum (eigenvalues on the unit circle).  This module extracts,
+for the fixed points (``lambda = 1``) or the whole peripheral spectrum
+(``|lambda| = 1``):
 
-* fixed and rotating operator subspaces, for the map and its adjoint;
-* the asymptotic projector, i.e. the time-averaged channel that projects
-  onto the fixed-point space along the decaying directions;
-* the projector onto the full peripheral (unit-modulus) subspace.
+* the right eigenoperators, i.e. the fixed or rotating operator space;
+* the left eigenoperators, i.e. the same space for the adjoint map;
+* the spectral projector onto the right space along all other spectral
+  components -- for the fixed points this is the time-averaged channel.
 
-Eigenvalues are read off a complex Schur form; eigenvectors for peripheral
-eigenvalues are recovered from SVD null spaces, which is safe because the
-peripheral spectrum of a trace-preserving positive map is semisimple.
+All three come from one ordered complex Schur form ``M = Z T Z^dag`` whose
+leading block ``T11`` carries the selected eigenvalues, plus one triangular
+Sylvester solve ``T11 X - X T22 = T12`` for the coupling block.  The leading
+Schur vectors ``Z1`` span the right space, ``Z1 + Z2 X^dag`` spans the left
+one, and the projector is ``Z1 (Z1^dag + X Z2^dag)``.  The invariant subspace
+is the eigenspace because the peripheral spectrum of a trace-preserving
+positive map is semisimple.
 """
 
 from __future__ import annotations
@@ -25,14 +31,13 @@ from .channels import (
     Superoperator,
     to_superoperator,
 )
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "OperatorSpace",
-    "SpectralData",
+    "SpectralSpace",
     "operator_space_from_span",
-    "channel_spectrum",
     "fixed_space",
     "fixed_space_adjoint",
     "rotating_space",
@@ -66,19 +71,16 @@ class OperatorSpace:
 
 
 @dataclass(frozen=True)
-class SpectralData:
-    """Eigen-decomposition of a superoperator.
+class SpectralSpace(OperatorSpace):
+    """The right eigenoperators of a selected part of the spectrum.
 
-    ``right_vectors`` / ``left_vectors`` hold vectorized eigenoperators in
-    their columns (left vectors ``l`` satisfy ``l^dag M = lambda l^dag``).
-    The complex Schur factors are retained for projector construction.
+    ``dual`` spans the matching left eigenoperators (those of the adjoint
+    map) and ``projector`` is the spectral projector onto this space along
+    the rest of the spectrum.
     """
 
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    schur_t: np.ndarray
-    schur_z: np.ndarray
+    dual: OperatorSpace
+    projector: Superoperator
 
 
 def operator_space_from_span(
@@ -103,10 +105,10 @@ def operator_space_from_span(
 
 
 # ---------------------------------------------------------------------------
-# spectrum
+# the spectral split
 # ---------------------------------------------------------------------------
 
-def _superop_matrix(ch: QuantumChannel | Superoperator | np.ndarray) -> tuple[np.ndarray, int]:
+def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int]:
     if isinstance(ch, QuantumChannel):
         if not ch.is_square:
             raise NumericalError("spectral analysis requires a square channel")
@@ -115,184 +117,78 @@ def _superop_matrix(ch: QuantumChannel | Superoperator | np.ndarray) -> tuple[np
         if ch.dim_in != ch.dim_out:
             raise NumericalError("spectral analysis requires a square superoperator")
         return ch.matrix, ch.dim_in
-    m = np.asarray(ch, dtype=complex)
-    d = int(round(np.sqrt(m.shape[0])))
-    return m, d
-
-
-def channel_spectrum(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
-    """Full spectral data: eigenvalues from a Schur form, eigenvectors from
-    a standard nonsymmetric eigensolve."""
-    m, _ = _superop_matrix(ch)
-    t, z = scipy.linalg.schur(m, output="complex")
-    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
-    return SpectralData(
-        eigenvalues=np.diag(t).copy(),
-        right_vectors=vr,
-        left_vectors=vl,
-        schur_t=t,
-        schur_z=z,
+    raise ValidationError(
+        f"spectral analysis takes a QuantumChannel or a Superoperator, not {type(ch).__name__}"
     )
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    t = scipy.linalg.schur(m, output="complex")[0]
-    return np.diag(t).copy()
+def _operators(columns: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
+    return tuple(c.reshape((d, d), order="F") for c in columns.T)
 
 
-def _cluster(values: np.ndarray, width: float) -> list[np.ndarray]:
-    """Greedy clustering of complex values into groups of pairwise distance
-    at most ``width`` (chained)."""
-    idx = list(range(len(values)))
-    clusters: list[list[int]] = []
-    used = [False] * len(values)
-    for i in idx:
-        if used[i]:
-            continue
-        group = [i]
-        used[i] = True
-        frontier = [i]
-        while frontier:
-            j = frontier.pop()
-            for k in idx:
-                if not used[k] and abs(values[j] - values[k]) <= width:
-                    used[k] = True
-                    group.append(k)
-                    frontier.append(k)
-        clusters.append(np.array(group))
-    return clusters
+def _split(ch, select, nothing_selected: str) -> tuple[SpectralSpace, np.ndarray, np.ndarray]:
+    """Split the spectrum into the eigenvalues ``select`` accepts and the rest.
 
-
-def _nullspace_with_dim(a: np.ndarray, m: int, tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis (columns) for the ``m``-dimensional near-null space of ``a``."""
-    u, s, vh = np.linalg.svd(a)
-    if m > len(s):
-        raise NumericalError(f"requested null dimension {m} exceeds matrix size")
-    cutoff_ok = s[-m] <= max(tol.subspace, tol.rank_rel * s[0]) * 10
-    if not cutoff_ok:
-        raise NumericalError(
-            "eigenspace extraction failed: singular value "
-            f"{s[-m]:.3e} too large for a null direction",
-            residuals={"singular_value": float(s[-m])},
-        )
-    return vh[len(s) - m:].conj().T
-
-
-def _peripheral_groups(m: np.ndarray, tol: ToleranceConfig):
-    """Cluster unit-modulus eigenvalues; returns (list of (lambda, multiplicity),
-    eigenvalues array)."""
-    w = _eigenvalues(m)
-    per = w[np.abs(np.abs(w) - 1.0) < tol.peripheral]
-    groups = []
-    for cluster in _cluster(per, tol.peripheral):
-        vals = per[cluster]
-        groups.append((complex(np.mean(vals)), len(cluster)))
-    return groups, w
-
-
-def _eigenspace(m: np.ndarray, lam: complex, mult: int, tol: ToleranceConfig) -> np.ndarray:
-    return _nullspace_with_dim(m - lam * np.eye(m.shape[0]), mult, tol)
-
-
-def _fixed_multiplicity(m: np.ndarray, tol: ToleranceConfig) -> int:
-    w = _eigenvalues(m)
-    mult = int(np.sum(np.abs(w - 1.0) < tol.peripheral))
-    if mult == 0:
-        raise NumericalError("no eigenvalue 1 found; is the map trace preserving?")
-    return mult
-
-
-def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    """Operators with ``E(X) = X``, as an orthonormal operator space."""
-    m, d = _superop_matrix(ch)
-    mult = _fixed_multiplicity(m, tol)
-    basis = _eigenspace(m, 1.0, mult, tol)
-    return operator_space_from_span(basis, d, tol)
-
-
-def fixed_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    """Fixed points of the adjoint map (left fixed points of ``E``)."""
-    m, d = _superop_matrix(ch)
-    mult = _fixed_multiplicity(m, tol)
-    basis = _eigenspace(m.conj().T, 1.0, mult, tol)
-    return operator_space_from_span(basis, d, tol)
-
-
-def _rotating_span(m: np.ndarray, d: int, adjoint_side: bool, tol: ToleranceConfig) -> OperatorSpace:
-    groups, _ = _peripheral_groups(m, tol)
-    if not groups:
-        raise NumericalError("no unit-modulus eigenvalues found")
-    blocks = []
-    for lam, mult in groups:
-        if adjoint_side:
-            blocks.append(_eigenspace(m.conj().T, np.conj(lam), mult, tol))
-        else:
-            blocks.append(_eigenspace(m, lam, mult, tol))
-    return operator_space_from_span(np.column_stack(blocks), d, tol)
-
-
-def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    """Span of eigenoperators with unit-modulus eigenvalues (``|lambda| = 1``
-    within ``tol.peripheral``)."""
-    m, d = _superop_matrix(ch)
-    return _rotating_span(m, d, adjoint_side=False, tol=tol)
-
-
-def rotating_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    m, d = _superop_matrix(ch)
-    return _rotating_span(m, d, adjoint_side=True, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# spectral projectors
-# ---------------------------------------------------------------------------
-
-def asymptotic_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    """The time-averaged channel: spectral projector onto the fixed-point
-    space along all other spectral components.
-
-    Built from the eigenvalue-1 right/left eigenspaces ``R``, ``L`` as
-    ``R (L^dag R)^{-1} L^dag``.
-
-    Raises:
-        NumericalError: if the right/left pairing is numerically singular.
+    Returns the selected space, the unselected eigenvalues and the coupling
+    ``X`` that solves ``T11 X - X T22 = T12``.
     """
     m, d = _superop_matrix(ch)
-    mult = _fixed_multiplicity(m, tol)
-    r = _eigenspace(m, 1.0, mult, tol)
-    l = _eigenspace(m.conj().T, 1.0, mult, tol)
-    gram = l.conj().T @ r
-    cond = np.linalg.cond(gram)
+    t, z, k = scipy.linalg.schur(m, output="complex", sort=select)
+    if k == 0:
+        raise NumericalError(nothing_selected)
+    n = m.shape[0]
+    # a copy, so that the n x n Schur basis is freed once the split returns
+    z1, z2 = z[:, :k].copy(), z[:, k:]
+    if k == n:
+        x = np.zeros((k, 0), dtype=complex)
+    else:
+        x, scale, _ = scipy.linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        x = x / scale
+    dual, _ = np.linalg.qr(z1 + z2 @ x.conj().T)
+    space = SpectralSpace(
+        dim=d,
+        basis=_operators(z1, d),
+        dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
+        projector=Superoperator(dim_in=d, dim_out=d,
+                                matrix=z1 @ (z1.conj().T + x @ z2.conj().T)),
+    )
+    return space, np.diag(t)[k:], x
+
+
+def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
+    """Operators with ``E(X) = X`` (``|lambda - 1| < tol.peripheral``), with
+    the fixed points of the adjoint as ``dual`` and the time-averaged channel
+    as ``projector``.
+
+    Raises:
+        NumericalError: if no eigenvalue is 1, or if the right/left pairing
+            is numerically singular (``pairing_condition`` above 1e12).
+    """
+    space, _, x = _split(ch, lambda lam: abs(lam - 1.0) < tol.peripheral,
+                         "no eigenvalue 1 found; is the map trace preserving?")
+    # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
+    cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericalError(
             "eigenvalue-1 right/left eigenvector pairing is numerically singular",
-            residuals={"pairing_condition": float(cond)},
+            residuals={"pairing_condition": cond},
         )
-    proj = r @ np.linalg.solve(gram, l.conj().T)
-    return Superoperator(dim_in=d, dim_out=d, matrix=proj)
+    return space
 
 
-def peripheral_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    """Spectral projector onto the full unit-modulus subspace.
-
-    Uses an ordered complex Schur form to separate peripheral from interior
-    eigenvalues, then solves a Sylvester equation for the coupling block.
+def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
+    """Span of eigenoperators with unit-modulus eigenvalues (``|lambda| = 1``
+    within ``tol.peripheral``), with the adjoint's span as ``dual`` and the
+    peripheral spectral projector as ``projector``.
 
     Raises:
-        NumericalError: if interior eigenvalues crowd the unit circle
-            (cluster gap below ``tol.spectral_gap``), which would make the
-            separation meaningless.
+        NumericalError: if no eigenvalue has unit modulus, or if interior
+            eigenvalues crowd the unit circle (cluster gap below
+            ``tol.spectral_gap``), which would make the separation
+            meaningless.
     """
-    m, d = _superop_matrix(ch)
-
-    def is_peripheral(lam):
-        return bool(abs(abs(lam) - 1.0) < tol.peripheral)
-
-    t, z, sdim = scipy.linalg.schur(m, output="complex", sort=is_peripheral)
-    n = m.shape[0]
-    if sdim == 0:
-        raise NumericalError("no unit-modulus eigenvalues found")
-    interior = np.diag(t)[sdim:]
+    space, interior, _ = _split(ch, lambda lam: abs(abs(lam) - 1.0) < tol.peripheral,
+                                "no unit-modulus eigenvalues found")
     if interior.size:
         gap = 1.0 - float(np.max(np.abs(interior)))
         if gap < tol.spectral_gap:
@@ -300,20 +196,27 @@ def peripheral_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperato
                 "peripheral spectrum is not separated from the interior",
                 residuals={"cluster_gap": gap},
             )
-    if sdim == n:
-        proj = np.eye(n, dtype=complex)
-    else:
-        a = t[:sdim, :sdim]
-        b = t[sdim:, sdim:]
-        c = t[:sdim, sdim:]
-        # spectral projector of [[A, C], [0, B]] onto the A-block is
-        # [[I, X], [0, 0]] with A X - X B = C
-        x = scipy.linalg.solve_sylvester(a, -b, c)
-        block = np.zeros((n, n), dtype=complex)
-        block[:sdim, :sdim] = np.eye(sdim)
-        block[:sdim, sdim:] = x
-        proj = z @ block @ z.conj().T
-    return Superoperator(dim_in=d, dim_out=d, matrix=proj)
+    return space
+
+
+def fixed_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
+    """Fixed points of the adjoint map (left fixed points of ``E``)."""
+    return fixed_space(ch, tol).dual
+
+
+def rotating_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
+    """Unit-modulus eigenoperators of the adjoint map."""
+    return rotating_space(ch, tol).dual
+
+
+def asymptotic_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
+    """The time-averaged channel: spectral projector onto the fixed space."""
+    return fixed_space(ch, tol).projector
+
+
+def peripheral_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
+    """Spectral projector onto the full unit-modulus subspace."""
+    return rotating_space(ch, tol).projector
 
 
 def subspace_distance(a: OperatorSpace | np.ndarray, b: OperatorSpace | np.ndarray) -> float:

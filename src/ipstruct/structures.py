@@ -29,28 +29,20 @@ import numpy as np
 from .algebra import AlgebraDecomposition, Sector, canonical_decompose, is_algebra
 from .channels import (
     QuantumChannel,
-    Superoperator,
-    adjoint,
     apply_channel,
     apply_superoperator,
     channel_from_kraus,
     compose,
     is_projector,
-    is_unital,
     orthonormal_range_basis,
     projector_onto_support,
-    to_superoperator,
 )
 from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import (
-    OperatorSpace,
-    asymptotic_projector,
+    SpectralSpace,
     fixed_space,
-    fixed_space_adjoint,
     operator_space_from_span,
-    peripheral_projector,
     rotating_space,
-    rotating_space_adjoint,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
@@ -62,7 +54,6 @@ __all__ = [
     "noiseless_structure",
     "unitarily_noiseless_structure",
     "unconditional_structure",
-    "unitarily_correctable_structure_unital",
     "fixed_point_structure",
     "initialization_free_check",
 ]
@@ -186,40 +177,32 @@ def _partial_trace_factor(m: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.einsum("aiaj->ij", m.reshape(d, n, d, n))
 
 
-def _structure_from_spaces(
-    right: OperatorSpace,
-    left: OperatorSpace,
-    projector_sup: Superoperator,
+def _structure_from_space(
+    space: SpectralSpace,
     fixedness_map: Callable[[np.ndarray], np.ndarray],
     kind: str,
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
-    d = right.dim
-    if right.size != left.size:
-        raise NumericalError(
-            f"right/left eigenspace dimensions differ ({right.size} vs {left.size})"
-        )
-    if right.size == 0:
-        raise NumericalError("empty fixed space; is the map trace preserving?")
+    d = space.dim
 
     # support of the preserved span
     acc = np.zeros((d, d), dtype=complex)
-    for b in right.basis:
+    for b in space.basis:
         acc += b @ b.conj().T + b.conj().T @ b
     p0 = projector_onto_support(acc, tol)
     vs = orthonormal_range_basis(p0, tol)
     r = vs.shape[1]
 
     # compress the adjoint-side span onto the support; this is the algebra
-    compressed = [vs.conj().T @ x @ vs for x in left.basis]
+    compressed = [vs.conj().T @ x @ vs for x in space.dual.basis]
     alg_space = operator_space_from_span(
         np.column_stack([c.reshape(-1, order="F") for c in compressed]), r, tol
     )
-    if alg_space.size != right.size:
+    if alg_space.size != space.size:
         raise NumericalError(
             "projected adjoint fixed space lost dimensions "
-            f"({alg_space.size} vs {right.size})"
+            f"({alg_space.size} vs {space.size})"
         )
     closure = is_algebra(alg_space, tol)
     if not closure:
@@ -249,7 +232,7 @@ def _structure_from_spaces(
             probe = sector.isometry @ np.kron(np.outer(psi, psi.conj()),
                                               np.eye(sector.n) / sector.n) \
                 @ sector.isometry.conj().T
-            image = apply_superoperator(projector_sup, probe)
+            image = apply_superoperator(space.projector, probe)
             m = sector.isometry.conj().T @ image @ sector.isometry
             tau = _partial_trace_factor(m, sector.d, sector.n)
             tau = (tau + tau.conj().T) / 2.0
@@ -326,12 +309,8 @@ def noiseless_structure(ch: QuantumChannel, seed: int = 0,
     distortion-state extraction through the time-averaged channel.
     """
     _require_square(ch)
-    right = fixed_space(ch, tol)
-    left = fixed_space_adjoint(ch, tol)
-    proj = asymptotic_projector(ch, tol)
-    return _structure_from_spaces(
-        right, left, proj, lambda x: apply_channel(ch, x),
-        "noiseless", seed, tol,
+    return _structure_from_space(
+        fixed_space(ch, tol), lambda x: apply_channel(ch, x), "noiseless", seed, tol,
     )
 
 
@@ -345,11 +324,9 @@ def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
     used for both distortion extraction and the fixedness certificate.
     """
     _require_square(ch)
-    right = rotating_space(ch, tol)
-    left = rotating_space_adjoint(ch, tol)
-    proj = peripheral_projector(ch, tol)
-    return _structure_from_spaces(
-        right, left, proj, lambda x: apply_superoperator(proj, x),
+    space = rotating_space(ch, tol)
+    return _structure_from_space(
+        space, lambda x: apply_superoperator(space.projector, x),
         "unitarily-noiseless", seed, tol,
     )
 
@@ -364,47 +341,9 @@ def unconditional_structure(ch: QuantumChannel, seed: int = 0,
     has full support.
     """
     comp = compose(unconditional_recovery(ch, tol), ch, tol=tol)
-    right = fixed_space(comp, tol)
-    left = fixed_space_adjoint(comp, tol)
-    proj = asymptotic_projector(comp, tol)
-    return _structure_from_spaces(
-        right, left, proj, lambda x: apply_channel(comp, x),
-        "unconditional", seed, tol,
+    return _structure_from_space(
+        fixed_space(comp, tol), lambda x: apply_channel(comp, x), "unconditional", seed, tol,
     )
-
-
-def unitarily_correctable_structure_unital(ch: QuantumChannel, seed: int = 0,
-                                           tol: ToleranceConfig = DEFAULT_TOL) -> FixedPointStructure:
-    """Structure recoverable by a fixed unitary, valid for unital channels.
-
-    For a unital channel the input-blind recovery is exactly the adjoint, so
-    the codes correctable by a unitary are the fixed points of ``E^dag o E``
-    and coincide with the unconditional structure; that identity is asserted
-    here.  Non-unital channels are rejected: use
-    :func:`unconditional_structure` directly for those.
-    """
-    _require_square(ch)
-    if not is_unital(ch, tol):
-        raise ValidationError(
-            "unitarily-correctable analysis is only valid for unital channels; "
-            "for non-unital channels compute unconditional_structure instead"
-        )
-    comp = compose(adjoint(ch, tol), ch, tol=tol)
-    right = fixed_space(comp, tol)
-    left = fixed_space_adjoint(comp, tol)
-    proj = asymptotic_projector(comp, tol)
-    structure = _structure_from_spaces(
-        right, left, proj, lambda x: apply_channel(comp, x),
-        "unconditional", seed, tol,
-    )
-    reference = unconditional_structure(ch, seed=seed, tol=tol)
-    if sorted(zip(structure.shape, structure.cofactors)) != \
-            sorted(zip(reference.shape, reference.cofactors)):
-        raise NumericalError(
-            "adjoint-composite structure disagrees with the unconditional one "
-            f"({structure.shape} vs {reference.shape})"
-        )
-    return structure
 
 
 def fixed_point_structure(ch: QuantumChannel, seed: int = 0,
@@ -472,6 +411,6 @@ def initialization_free_check(ch: QuantumChannel, structure: FixedPointStructure
         float(np.linalg.norm(p_k @ k @ comp)) for k in ch.kraus
     )
     return InitializationFreeReport(
-        initialization_free=max(residuals) < max(tol.equality, 1e-9),
+        initialization_free=max(residuals) < tol.equality,
         kraus_residuals=residuals,
     )

@@ -44,10 +44,6 @@ class ToleranceConfig:
     spectral_gap: float = 1e-6
     projector: float = 1e-10
 
-    def with_equality(self, value: float) -> "ToleranceConfig":
-        """Return a copy with ``equality`` replaced (used by the CLI)."""
-        return replace(self, equality=value)
-
     def with_user_tolerance(self, value: float) -> "ToleranceConfig":
         """Copy with both user-facing comparison thresholds replaced.
 

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ipstruct import (
+    DEFAULT_TOL,
     QuantumChannel,
     StochasticChannel,
     ValidationError,
@@ -134,6 +135,15 @@ def test_is_cptp_flags_non_tp():
     assert not rep.trace_preserving
     assert rep.tp_residual > 0.1
     assert rep.completely_positive
+
+
+def test_user_tolerance_is_the_applied_one():
+    tol = DEFAULT_TOL.with_user_tolerance(1e-12)
+    ks = [np.sqrt(1 + 1e-10) * np.eye(2, dtype=complex)]
+    assert not channel_from_kraus(ks, tol=tol).trace_preserving
+    assert not is_cptp(channel_from_kraus(ks), tol=tol).trace_preserving
+    assert not is_unital(channel_from_kraus(ks), tol=tol)
+    assert channel_from_kraus(ks).trace_preserving
 
 
 def test_channel_from_kraus_validation():

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ipstruct.cli import main
+from ipstruct import channel_from_kraus
 from ipstruct.serialization import (
     channel_from_json,
+    channel_to_json,
     complex_matrix_to_json,
     dumps,
 )
@@ -66,6 +68,20 @@ def test_analyze_fixed_structure_reports_init_freedom(fixtures_dir, capsys):
     assert doc["shape"] == [2]
     assert doc["initialization_free"] == [False]
     assert doc["residuals"]["kraus_invariance"] < 1e-8
+
+
+def test_analyze_without_spectral_gap_exits_3(tmp_path, capsys):
+    # dephasing with an interior eigenvalue 1e-7 from the unit circle
+    eps = 1e-7
+    ch = channel_from_kraus([
+        np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * np.diag([1.0, 0.0]),
+        np.sqrt(eps) * np.diag([0.0, 1.0]),
+    ])
+    path = tmp_path / "weak_dephasing.json"
+    path.write_text(dumps(channel_to_json(ch)))
+    code, _, _ = run_cli(capsys, "analyze", "--channel", str(path),
+                         "--mode", "unitarily-noiseless")
+    assert code == 3
 
 
 def test_analyze_malformed_json_exits_2(tmp_path, capsys):

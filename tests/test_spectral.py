@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 
 from ipstruct import (
     NumericalError,
+    ValidationError,
     asymptotic_projector,
-    channel_spectrum,
     channel_from_kraus,
     embed_classical,
     fixed_space,
@@ -23,13 +23,16 @@ from ipstruct.spectral import operator_space_from_span
 def test_unitary_channel_spectrum():
     # eigenvalues of a unitary conjugation are the phase ratios
     u = np.diag(np.exp(1j * np.array([0.3, 1.1])))
-    spectrum = channel_spectrum(channel_from_kraus([u]))
+    ch = channel_from_kraus([u])
+    eigenvalues = np.linalg.eigvals(to_superoperator(ch).matrix)
     expected = sorted(
         (np.exp(1j * (a - b)) for a in (0.3, 1.1) for b in (0.3, 1.1)),
         key=lambda z: (z.real, z.imag),
     )
-    got = sorted(spectrum.eigenvalues, key=lambda z: (z.real, z.imag))
+    got = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
     assert_allclose(got, expected, atol=1e-10)
+    # the whole spectrum is peripheral, so the projector is the identity
+    assert_allclose(peripheral_projector(ch).matrix, np.eye(4), atol=1e-10)
 
 
 def test_fixed_space_dephasing_is_diagonal():
@@ -50,6 +53,15 @@ def test_fixed_space_dim_matches_adjoint(seed):
     d = 2 + seed % 3
     ch = zoo.random_cptp(d, 1 + seed % 3, seed)
     assert fixed_space(ch).size == fixed_space_adjoint(ch).size
+    # the dual holds fixed points of the adjoint map
+    m = to_superoperator(ch).matrix
+    dual = fixed_space(ch).dual.vec_matrix()
+    assert np.linalg.norm(m.conj().T @ dual - dual) < 1e-9
+
+
+def test_spectral_input_must_be_a_channel_or_superoperator():
+    with pytest.raises(ValidationError):
+        fixed_space(np.eye(4, dtype=complex))
 
 
 def test_rotating_space_contains_fixed_space():
@@ -133,13 +145,14 @@ def test_peripheral_projector_gap_guard():
 def test_spectral_radius_bound_random():
     for seed in range(50):
         d = 2 + seed % 3
-        spectrum = channel_spectrum(zoo.random_cptp(d, 1 + seed % 4, seed))
-        assert np.max(np.abs(spectrum.eigenvalues)) <= 1 + 1e-9
+        ch = zoo.random_cptp(d, 1 + seed % 4, seed)
+        eigenvalues = np.linalg.eigvals(to_superoperator(ch).matrix)
+        assert np.max(np.abs(eigenvalues)) <= 1 + 1e-9
 
 
 def test_peripheral_semisimplicity_random():
-    # rotating_space raises if any peripheral eigenvalue had a nontrivial
-    # Jordan block (nullspace dimension below the cluster multiplicity)
+    # rotating_space raises if the peripheral spectrum is empty or not
+    # separated from the interior
     for seed in range(50):
         d = 2 + seed % 3
         ch = zoo.random_cptp(d, 1 + seed % 4, seed + 1000)
