@@ -14,7 +14,8 @@ tensor-product coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -61,9 +62,13 @@ class Sector:
 
 @dataclass(frozen=True)
 class AlgebraDecomposition:
+    """Sectors of an algebra; ``residuals`` holds the closure residual
+    (``algebra_closure``) and the :func:`verify_decomposition` report."""
+
     ambient_dim: int
     sectors: tuple[Sector, ...]
     support_projector: np.ndarray
+    residuals: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,6 +98,50 @@ class AlgebraDecomposition:
 # recognition
 # ---------------------------------------------------------------------------
 
+def _closure_pass(space: OperatorSpace, tol: ToleranceConfig) -> tuple[AlgebraCheck, np.ndarray]:
+    """Closure certificate and centre of a span, in one pass over its basis.
+
+    For each basis element ``b_l`` one batched product with the stacked basis
+    gives every ``b_j b_l`` and ``b_l b_j``.  The projection residuals of the
+    products and of the adjoints ``b_j^dag`` make the closure check.  The
+    commutators ``[b_j, b_l]`` build up the ``k x k`` Gram matrix of the map
+    ``c -> sum_j c_j [b_j, b_l]`` over all ``l``; its null space holds the
+    coefficients of the central elements.  Returns the check and an
+    orthonormal ``(n, dim, dim)`` stack spanning the centre.
+    """
+    k, r = space.size, space.dim
+    if k == 0:
+        return (AlgebraCheck(closed=True, worst_residual=0.0, worst_pair=None),
+                np.zeros((0, r, r), dtype=complex))
+    basis = np.stack(space.basis)
+    flat = basis.reshape(k, r * r)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(k))) > 1e-8:
+        raise NumericalError("operator space basis is not orthonormal")
+
+    def residuals(ops: np.ndarray) -> np.ndarray:
+        v = ops.reshape(k, r * r)
+        return np.linalg.norm(v - (v @ flat.conj().T) @ flat, axis=1)
+
+    # column 0: adjoint of b_i; column j + 1: product b_i b_j
+    res = np.empty((k, k + 1))
+    res[:, 0] = residuals(basis.conj().transpose(0, 2, 1))
+    gram = np.zeros((k, k), dtype=complex)
+    for col in range(k):
+        right = basis @ basis[col]
+        res[:, col + 1] = residuals(right)
+        comm = (right - basis[col] @ basis).reshape(k, r * r)
+        gram += comm.conj() @ comm.T
+    i, j = np.unravel_index(np.argmax(res), res.shape)
+    worst = float(res[i, j])
+    check = AlgebraCheck(closed=worst <= tol.subspace, worst_residual=worst,
+                         worst_pair=(int(i), int(j) - 1) if worst > 0 else None)
+
+    w, c = np.linalg.eigh(gram)
+    cut = max(tol.subspace ** 2, tol.rank_rel * w[-1])
+    centre = np.tensordot(c[:, w <= cut].T, basis, axes=1)
+    return check, centre
+
+
 def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraCheck:
     """Check closure of a span under products and adjoints.
 
@@ -101,30 +150,7 @@ def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Alge
     and the offending pair.  Pair ``(i, -1)`` denotes the adjoint of basis
     element ``i``.
     """
-    if space.size == 0:
-        return AlgebraCheck(closed=True, worst_residual=0.0, worst_pair=None)
-    basis_mat = space.vec_matrix()
-    gram = basis_mat.conj().T @ basis_mat
-    if np.max(np.abs(gram - np.eye(space.size))) > 1e-8:
-        raise NumericalError("operator space basis is not orthonormal")
-
-    def residual(op: np.ndarray) -> float:
-        v = op.reshape(-1, order="F")
-        coeff = basis_mat.conj().T @ v
-        return float(np.linalg.norm(v - basis_mat @ coeff))
-
-    worst = 0.0
-    worst_pair: tuple[int, int] | None = None
-    for i, a in enumerate(space.basis):
-        r = residual(a.conj().T)
-        if r > worst:
-            worst, worst_pair = r, (i, -1)
-        for j, b in enumerate(space.basis):
-            r = residual(a @ b)
-            if r > worst:
-                worst, worst_pair = r, (i, j)
-    return AlgebraCheck(closed=worst <= tol.subspace, worst_residual=worst,
-                        worst_pair=worst_pair)
+    return _closure_pass(space, tol)[0]
 
 
 def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
@@ -139,9 +165,9 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
         # vec([B, X]) = (1 kron B - B^T kron 1) vec(X) in column stacking
         rows.append(np.kron(eye, b) - np.kron(b.T, eye))
     stacked = np.vstack(rows)
-    u, s, vh = np.linalg.svd(stacked)
-    cut = max(tol.subspace, (s[0] if s.size else 0.0) * tol.rank_rel)
-    null_dim = int(np.sum(s <= cut)) + (stacked.shape[1] - len(s) if stacked.shape[1] > len(s) else 0)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    cut = max(tol.subspace, s[0] * tol.rank_rel)
+    null_dim = int(np.sum(s <= cut))
     if null_dim == 0:
         return OperatorSpace(dim=d, basis=())
     basis = vh[len(vh) - null_dim:].conj().T
@@ -163,18 +189,6 @@ def _support_basis(space: OperatorSpace, tol: ToleranceConfig) -> np.ndarray:
     return cols[:, ::-1]
 
 
-def _intersect_spans(u1: np.ndarray, u2: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Intersection of two subspaces given by orthonormal column bases."""
-    if u1.shape[1] == 0 or u2.shape[1] == 0:
-        return np.zeros((u1.shape[0], 0), dtype=complex)
-    p1 = u1 @ u1.conj().T
-    p2 = u2 @ u2.conj().T
-    h = (np.eye(u1.shape[0]) - p1) + (np.eye(u1.shape[0]) - p2)
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    keep = w < tol.subspace * 10
-    return v[:, keep]
-
-
 def _cluster_real(values: np.ndarray, width: float) -> list[np.ndarray]:
     order = np.argsort(values)
     groups: list[list[int]] = [[int(order[0])]]
@@ -186,10 +200,10 @@ def _cluster_real(values: np.ndarray, width: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def _random_hermitian_in(vec_basis: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
-    k = vec_basis.shape[1]
+def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    k = len(ops)
     coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    z = (vec_basis @ coeff).reshape((dim, dim), order="F")
+    z = np.tensordot(coeff, ops, axes=1)
     return (z + z.conj().T) / 2.0
 
 
@@ -220,40 +234,34 @@ def canonical_decompose(
         DecompositionError: when eigenvalue clustering stays ambiguous after
             resampling, or recovered dimensions fail the integer guard.
     """
-    check = is_algebra(space, tol)
-    if not check:
-        raise DecompositionError(
-            "span is not closed under multiplication "
-            f"(worst residual {check.worst_residual:.3e} at pair {check.worst_pair})",
-            residuals={"closure_residual": check.worst_residual},
-        )
-    d_amb = space.dim
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
 
     v_supp = _support_basis(space, tol)
     r = v_supp.shape[1]
-    compressed = [v_supp.conj().T @ b @ v_supp for b in space.basis]
-    comp_space = operator_space_from_span(
-        np.column_stack([c.reshape(-1, order="F") for c in compressed]), r, tol
-    )
+    comp_space = space.compressed(v_supp, tol)
     if comp_space.size != space.size:
         raise DecompositionError(
             "span dimension changed under support compression",
             residuals={"before": float(space.size), "after": float(comp_space.size)},
         )
 
-    comm = commutant(comp_space, tol)
-    center_vecs = _intersect_spans(comp_space.vec_matrix(), comm.vec_matrix(), tol)
-    n_sectors = center_vecs.shape[1]
-    if n_sectors == 0:
+    # every element lives on the support, so closure there is closure of the input
+    check, centre = _closure_pass(comp_space, tol)
+    if not check:
+        raise DecompositionError(
+            "span is not closed under multiplication "
+            f"(worst residual {check.worst_residual:.3e} at pair {check.worst_pair})",
+            residuals={"closure_residual": check.worst_residual},
+        )
+    if len(centre) == 0:
         raise DecompositionError("algebra has an empty center; is the unit present?")
 
     rng = np.random.default_rng(seed)
     last_error: DecompositionError | None = None
     for _ in range(_attempts):
         try:
-            sectors = _decompose_once(comp_space, center_vecs, n_sectors, r, rng, tol)
+            sectors = _decompose_once(comp_space, centre, rng, tol)
         except DecompositionError as exc:
             last_error = exc
             continue
@@ -262,7 +270,7 @@ def canonical_decompose(
         )
         ordered = tuple(sorted(lifted, key=lambda s: (-s.d, -s.n)))
         dec = AlgebraDecomposition(
-            ambient_dim=d_amb,
+            ambient_dim=space.dim,
             sectors=ordered,
             support_projector=v_supp @ v_supp.conj().T,
         )
@@ -281,23 +289,23 @@ def canonical_decompose(
                 "decomposition failed verification", residuals=report
             )
             continue
-        return dec
+        return replace(dec, residuals={"algebra_closure": check.worst_residual, **report})
     raise last_error or DecompositionError("algebra decomposition failed")
 
 
-def _decompose_once(comp_space, center_vecs, n_sectors, r, rng, tol):
+def _decompose_once(comp_space, centre, rng, tol):
     # 1. split the support with a generic Hermitian central element
     for _ in range(4):
-        h = _random_hermitian_in(center_vecs, r, rng)
+        h = _random_hermitian_in(centre, rng)
         if np.linalg.norm(h) > 1e-10:
             break
     w, v = np.linalg.eigh(h)
     spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
     width = max(tol.cluster_rel * max(spread, 1.0), 1e-12)
     clusters = _cluster_real(w, width)
-    if len(clusters) != n_sectors:
+    if len(clusters) != len(centre):
         raise DecompositionError(
-            f"central element produced {len(clusters)} clusters, expected {n_sectors}",
+            f"central element produced {len(clusters)} clusters, expected {len(centre)}",
             residuals={"clusters": float(len(clusters))},
         )
 
@@ -305,10 +313,7 @@ def _decompose_once(comp_space, center_vecs, n_sectors, r, rng, tol):
     for cluster in clusters:
         q = v[:, cluster]  # r x m_k
         m_k = q.shape[1]
-        local = [q.conj().T @ b @ q for b in comp_space.basis]
-        local_space = operator_space_from_span(
-            np.column_stack([c.reshape(-1, order="F") for c in local]), m_k, tol
-        )
+        local_space = comp_space.compressed(q, tol)
         d_k = _near_integer(np.sqrt(local_space.size), tol.integer_guard,
                             "sqrt(sector algebra dimension)")
         if d_k == 0:
@@ -332,8 +337,8 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
     if d == 1:
         # abelian factor: any orthonormal basis of the sector works
         return np.eye(m, dtype=complex)
-    vec_basis = local_space.vec_matrix()
-    h = _random_hermitian_in(vec_basis, m, rng)
+    ops = np.stack(local_space.basis)
+    h = _random_hermitian_in(ops, rng)
     w, v = np.linalg.eigh(h)
     spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
     width = max(tol.cluster_rel * max(spread, 1.0), 1e-12)
@@ -345,8 +350,8 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
         )
     eig_blocks = [v[:, c] for c in clusters]
 
-    coeff = rng.standard_normal(local_space.size) + 1j * rng.standard_normal(local_space.size)
-    t = (vec_basis @ coeff).reshape((m, m), order="F")
+    coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
+    t = np.tensordot(coeff, ops, axes=1)
 
     w1 = eig_blocks[0]
     columns = [w1]

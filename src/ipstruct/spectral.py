@@ -65,9 +65,11 @@ class OperatorSpace:
             return np.zeros((self.dim**2, 0), dtype=complex)
         return np.column_stack([b.reshape(-1, order="F") for b in self.basis])
 
-    def project_coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt components of ``x`` along the basis."""
-        return np.array([np.trace(b.conj().T @ x) for b in self.basis])
+    def compressed(self, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> "OperatorSpace":
+        """The span of ``v^dag b v`` over the basis, for an isometry ``v``."""
+        m = v.shape[1]
+        local = OperatorSpace(dim=m, basis=tuple(v.conj().T @ b @ v for b in self.basis))
+        return operator_space_from_span(local.vec_matrix(), m, tol)
 
 
 @dataclass(frozen=True)
@@ -224,16 +226,17 @@ def subspace_distance(a: OperatorSpace | np.ndarray, b: OperatorSpace | np.ndarr
 
     Accepts operator spaces or raw matrices whose columns span the spaces.
     Returns 1.0-scale values for genuinely different spans and ~0 for equal
-    ones; spans of different dimension always differ.
+    ones; spans of different dimension always differ.  For equal dimensions
+    the distance is ``||Q_b - Q_a Q_a^dag Q_b||``, the sine of the largest
+    principal angle, computed without forming either projector.
     """
-    def proj(x):
-        if isinstance(x, OperatorSpace):
-            m = x.vec_matrix()
-        else:
-            m = np.asarray(x, dtype=complex)
-        if m.shape[1] == 0:
-            return np.zeros((m.shape[0], m.shape[0]), dtype=complex)
-        q, _ = np.linalg.qr(m)
-        return q @ q.conj().T
+    def orthonormal(x):
+        m = x.vec_matrix() if isinstance(x, OperatorSpace) else np.asarray(x, dtype=complex)
+        return np.linalg.qr(m)[0]
 
-    return float(np.linalg.norm(proj(a) - proj(b), 2))
+    qa, qb = orthonormal(a), orthonormal(b)
+    if qa.shape[1] != qb.shape[1]:
+        return 1.0
+    if qa.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, Sector, canonical_decompose, is_algebra
+from .algebra import AlgebraDecomposition, Sector, canonical_decompose
 from .channels import (
     QuantumChannel,
     apply_channel,
@@ -41,7 +41,6 @@ from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import (
     SpectralSpace,
     fixed_space,
-    operator_space_from_span,
     rotating_space,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -192,23 +191,13 @@ def _structure_from_space(
         acc += b @ b.conj().T + b.conj().T @ b
     p0 = projector_onto_support(acc, tol)
     vs = orthonormal_range_basis(p0, tol)
-    r = vs.shape[1]
 
     # compress the adjoint-side span onto the support; this is the algebra
-    compressed = [vs.conj().T @ x @ vs for x in space.dual.basis]
-    alg_space = operator_space_from_span(
-        np.column_stack([c.reshape(-1, order="F") for c in compressed]), r, tol
-    )
+    alg_space = space.dual.compressed(vs, tol)
     if alg_space.size != space.size:
         raise NumericalError(
             "projected adjoint fixed space lost dimensions "
             f"({alg_space.size} vs {space.size})"
-        )
-    closure = is_algebra(alg_space, tol)
-    if not closure:
-        raise DecompositionError(
-            "projected fixed space of the adjoint is not multiplicatively closed",
-            residuals={"closure_residual": closure.worst_residual},
         )
 
     dec_local = canonical_decompose(alg_space, seed=seed, tol=tol)
@@ -216,7 +205,8 @@ def _structure_from_space(
         Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors
     )
     dec = AlgebraDecomposition(
-        ambient_dim=d, sectors=sectors, support_projector=p0
+        ambient_dim=d, sectors=sectors, support_projector=p0,
+        residuals=dec_local.residuals,
     )
 
     # distortion states: average a seeded pure state on each factor and trace
@@ -282,7 +272,7 @@ def _structure_from_space(
         )
 
     residuals = {
-        "algebra_closure": closure.worst_residual,
+        "algebra_closure": dec.residuals["algebra_closure"],
         "tau_cross_check": tau_cross,
         "fixed_state_residual": fix_res,
     }

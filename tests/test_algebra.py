@@ -9,7 +9,17 @@ from ipstruct import (
     is_algebra,
     verify_decomposition,
 )
+from ipstruct.algebra import _closure_pass
 from ipstruct.spectral import operator_space_from_span
+from ipstruct.tolerances import DEFAULT_TOL
+
+SECTOR_LAYOUTS = [
+    [(1, 1), (1, 1)],
+    [(2, 1)],
+    [(2, 2), (1, 3)],
+    [(3, 1), (1, 2)],
+    [(2, 1), (2, 1)],
+]
 
 
 def haar_unitary(d, rng):
@@ -66,6 +76,12 @@ def test_is_algebra_rejects_non_closed_span():
     check = is_algebra(space)
     assert not check  # x @ x = identity, which is outside span{x}
     assert check.worst_residual > 0.1
+    assert check.worst_pair == (0, 0)
+    # closed under products (x @ x = 0) but not under the adjoint
+    x = np.array([[0, 1], [0, 0]], dtype=complex)
+    check = is_algebra(operator_space_from_span(x.reshape(-1, 1, order="F"), dim=2))
+    assert not check
+    assert check.worst_pair == (0, -1)
 
 
 def test_commutant_extremes():
@@ -104,6 +120,8 @@ def test_canonical_decompose_known_shape():
     assert dec.support_rank() == 7
     res = verify_decomposition(space, dec)
     assert res["max_residual"] < 1e-8
+    assert dec.residuals == {"algebra_closure": dec.residuals["algebra_closure"], **res}
+    assert dec.residuals["algebra_closure"] < 1e-8
 
 
 def test_canonical_decompose_reconstructs_elements():
@@ -122,13 +140,7 @@ def test_canonical_decompose_reconstructs_elements():
     assert np.linalg.norm(proj @ x - x) < 1e-8
 
 
-@pytest.mark.parametrize("sectors", [
-    [(1, 1), (1, 1)],
-    [(2, 1)],
-    [(2, 2), (1, 3)],
-    [(3, 1), (1, 2)],
-    [(2, 1), (2, 1)],
-])
+@pytest.mark.parametrize("sectors", SECTOR_LAYOUTS)
 def test_canonical_decompose_random_conjugations(sectors):
     total = sum(d * n for d, n in sectors)
     for seed in range(10):
@@ -140,6 +152,25 @@ def test_canonical_decompose_random_conjugations(sectors):
         got_sorted = tuple(sorted(dec.shape, reverse=True))
         assert got_sorted == expected, (sectors, seed)
         assert verify_decomposition(space, dec)["max_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("sectors", SECTOR_LAYOUTS)
+def test_commutant_and_centre_of_sector_layouts(sectors):
+    # one dimension outside the support adds M_1 to the commutant
+    pad = 1
+    total = sum(d * n for d, n in sectors) + pad
+    space = space_of(total, sectors, haar_unitary(total, np.random.default_rng(3)))
+    assert commutant(space).size == sum(n * n for _, n in sectors) + pad ** 2
+
+    check, centre = _closure_pass(space, DEFAULT_TOL)
+    assert check
+    assert len(centre) == len(sectors)
+    v = space.vec_matrix()
+    for z in centre:
+        x = z.reshape(-1, order="F")
+        assert np.linalg.norm(v @ (v.conj().T @ x) - x) < 1e-10
+        for b in space.basis:
+            assert np.linalg.norm(z @ b - b @ z) < 1e-10
 
 
 def test_seed_invariance_of_decomposition():

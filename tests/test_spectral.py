@@ -177,3 +177,8 @@ def test_subspace_distance():
     assert subspace_distance(q, q @ mix) < 1e-12
     e = np.eye(6)
     assert abs(subspace_distance(e[:, :2], e[:, 2:4]) - 1.0) < 1e-12
+    assert subspace_distance(e[:, :2], e[:, :3]) == 1.0
+    # a tiny rotation reads its own angle, well below tol.subspace
+    t = 1e-9
+    turned = np.column_stack([np.cos(t) * e[:, 0] + np.sin(t) * e[:, 2], e[:, 1]])
+    assert abs(subspace_distance(e[:, :2], turned) - t) < 1e-12

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import unitary_group
 
 import ipstruct
+import ipstruct.algebra
 from ipstruct import (
     NumericalError,
     ValidationError,
@@ -201,6 +205,60 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
             monkeypatch.setattr(module, "to_superoperator", counted)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("analyze", [
+    noiseless_structure, unitarily_noiseless_structure, unconditional_structure,
+])
+def test_one_closure_check_per_analysis(analyze, monkeypatch):
+    calls = []
+    original = ipstruct.algebra._closure_pass
+
+    def counted(space, tol):
+        calls.append(space)
+        return original(space, tol)
+
+    monkeypatch.setattr(ipstruct.algebra, "_closure_pass", counted)
+    analyze(zoo.random_cptp(8, 3, 1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build, shape, cofactors", [
+    (lambda: channel_from_kraus([np.eye(12)]), (12,), (1,)),
+    (lambda: zoo.random_dfs_channel(16, 8, 1), (8, 1), (1, 8)),
+], ids=["identity-d12", "planted-dfs-d16"])
+def test_large_algebras_stay_small_in_memory(build, shape, cofactors):
+    # the algebra layer once took a full SVD of a (k r^2) x r^2 matrix here:
+    # killed for memory at d=12, a 4.13 GiB allocation error at d=16
+    ch = build()
+    tracemalloc.start()
+    try:
+        s = noiseless_structure(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.shape, s.cofactors) == (shape, cofactors)
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("d, dfs", [(10, 5), (12, 4)])
+@pytest.mark.parametrize("seed", range(3))
+def test_structures_invariant_under_gauge_conjugation_and_seed(d, dfs, seed):
+    ch = zoo.random_dfs_channel(d, dfs, seed)
+    rng = np.random.default_rng(seed)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    u = unitary_group.rvs(d, random_state=rng)
+    mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
+    turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
+
+    def verdict(s):
+        return s.shape, s.cofactors, s.support_rank
+
+    for analyze in (noiseless_structure, fixed_point_structure):
+        expected = verdict(analyze(ch))
+        assert verdict(analyze(mixed)) == expected
+        assert verdict(analyze(turned)) == expected
+        assert verdict(analyze(ch, seed=seed + 5)) == expected
 
 
 def test_near_degenerate_spectrum_verdicts():
