@@ -178,17 +178,6 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
 # canonical decomposition
 # ---------------------------------------------------------------------------
 
-def _support_basis(space: OperatorSpace, tol: ToleranceConfig) -> np.ndarray:
-    acc = np.zeros((space.dim, space.dim), dtype=complex)
-    for b in space.basis:
-        acc += b @ b.conj().T + b.conj().T @ b
-    w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
-    top = np.max(np.abs(w)) if w.size else 0.0
-    keep = w > tol.rank_rel * top if top > 0 else np.zeros_like(w, dtype=bool)
-    cols = v[:, keep]
-    return cols[:, ::-1]
-
-
 def _cluster_real(values: np.ndarray, width: float) -> list[np.ndarray]:
     order = np.argsort(values)
     groups: list[list[int]] = [[int(order[0])]]
@@ -205,6 +194,15 @@ def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarra
     coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     z = np.tensordot(coeff, ops, axes=1)
     return (z + z.conj().T) / 2.0
+
+
+def _sector_key(s: Sector) -> tuple:
+    """Larger factors first; ties are broken by the sector projector alone
+    (its diagonal, then its entries, rounded), never by the random element
+    that found the sectors."""
+    p = s.isometry @ s.isometry.conj().T
+    entries = (-np.concatenate([p.diagonal(), p.ravel()])).view(float)
+    return (-s.d, -s.n, *entries.round(6).tolist())
 
 
 def _near_integer(value: float, guard: float, what: str) -> int:
@@ -227,7 +225,8 @@ def canonical_decompose(
 
     The input span must be closed under products and adjoints and contain
     its own support projector (the algebra unit).  The sector list is sorted
-    descending by factor dimension, then by multiplicity, and the result is
+    descending by factor dimension, then by multiplicity, then by the sector
+    projector, so the order does not depend on ``seed``; the isometries are
     deterministic for a fixed ``seed``.
 
     Raises:
@@ -237,7 +236,7 @@ def canonical_decompose(
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
 
-    v_supp = _support_basis(space, tol)
+    v_supp = space.support(tol)
     r = v_supp.shape[1]
     comp_space = space.compressed(v_supp, tol)
     if comp_space.size != space.size:
@@ -268,7 +267,7 @@ def canonical_decompose(
         lifted = tuple(
             Sector(d=s.d, n=s.n, isometry=v_supp @ s.isometry) for s in sectors
         )
-        ordered = tuple(sorted(lifted, key=lambda s: (-s.d, -s.n)))
+        ordered = tuple(sorted(lifted, key=_sector_key))
         dec = AlgebraDecomposition(
             ambient_dim=space.dim,
             sectors=ordered,

@@ -14,13 +14,22 @@ Operators are vectorized by **column stacking** (Fortran order), so that
 
 and the superoperator of ``X -> sum_i K_i X K_i^dag`` is
 ``sum_i conj(K_i) kron K_i``.  The convention lives entirely in :func:`vec`,
-:func:`unvec` and :func:`to_superoperator`; no other module builds vectorized
-indices by hand.
+:func:`unvec`, :func:`to_superoperator` and the Hermitian coordinates below;
+no other module builds vectorized indices by hand.
+
+Hermitian coordinates use the orthonormal basis ``E_ii``,
+``(E_ij + E_ji)/sqrt(2)`` and ``i(E_ij - E_ji)/sqrt(2)`` (``i < j``), labelled
+by the vectorized index of ``(i, i)``, ``(i, j)`` and ``(j, i)``.  Column ``c``
+of this unitary ``U`` is ``alpha_c e_c + conj(alpha_c) e_swap(c)``, with
+``swap(c)`` the index of the transposed entry, so a change of basis is index
+arithmetic.  A Hermiticity-preserving map (``E(X)^dag = E(X^dag)``, as is
+every map in Kraus form) has a real matrix ``U^dag M U`` there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +44,8 @@ __all__ = [
     "CptpReport",
     "vec",
     "unvec",
+    "hermitian_coordinates",
+    "from_hermitian_coordinates",
     "channel_from_kraus",
     "to_superoperator",
     "apply_channel",
@@ -66,6 +77,57 @@ def vec(x: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Inverse of :func:`vec` for a ``rows x cols`` operator."""
     return np.asarray(v).reshape((rows, cols), order="F")
+
+
+@lru_cache(maxsize=16)
+def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, swap)`` of the Hermitian basis of ``d x d`` operators; cached
+    and read-only, because each spectral split reads them several times."""
+    idx = np.arange(d * d)
+    row, col = idx % d, idx // d
+    alpha = np.where(row == col, 0.5, np.where(row < col, 1.0, -1j) / np.sqrt(2.0))
+    swap = col + row * d
+    alpha.setflags(write=False)
+    swap.setflags(write=False)
+    return alpha, swap
+
+
+def hermitian_coordinates(m: np.ndarray, d: int,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The real matrix ``U^dag M U`` of a complex superoperator matrix ``m`` on
+    ``d x d`` operators, in Fortran order so that LAPACK can overwrite it in
+    place.  The change of basis runs in place, so ``m`` is overwritten.
+
+    Raises:
+        ValidationError: if the map is not Hermiticity preserving, i.e. the
+            matrix has an imaginary part above ``tol.equality``.
+    """
+    alpha, swap = _hermitian_basis(d)
+    # columns: (M U)[:, c] = alpha_c M[:, c] + conj(alpha_c) M[:, swap(c)]
+    pair = m[:, swap]
+    pair *= alpha.conj()
+    m *= alpha
+    m += pair
+    del pair
+    # rows: (U^dag W)[r] = conj(alpha_r) W[r] + alpha_r W[swap(r)]
+    pair = m[swap]
+    pair *= alpha[:, None]
+    m *= alpha.conj()[:, None]
+    m += pair
+    del pair
+    leak = float(np.max(np.abs(m.imag)))
+    if leak > tol.equality:
+        raise ValidationError(
+            f"map is not Hermiticity preserving (imaginary part {leak:.3e} "
+            "in Hermitian coordinates)"
+        )
+    return np.asfortranarray(m.real)
+
+
+def from_hermitian_coordinates(z: np.ndarray, d: int) -> np.ndarray:
+    """Vectorized operators ``U z`` of real coordinate columns ``z``."""
+    alpha, swap = _hermitian_basis(d)
+    return alpha[:, None] * z + alpha.conj()[swap][:, None] * z[swap]
 
 
 # ---------------------------------------------------------------------------

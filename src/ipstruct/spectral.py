@@ -10,17 +10,25 @@ for the fixed points (``lambda = 1``) or the whole peripheral spectrum
 * the spectral projector onto the right space along all other spectral
   components -- for the fixed points this is the time-averaged channel.
 
-All three come from one ordered complex Schur form ``M = Z T Z^dag`` whose
-leading block ``T11`` carries the selected eigenvalues, plus one triangular
+The split runs in Hermitian coordinates (see :mod:`ipstruct.channels`): in an
+orthonormal basis of Hermitian operators a Hermiticity-preserving map, such
+as every map in Kraus form, has a real matrix ``M_r``, because
+``tr(B_a E(B_b))`` is real when ``B_a``, ``B_b`` and ``E(B_b)`` are
+Hermitian.  All three results come from one ordered real Schur form
+``M_r = Z T Z^T`` whose leading quasi-triangular block ``T11`` carries the
+selected eigenvalues (a conjugate pair shares ``|lambda|`` and
+``|lambda - 1|``, so it is selected or dropped whole), plus one real
 Sylvester solve ``T11 X - X T22 = T12`` for the coupling block.  The leading
-Schur vectors ``Z1`` span the right space, ``Z1 + Z2 X^dag`` spans the left
-one, and the projector is ``Z1 (Z1^dag + X Z2^dag)``.  The invariant subspace
-is the eigenspace because the peripheral spectrum of a trace-preserving
-positive map is semisimple.
+Schur vectors ``Z1`` span the right space, ``Z1 + Z2 X^T`` spans the left one,
+and the projector is ``R L^dag`` with ``R``, ``L`` those two blocks mapped
+back to operators.  Both bases therefore consist of Hermitian operators.  The
+invariant subspace is the eigenspace because the peripheral spectrum of a
+trace-preserving positive map is semisimple.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +37,8 @@ import scipy.linalg
 from .channels import (
     QuantumChannel,
     Superoperator,
+    from_hermitian_coordinates,
+    hermitian_coordinates,
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
@@ -64,6 +74,15 @@ class OperatorSpace:
         if not self.basis:
             return np.zeros((self.dim**2, 0), dtype=complex)
         return np.column_stack([b.reshape(-1, order="F") for b in self.basis])
+
+    def support(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+        """Orthonormal columns spanning the joint support of the span, the
+        range of ``sum_b b b^dag + b^dag b``; largest eigenvalue first."""
+        acc = np.zeros((self.dim, self.dim), dtype=complex)
+        for b in self.basis:
+            acc += b @ b.conj().T + b.conj().T @ b
+        w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
+        return v[:, w > tol.rank_rel * np.max(np.abs(w))][:, ::-1]
 
     def compressed(self, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> "OperatorSpace":
         """The span of ``v^dag b v`` over the basis, for an isometry ``v``."""
@@ -111,6 +130,7 @@ def operator_space_from_span(
 # ---------------------------------------------------------------------------
 
 def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int]:
+    """A complex superoperator matrix that the caller may overwrite."""
     if isinstance(ch, QuantumChannel):
         if not ch.is_square:
             raise NumericalError("spectral analysis requires a square channel")
@@ -118,7 +138,7 @@ def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int
     if isinstance(ch, Superoperator):
         if ch.dim_in != ch.dim_out:
             raise NumericalError("spectral analysis requires a square superoperator")
-        return ch.matrix, ch.dim_in
+        return np.array(ch.matrix, dtype=complex), ch.dim_in
     raise ValidationError(
         f"spectral analysis takes a QuantumChannel or a Superoperator, not {type(ch).__name__}"
     )
@@ -128,33 +148,53 @@ def _operators(columns: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
     return tuple(c.reshape((d, d), order="F") for c in columns.T)
 
 
-def _split(ch, select, nothing_selected: str) -> tuple[SpectralSpace, np.ndarray, np.ndarray]:
-    """Split the spectrum into the eigenvalues ``select`` accepts and the rest.
+def _moduli(t: np.ndarray) -> np.ndarray:
+    """Eigenvalue moduli of a real quasi-triangular Schur block; a 2 x 2
+    diagonal block holds a conjugate pair with ``|lambda|^2 = det``."""
+    mod = np.abs(np.diag(t))
+    j = np.flatnonzero(np.diag(t, -1))
+    mod[j] = mod[j + 1] = np.sqrt(t[j, j] * t[j + 1, j + 1] - t[j, j + 1] * t[j + 1, j])
+    return mod
 
-    Returns the selected space, the unselected eigenvalues and the coupling
-    ``X`` that solves ``T11 X - X T22 = T12``.
+
+def _split(ch, select, nothing_selected: str,
+           tol: ToleranceConfig) -> tuple[SpectralSpace, np.ndarray, np.ndarray]:
+    """Split the spectrum into the eigenvalues ``select(re, im)`` accepts and
+    the rest.
+
+    Returns the selected space, the quasi-triangular block ``T22`` of the
+    unselected eigenvalues and the coupling ``X`` that solves
+    ``T11 X - X T22 = T12``.
     """
     m, d = _superop_matrix(ch)
-    t, z, k = scipy.linalg.schur(m, output="complex", sort=select)
+    m_r = hermitian_coordinates(m, d, tol)
+    del m  # freed before the Schur form
+    try:
+        t, z, k = scipy.linalg.schur(m_r, output="real", overwrite_a=True, sort=select)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(f"ordered Schur form failed: {exc}") from exc
     if k == 0:
         raise NumericalError(nothing_selected)
-    n = m.shape[0]
-    # a copy, so that the n x n Schur basis is freed once the split returns
-    z1, z2 = z[:, :k].copy(), z[:, k:]
-    if k == n:
-        x = np.zeros((k, 0), dtype=complex)
+    z1, z2 = z[:, :k], z[:, k:]
+    if k == z.shape[0]:
+        x = np.zeros((k, 0))
     else:
-        x, scale, _ = scipy.linalg.lapack.ztrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        if info != 0:
+            raise NumericalError("Sylvester solve for the spectral coupling failed",
+                                 residuals={"sylvester_info": float(info)})
         x = x / scale
-    dual, _ = np.linalg.qr(z1 + z2 @ x.conj().T)
+    left = z1 + z2 @ x.T
+    right = from_hermitian_coordinates(z1, d)
+    dual = from_hermitian_coordinates(np.linalg.qr(left)[0], d)
+    projector = right @ from_hermitian_coordinates(left, d).conj().T
     space = SpectralSpace(
         dim=d,
-        basis=_operators(z1, d),
+        basis=_operators(right, d),
         dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
-        projector=Superoperator(dim_in=d, dim_out=d,
-                                matrix=z1 @ (z1.conj().T + x @ z2.conj().T)),
+        projector=Superoperator(dim_in=d, dim_out=d, matrix=projector),
     )
-    return space, np.diag(t)[k:], x
+    return space, t[k:, k:], x
 
 
 def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
@@ -166,8 +206,8 @@ def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
         NumericalError: if no eigenvalue is 1, or if the right/left pairing
             is numerically singular (``pairing_condition`` above 1e12).
     """
-    space, _, x = _split(ch, lambda lam: abs(lam - 1.0) < tol.peripheral,
-                         "no eigenvalue 1 found; is the map trace preserving?")
+    space, _, x = _split(ch, lambda re, im: math.hypot(re - 1.0, im) < tol.peripheral,
+                         "no eigenvalue 1 found; is the map trace preserving?", tol)
     # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
     cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
     if not np.isfinite(cond) or cond > 1e12:
@@ -189,10 +229,10 @@ def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
             ``tol.spectral_gap``), which would make the separation
             meaningless.
     """
-    space, interior, _ = _split(ch, lambda lam: abs(abs(lam) - 1.0) < tol.peripheral,
-                                "no unit-modulus eigenvalues found")
+    space, interior, _ = _split(ch, lambda re, im: abs(math.hypot(re, im) - 1.0) < tol.peripheral,
+                                "no unit-modulus eigenvalues found", tol)
     if interior.size:
-        gap = 1.0 - float(np.max(np.abs(interior)))
+        gap = 1.0 - float(np.max(_moduli(interior)))
         if gap < tol.spectral_gap:
             raise NumericalError(
                 "peripheral spectrum is not separated from the interior",

@@ -35,7 +35,6 @@ from .channels import (
     compose,
     is_projector,
     orthonormal_range_basis,
-    projector_onto_support,
 )
 from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import (
@@ -184,13 +183,8 @@ def _structure_from_space(
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
     d = space.dim
-
-    # support of the preserved span
-    acc = np.zeros((d, d), dtype=complex)
-    for b in space.basis:
-        acc += b @ b.conj().T + b.conj().T @ b
-    p0 = projector_onto_support(acc, tol)
-    vs = orthonormal_range_basis(p0, tol)
+    vs = space.support(tol)
+    p0 = vs @ vs.conj().T
 
     # compress the adjoint-side span onto the support; this is the algebra
     alg_space = space.dual.compressed(vs, tol)

@@ -22,6 +22,8 @@ from ipstruct import (
     vec,
 )
 from ipstruct.channels import (
+    from_hermitian_coordinates,
+    hermitian_coordinates,
     is_hermitian,
     is_positive_semidefinite,
     is_projector,
@@ -42,6 +44,19 @@ def test_vec_column_stacking_convention():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert_allclose(vec(x), [1.0, 3.0, 2.0, 4.0])
     assert_allclose(unvec(vec(x), 2, 2), x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_hermitian_coordinates_match_the_dense_change_of_basis(d):
+    u = from_hermitian_coordinates(np.eye(d * d), d)
+    assert_allclose(u.conj().T @ u, np.eye(d * d), atol=1e-14)
+    for column in u.T:
+        b = unvec(column, d, d)
+        assert_allclose(b, b.conj().T, atol=0)
+    m = to_superoperator(zoo.random_cptp(d, 2, d)).matrix
+    m_r = hermitian_coordinates(m.copy(), d)
+    assert m_r.dtype == np.float64
+    assert_allclose(m_r, u.conj().T @ m @ u, atol=1e-14)
 
 
 def test_vec_unvec_roundtrip_rectangular():

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ipstruct.cli import main
 from ipstruct import channel_from_kraus
@@ -68,6 +69,32 @@ def test_analyze_fixed_structure_reports_init_freedom(fixtures_dir, capsys):
     assert doc["shape"] == [2]
     assert doc["initialization_free"] == [False]
     assert doc["residuals"]["kraus_invariance"] < 1e-8
+
+
+def test_init_free_flags_do_not_depend_on_seed(fixtures_dir, capsys):
+    # squash_three has two (1, 1) sectors, so only the tie-break orders them
+    flags = set()
+    for seed in range(6):
+        code, out, _ = run_cli(
+            capsys, "analyze", "--channel", str(fixtures_dir / "squash_three.json"),
+            "--mode", "fixed-structure", "--seed", str(seed), "--json",
+        )
+        assert code == 0
+        flags.add(tuple(json.loads(out)["initialization_free"]))
+    assert len(flags) == 1
+
+
+def test_analyze_schur_failure_exits_3(fixtures_dir, capsys, monkeypatch):
+    def failing_schur(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+
+    monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
+    code, _, err = run_cli(
+        capsys, "analyze", "--channel", str(fixtures_dir / "depolarize_B.json"),
+        "--mode", "noiseless",
+    )
+    assert code == 3
+    assert "Schur" in err
 
 
 def test_analyze_without_spectral_gap_exits_3(tmp_path, capsys):

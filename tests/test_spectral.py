@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from ipstruct import (
     NumericalError,
+    Superoperator,
     ValidationError,
     asymptotic_projector,
     channel_from_kraus,
@@ -21,18 +23,24 @@ from ipstruct.spectral import operator_space_from_span
 
 
 def test_unitary_channel_spectrum():
-    # eigenvalues of a unitary conjugation are the phase ratios
-    u = np.diag(np.exp(1j * np.array([0.3, 1.1])))
-    ch = channel_from_kraus([u])
-    eigenvalues = np.linalg.eigvals(to_superoperator(ch).matrix)
-    expected = sorted(
-        (np.exp(1j * (a - b)) for a in (0.3, 1.1) for b in (0.3, 1.1)),
-        key=lambda z: (z.real, z.imag),
-    )
-    got = sorted(eigenvalues, key=lambda z: (z.real, z.imag))
-    assert_allclose(got, expected, atol=1e-10)
-    # the whole spectrum is peripheral, so the projector is the identity
-    assert_allclose(peripheral_projector(ch).matrix, np.eye(4), atol=1e-10)
+    # eigenvalues of a unitary conjugation are the phase ratios; the qutrit's
+    # exp(+-0.7i) and exp(+-1.4i) come in conjugate pairs that the real Schur
+    # form must keep together
+    def key(z):  # repeated eigenvalues differ in the last bits
+        return (round(z.real, 9), round(z.imag, 9))
+
+    for phases in ((0.3, 1.1), (0.0, 0.7, 1.4)):
+        u = np.diag(np.exp(1j * np.array(phases)))
+        d = len(phases)
+        ch = channel_from_kraus([u])
+        eigenvalues = np.linalg.eigvals(to_superoperator(ch).matrix)
+        expected = sorted((np.exp(1j * (a - b)) for a in phases for b in phases), key=key)
+        got = sorted(eigenvalues, key=key)
+        assert_allclose(got, expected, atol=1e-10)
+        assert rotating_space(ch).size == d * d
+        assert fixed_space(ch).size == d
+        # the whole spectrum is peripheral, so the projector is the identity
+        assert_allclose(peripheral_projector(ch).matrix, np.eye(d * d), atol=1e-10)
 
 
 def test_fixed_space_dephasing_is_diagonal():
@@ -48,20 +56,40 @@ def test_fixed_space_dimensions_on_fixtures():
     assert fixed_space(zoo.fixture("five_qubit_depolarize_one")).size == 1
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_fixed_space_dim_matches_adjoint(seed):
-    d = 2 + seed % 3
-    ch = zoo.random_cptp(d, 1 + seed % 3, seed)
-    assert fixed_space(ch).size == fixed_space_adjoint(ch).size
+PLANTED_AND_RANDOM = [
+    *(zoo.random_cptp(2 + seed % 3, 1 + seed % 3, seed) for seed in range(8)),
+    zoo.random_dfs_channel(6, 3, 1), zoo.random_dfs_channel(5, 2, 2, leak=0.3),
+]
+
+
+@pytest.mark.parametrize("ch", PLANTED_AND_RANDOM,
+                         ids=[*map(str, range(8)), "dfs-6-3", "dfs-5-2-leak"])
+def test_fixed_space_dim_matches_adjoint(ch):
+    space = fixed_space(ch)
+    assert space.size == fixed_space_adjoint(ch).size
     # the dual holds fixed points of the adjoint map
     m = to_superoperator(ch).matrix
-    dual = fixed_space(ch).dual.vec_matrix()
+    dual = space.dual.vec_matrix()
     assert np.linalg.norm(m.conj().T @ dual - dual) < 1e-9
+    # both bases come out of Hermitian coordinates
+    for b in space.basis + space.dual.basis:
+        assert np.max(np.abs(b - b.conj().T)) < 1e-12
+    # the right space is the null space of S - 1, found independently
+    null = scipy.linalg.null_space(m - np.eye(m.shape[0]))
+    assert subspace_distance(space, null) < 1e-8
 
 
 def test_spectral_input_must_be_a_channel_or_superoperator():
     with pytest.raises(ValidationError):
         fixed_space(np.eye(4, dtype=complex))
+    # X -> A X with A not Hermitian does not preserve Hermiticity, so it has
+    # no real matrix in Hermitian coordinates
+    a = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+    left_multiply = Superoperator(dim_in=2, dim_out=2, matrix=np.kron(np.eye(2), a))
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        fixed_space(left_multiply)
+    # a real identity superoperator is Hermiticity preserving and all fixed
+    assert fixed_space(Superoperator(dim_in=2, dim_out=2, matrix=np.eye(4))).size == 4
 
 
 def test_rotating_space_contains_fixed_space():
@@ -110,13 +138,13 @@ def test_asymptotic_projector_against_power_and_cesaro():
 
 
 def test_asymptotic_projector_is_idempotent_and_absorbing():
-    for name in ("depolarize_B", "cond_dephase_flip", "ucp_d3"):
-        ch = zoo.fixture(name)
+    fixtures = [zoo.fixture(name) for name in ("depolarize_B", "cond_dephase_flip", "ucp_d3")]
+    for i, ch in enumerate(fixtures + PLANTED_AND_RANDOM):
         avg = asymptotic_projector(ch).matrix
         m = to_superoperator(ch).matrix
-        assert np.linalg.norm(avg @ avg - avg) < 1e-9, name
-        assert np.linalg.norm(m @ avg - avg) < 1e-9, name
-        assert np.linalg.norm(avg @ m - avg) < 1e-9, name
+        assert np.linalg.norm(avg @ avg - avg) < 1e-9, i
+        assert np.linalg.norm(m @ avg - avg) < 1e-9, i
+        assert np.linalg.norm(avg @ m - avg) < 1e-9, i
 
 
 def test_peripheral_projector_commutes_and_projects():
@@ -139,6 +167,12 @@ def test_peripheral_projector_gap_guard():
         np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * p0, np.sqrt(eps) * p1,
     ])
     with pytest.raises(NumericalError):
+        peripheral_projector(ch)
+    # the same for the complex pair (1 - 2p) exp(-+0.9i), a 2 x 2 block of
+    # the real Schur form, next to the fixed diagonal
+    p, u = 5e-8, np.diag([1.0, np.exp(0.9j)])
+    ch = channel_from_kraus([np.sqrt(1 - p) * u, np.sqrt(p) * np.diag([1.0, -1.0]) @ u])
+    with pytest.raises(NumericalError, match="not separated"):
         peripheral_projector(ch)
 
 

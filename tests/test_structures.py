@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.stats import unitary_group
 
@@ -203,8 +204,18 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
                    ipstruct.structures, ipstruct.codes):
         if hasattr(module, "to_superoperator"):
             monkeypatch.setattr(module, "to_superoperator", counted)
+    schur_inputs = []
+    original_schur = scipy.linalg.schur
+
+    def counted_schur(a, *args, **kwargs):
+        schur_inputs.append(a.dtype)
+        return original_schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
+    # one real Schur form, in Hermitian coordinates
+    assert schur_inputs == [np.float64]
 
 
 @pytest.mark.parametrize("analyze", [
