@@ -177,6 +177,8 @@ class Superoperator:
             raise ValidationError(
                 f"superoperator matrix shape {self.matrix.shape} != {expected}"
             )
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValidationError("superoperator matrix has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,8 @@ class StochasticChannel:
             raise ValidationError("stochastic matrix must be 2-dimensional")
         object.__setattr__(self, "n_out", m.shape[0])
         object.__setattr__(self, "n_in", m.shape[1])
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("stochastic matrix has non-finite entries")
         if np.any(m < -1e-12):
             raise ValidationError("stochastic matrix has negative entries")
         col_sums = m.sum(axis=0)
@@ -280,6 +284,8 @@ def channel_from_kraus(
     d_out, d_in = ks[0].shape
     if any(k.shape != (d_out, d_in) for k in ks):
         raise ValidationError("Kraus operators have inconsistent shapes")
+    if not all(np.all(np.isfinite(k)) for k in ks):
+        raise ValidationError("Kraus operators have non-finite entries")
     acc = sum(k.conj().T @ k for k in ks)
     tp = bool(np.max(np.abs(acc - np.eye(d_in))) <= tol.equality)
     return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out, trace_preserving=tp)

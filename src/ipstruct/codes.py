@@ -24,11 +24,12 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     apply_channel,
-    apply_superoperator,
     channel_from_kraus,
     compose,
     projector_onto_support,
     to_superoperator,
+    unvec,
+    vec,
 )
 from .errors import NumericalError, ValidationError
 from .spectral import fixed_space
@@ -74,6 +75,8 @@ class Code:
         for i, s in enumerate(self.states):
             if s.shape != (self.dim, self.dim):
                 raise ValidationError(f"state {i} has shape {s.shape}, expected ({self.dim}, {self.dim})")
+            if not np.all(np.isfinite(s)):
+                raise ValidationError(f"state {i} has non-finite entries")
             if np.max(np.abs(s - s.conj().T)) > 1e-9:
                 raise ValidationError(f"state {i} is not Hermitian")
             w = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
@@ -133,10 +136,35 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
-    """Nuclear norms of a stack of matrices in one LAPACK sweep."""
+    """Trace norms of a stack of Hermitian matrices in one LAPACK sweep.
+
+    For a Hermitian matrix the singular values are the moduli of the
+    eigenvalues, so the norm is the sum of ``|eigvalsh|``, which costs less
+    than a batched SVD.  The stack must be Hermitian: ``eigvalsh`` reads
+    one triangle only, so a non-Hermitian input would be measured by a
+    matrix it is not.  Callers check this (see :func:`_hermitian_stack`);
+    the stack is symmetrized as ``(X + X^dag)/2`` here to drop rounding.
+    """
     if stack.shape[0] == 0:
         return np.zeros(0)
-    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+    herm = stack + stack.conj().swapaxes(-1, -2)
+    herm *= 0.5
+    return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
+
+
+def _hermitian_stack(ops: Sequence[np.ndarray], what: str,
+                     tol: ToleranceConfig) -> np.ndarray:
+    """Stack operators for the trace-norm sweep, refusing any whose
+    anti-Hermitian part ``(X - X^dag)/2`` has an entry above
+    ``tol.equality``."""
+    stack = np.stack(ops)
+    skew = float(np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)))) / 2.0
+    if not skew <= tol.equality:
+        raise ValidationError(
+            f"{what} is not Hermitian (anti-Hermitian part {skew:.3e}); the "
+            "weighted-distance check measures Hermitian operators only"
+        )
+    return stack
 
 
 def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
@@ -180,6 +208,70 @@ def _mixtures(code: Code, include_mixtures: bool) -> list[tuple[MixtureLabel, np
     return out
 
 
+@dataclass(frozen=True)
+class _PairSweep:
+    """The weighted pairs of one check, with their trace norms before any map.
+
+    Pair ``k`` compares ``states[ii[k]]`` (prior ``p``) with
+    ``states[jj[k]]`` (prior ``1-p``) for every ``p`` in ``ps``; ``before``
+    holds ``|| p rho - (1-p) sigma ||_1`` with one row per pair.
+    """
+
+    labels: list[MixtureLabel]
+    states: np.ndarray
+    ii: np.ndarray
+    jj: np.ndarray
+    ps: np.ndarray
+    before: np.ndarray
+
+
+def _weighted_norms(states: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                    ps: np.ndarray) -> np.ndarray:
+    """``|| p X_i - (1-p) X_j ||_1`` per pair (rows) and prior (columns)."""
+    d = states.shape[1]
+    out = np.empty((ii.size, ps.size))
+    w = ps[None, :, None, None]
+    # chunk the pair axis so the stacked difference arrays stay modest
+    chunk = max(1, int(2_000_000 // max(1, ps.size * d * d)))
+    for start in range(0, ii.size, chunk):
+        sel = slice(start, start + chunk)
+        diff = w * states[ii[sel]][:, None] - (1.0 - w) * states[jj[sel]][:, None]
+        out[sel] = _batched_trace_norm(diff.reshape(-1, d, d)).reshape(-1, ps.size)
+    return out
+
+
+def _pair_sweep(code: Code, tol: ToleranceConfig, p_values: Sequence[float],
+                include_mixtures: bool) -> _PairSweep:
+    collection = _mixtures(code, include_mixtures)
+    states = _hermitian_stack([s for _, s in collection], "code state", tol)
+    ii, jj = np.triu_indices(len(collection), k=1)
+    ps = np.asarray(p_values, dtype=float)
+    return _PairSweep(labels=[lab for lab, _ in collection], states=states,
+                      ii=ii, jj=jj, ps=ps, before=_weighted_norms(states, ii, jj, ps))
+
+
+def _compare(sweep: _PairSweep, apply_map: Callable[[np.ndarray], np.ndarray],
+             tol: ToleranceConfig) -> PreservationReport:
+    """Map every state of the sweep and report the pair whose distance drops
+    most, if that drop exceeds ``tol.subspace``."""
+    mapped = _hermitian_stack([apply_map(s) for s in sweep.states], "mapped state", tol)
+    after = _weighted_norms(mapped, sweep.ii, sweep.jj, sweep.ps)
+    drops = sweep.before - after
+    if drops.size == 0 or drops.max() <= tol.subspace:
+        return PreservationReport(verdict=True, worst_pair=None,
+                                  distance_before=0.0, distance_after=0.0)
+    # the witness is the first pair in sweep order among those whose drops
+    # tie with the largest up to rounding; the verdict used the exact maximum
+    k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
+    return PreservationReport(
+        verdict=False,
+        worst_pair=(sweep.labels[sweep.ii[k]], sweep.labels[sweep.jj[k]],
+                    float(sweep.ps[p_k])),
+        distance_before=float(sweep.before[k, p_k]),
+        distance_after=float(after[k, p_k]),
+    )
+
+
 def sampled_preservation_check(
     code: Code,
     ch: QuantumChannel,
@@ -193,56 +285,17 @@ def sampled_preservation_check(
     This is a refutation procedure: passing it does not certify
     preservation (that needs the structural route in :func:`is_preserved`),
     but any violation it finds is real.  ``apply_map`` substitutes an
-    arbitrary linear map for the channel action, which the noiseless checks
-    use for channel powers and averages.
+    arbitrary linear map for the channel action.  It must preserve
+    Hermiticity: the trace norms are taken as sums of ``|eigenvalues|`` of
+    Hermitian operators, and a mapped state with an anti-Hermitian part
+    above ``tol.equality`` raises :class:`ValidationError` rather than being
+    measured by its Hermitian part alone.
     """
     if apply_map is None:
         if ch.dim_in != code.dim:
             raise ValidationError("code dimension does not match channel input")
         apply_map = lambda x: apply_channel(ch, x)
-
-    collection = _mixtures(code, include_mixtures)
-    labels = [lab for lab, _ in collection]
-    states = np.stack([s for _, s in collection])
-    mapped = np.stack([apply_map(s) for _, s in collection])
-    d_out = mapped.shape[1]
-    ii, jj = np.triu_indices(len(collection), k=1)
-    ps = np.asarray(p_values, dtype=float)
-
-    worst_pair = None
-    worst_before = 0.0
-    worst_after = 0.0
-    worst_drop = 0.0
-    # chunk the pair axis so the stacked delta arrays stay modest
-    chunk = max(1, int(2_000_000 // max(1, ps.size * states.shape[1] ** 2)))
-    for start in range(0, ii.size, chunk):
-        sel_i = ii[start:start + chunk]
-        sel_j = jj[start:start + chunk]
-        w = ps[None, :, None, None]
-        before = w * states[sel_i][:, None] - (1.0 - w) * states[sel_j][:, None]
-        after = w * mapped[sel_i][:, None] - (1.0 - w) * mapped[sel_j][:, None]
-        nb = _batched_trace_norm(before.reshape(-1, *states.shape[1:]))
-        na = _batched_trace_norm(after.reshape(-1, d_out, d_out))
-        drops = nb.reshape(-1, ps.size) - na.reshape(-1, ps.size)
-        k = int(np.argmax(drops))
-        if drops.flat[k] > worst_drop:
-            worst_drop = float(drops.flat[k])
-            pair_k, p_k = divmod(k, ps.size)
-            worst_pair = (labels[sel_i[pair_k]], labels[sel_j[pair_k]],
-                          float(ps[p_k]))
-            worst_before = float(nb.reshape(-1, ps.size)[pair_k, p_k])
-            worst_after = float(na.reshape(-1, ps.size)[pair_k, p_k])
-    verdict = worst_drop <= tol.subspace
-    if verdict and collection:
-        # report the first pair as a representative witness
-        worst_pair = None
-        worst_before = worst_after = 0.0
-    return PreservationReport(
-        verdict=verdict,
-        worst_pair=worst_pair,
-        distance_before=worst_before,
-        distance_after=worst_after,
-    )
+    return _compare(_pair_sweep(code, tol, p_values, include_mixtures), apply_map, tol)
 
 
 def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -262,10 +315,12 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     It suffices to check the time-averaged channel together with a small
     family of finite mixtures of powers: the identity-channel average, the
     channel itself, and its square.  Each is run through the sampled
-    weighted-distance check.
+    weighted-distance check, against one shared set of before-side norms.
     """
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
     sup = to_superoperator(ch)
     avg = fixed_space(sup, tol).projector
     eye = np.eye(sup.matrix.shape[0], dtype=complex)
@@ -275,10 +330,11 @@ def is_noiseless(code: Code, ch: QuantumChannel,
         ("half-identity-mix", 0.5 * (eye + sup.matrix)),
         ("two-step", sup.matrix @ sup.matrix),
     ]
+    # the before-side norms depend only on the code, so one sweep serves all
+    sweep = _pair_sweep(code, tol, P_GRID, include_mixtures=True)
+    d = ch.dim_in
     for name, matrix in maps:
-        d = ch.dim_in
-        applier = lambda x, m=matrix: (m @ x.reshape(-1, order="F")).reshape((d, d), order="F")
-        report = sampled_preservation_check(code, ch, tol=tol, apply_map=applier)
+        report = _compare(sweep, lambda x, m=matrix: unvec(m @ vec(x), d, d), tol)
         if not report:
             return NoiselessReport(verdict=False, failing_map=name, sample=report)
     return NoiselessReport(verdict=True, failing_map=None,

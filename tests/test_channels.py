@@ -6,6 +6,7 @@ from ipstruct import (
     DEFAULT_TOL,
     QuantumChannel,
     StochasticChannel,
+    Superoperator,
     ValidationError,
     adjoint,
     apply_channel,
@@ -166,6 +167,10 @@ def test_channel_from_kraus_validation():
         channel_from_kraus([])
     with pytest.raises(ValidationError):
         channel_from_kraus([np.eye(2), np.eye(3)])
+    with pytest.raises(ValidationError, match="non-finite"):
+        channel_from_kraus([np.diag([1.0, np.nan])])
+    with pytest.raises(ValidationError, match="non-finite"):
+        Superoperator(dim_in=2, dim_out=2, matrix=np.diag([1.0, np.inf, 1.0, 1.0]))
 
 
 def test_is_unital():
@@ -216,6 +221,8 @@ def test_stochastic_validation():
         StochasticChannel(matrix=np.array([[0.5, 0.2], [0.4, 0.8]]))
     with pytest.raises(ValidationError):
         StochasticChannel(matrix=np.array([[-0.1, 0.0], [1.1, 1.0]]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        StochasticChannel(matrix=np.array([[np.nan, 0.0], [1.0, 1.0]]))
 
 
 def test_predicates():

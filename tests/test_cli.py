@@ -204,6 +204,59 @@ def test_verify_code_dimension_mismatch_exits_2(fixtures_dir, capsys):
     assert code == 2
 
 
+def test_verify_code_five_qubit_preserved(fixtures_dir, capsys):
+    # the d = 32 flagship code: 34 states and mixtures, 561 pairs per sweep
+    code, out, _ = run_cli(
+        capsys, "verify-code",
+        "--channel", str(fixtures_dir / "five_qubit_depolarize_one.json"),
+        "--code", str(fixtures_dir / "code_five_qubit_logical.json"),
+        "--level", "preserved", "--json",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] is True
+
+
+# ---------------------------------------------------------------------------
+# non-finite input: exit 2 on every verb that reads numbers
+# ---------------------------------------------------------------------------
+
+def _with_nan(src, dst, path):
+    doc = json.loads(src.read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = float("nan")
+    dst.write_text(json.dumps(doc))
+    return str(dst)
+
+
+def test_analyze_nan_kraus_exits_2(fixtures_dir, tmp_path, capsys):
+    bad = _with_nan(fixtures_dir / "dephasing_qubit.json", tmp_path / "nan.json",
+                    ["kraus", 0, 0, 0, 0])
+    code, _, err = run_cli(capsys, "analyze", "--channel", bad, "--mode", "noiseless")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_verify_code_nan_state_exits_2(fixtures_dir, tmp_path, capsys):
+    bad = _with_nan(fixtures_dir / "code_cbit.json", tmp_path / "nan.json",
+                    ["states", 0, 0, 0, 0])
+    code, _, err = run_cli(
+        capsys, "verify-code", "--channel", str(fixtures_dir / "dephasing_qubit.json"),
+        "--code", bad, "--level", "preserved",
+    )
+    assert code == 2
+    assert "error:" in err
+
+
+def test_classical_maxcode_nan_entry_exits_2(fixtures_dir, tmp_path, capsys):
+    bad = _with_nan(fixtures_dir / "cyclic_four.json", tmp_path / "nan.json",
+                    ["matrix", 0, 0])
+    code, _, err = run_cli(capsys, "classical-maxcode", "--stochastic", bad)
+    assert code == 2
+    assert "error:" in err
+
+
 # ---------------------------------------------------------------------------
 # transpose
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from ipstruct import (
     trace_norm,
     zoo,
 )
-from ipstruct.codes import _mixtures, code_support
+from ipstruct import codes
+from ipstruct.codes import P_GRID, _mixtures, code_support
 
 
 def test_trace_norm_known_values():
@@ -47,6 +48,8 @@ def test_code_validation():
         Code.from_states([np.array([[0.5, 1.0], [0.0, 0.5]])])  # not hermitian
     with pytest.raises(ValidationError):
         Code.from_states([np.diag([1.5, -0.5])])  # negative eigenvalue
+    with pytest.raises(ValidationError, match="non-finite"):
+        Code.from_states([np.diag([np.nan, 1.0])])
 
 
 def test_code_support():
@@ -222,3 +225,66 @@ def test_build_fixing_recovery_rejects_unpreserved():
     with pytest.raises(ValidationError):
         build_fixing_recovery(zoo.code_fixture("plus_minus"),
                               zoo.fixture("dephasing_qubit"))
+
+
+# ---------------------------------------------------------------------------
+# the sampled sweep: Hermitian trace norms, witness choice, shared before side
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_hermitian_trace_norm_matches_nuclear_norm(d):
+    rng = np.random.default_rng(d)
+    g = rng.standard_normal((20, d, d)) + 1j * rng.standard_normal((20, d, d))
+    stack = g + g.conj().swapaxes(-1, -2)
+    got = codes._batched_trace_norm(stack)
+    assert_allclose(got, [trace_norm(x) for x in stack], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("code_name,channel", [
+    ("qutrit_half_pair", zoo.fixture("qutrit_half_fail")),
+    ("squash_segment", embed_classical(zoo.fixture("squash_three"))),
+    ("plus_minus", zoo.fixture("dephasing_qubit")),
+], ids=["qutrit_half", "squash_segment", "plus_minus"])
+def test_witness_is_first_largest_drop_in_sweep_order(code_name, channel):
+    # on qutrit_half, (s0, s1) at prior 0.2 and (s1, 1/4 s0 + 3/4 s2) at
+    # prior 0.7 both drop by 0.2 up to rounding; the first in sweep order wins
+    code = zoo.code_fixture(code_name)
+    rep = sampled_preservation_check(code, channel)
+    assert not rep.verdict
+    # every (pair, prior) in sweep order: pairs i < j row by row, then priors
+    collection = _mixtures(code, include_mixtures=True)
+    sweep = []
+    for i, j in zip(*np.triu_indices(len(collection), k=1)):
+        (la, a), (lb, b) = collection[i], collection[j]
+        for p in P_GRID:
+            diff = p * a - (1.0 - p) * b
+            drop = trace_norm(diff) - trace_norm(apply_channel(channel, diff))
+            sweep.append(((la, lb, p), drop))
+    best = max(drop for _, drop in sweep)
+    k = [key for key, _ in sweep].index(rep.worst_pair)
+    assert abs(sweep[k][1] - best) < 1e-12
+    assert all(drop < best - 1e-12 for _, drop in sweep[:k])
+    assert abs(rep.distance_before - rep.distance_after - sweep[k][1]) < 1e-12
+
+
+def test_noiseless_shares_one_before_side_sweep(monkeypatch):
+    calls = []
+    norm = codes._batched_trace_norm
+
+    def counting(stack):
+        calls.append(stack.shape)
+        return norm(stack)
+
+    monkeypatch.setattr(codes, "_batched_trace_norm", counting)
+    # a noiseless code, so all four maps are evaluated; one chunk per sweep
+    rep = is_noiseless(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
+    assert rep.verdict
+    assert len(calls) == 1 + 4
+
+
+def test_non_hermiticity_preserving_map_is_refused():
+    a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        sampled_preservation_check(zoo.code_fixture("cbit"), channel_from_kraus([np.eye(2)]),
+                                   apply_map=lambda x: a @ x)
+

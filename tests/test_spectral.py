@@ -9,14 +9,17 @@ from ipstruct import (
     ValidationError,
     asymptotic_projector,
     channel_from_kraus,
+    commutant,
     embed_classical,
     fixed_space,
     fixed_space_adjoint,
+    is_unital,
     peripheral_projector,
     rotating_space,
     rotating_space_adjoint,
     subspace_distance,
     to_superoperator,
+    vec,
     zoo,
 )
 from ipstruct.spectral import operator_space_from_span
@@ -216,3 +219,40 @@ def test_subspace_distance():
     t = 1e-9
     turned = np.column_stack([np.cos(t) * e[:, 0] + np.sin(t) * e[:, 2], e[:, 1]])
     assert abs(subspace_distance(e[:, :2], turned) - t) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: for a unital channel, Fix(E) = {K_i, K_i^dag}'
+# ---------------------------------------------------------------------------
+
+def _planted_mixed_unitary(m: int, count: int, seed: int):
+    """sum_i p_i (1_2 kron V_i) X (1_2 kron V_i)^dag with random unitaries
+    V_i on C^m: unital, with fixed space M_2 kron 1_m."""
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(count))
+    kraus = []
+    for p in probs:
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        v, _ = np.linalg.qr(g)
+        kraus.append(np.sqrt(p) * np.kron(np.eye(2), v))
+    return channel_from_kraus(kraus)
+
+
+@pytest.mark.parametrize("ch,size", [
+    (zoo.fixture("dephasing_qubit"), 2),
+    (zoo.fixture("depolarize_B"), 4),
+    (zoo.fixture("unitary_A_depolarize_B"), 2),
+    (zoo.fixture("measure_then_depolarize"), 1),
+    (_planted_mixed_unitary(3, 3, seed=7), 4),
+], ids=["dephasing_qubit", "depolarize_B", "unitary_A_depolarize_B",
+        "measure_then_depolarize", "planted-mixed-unitary"])
+def test_fixed_space_matches_commutant_of_kraus_span(ch, size):
+    # Kribs (2003): the fixed points of a unital channel are the operators
+    # commuting with every K_i and K_i^dag; no superoperator is built here
+    assert is_unital(ch)
+    ops = [*ch.kraus, *(k.conj().T for k in ch.kraus)]
+    kraus_span = operator_space_from_span(np.column_stack([vec(k) for k in ops]), ch.dim_in)
+    reference = commutant(kraus_span)
+    space = fixed_space(ch)
+    assert space.size == reference.size == size
+    assert subspace_distance(space, reference) < 1e-8
