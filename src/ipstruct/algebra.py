@@ -6,10 +6,15 @@ direct sum of full matrix factors with multiplicity,
     A  ~=  sum_k  M_{d_k} (x) 1_{n_k} ,
 
 and this module recovers that shape numerically.  The decomposition strategy
-is randomized but seed-deterministic: a generic Hermitian element of the
-center splits the support into minimal central sectors, and a generic
-Hermitian element of each restricted factor pairs its eigenspaces into the
-tensor-product coordinates.
+is randomized but seed-deterministic: two generic Hermitian elements of the
+span give its centre, a generic Hermitian element of the center splits the
+support into minimal central sectors, and a generic Hermitian element of each
+restricted factor pairs its eigenspaces into the tensor-product coordinates.
+
+No separate closure check runs.  The span of the sector matrix units is a
+*-algebra by construction, so the decomposition certifies itself: a span that
+is not a *-algebra fails a count or :func:`verify_decomposition`.
+:func:`is_algebra` and :func:`commutant` remain as reference checks.
 """
 
 from __future__ import annotations
@@ -62,8 +67,10 @@ class Sector:
 
 @dataclass(frozen=True)
 class AlgebraDecomposition:
-    """Sectors of an algebra; ``residuals`` holds the closure residual
-    (``algebra_closure``) and the :func:`verify_decomposition` report."""
+    """Sectors of an algebra; ``residuals`` holds the :func:`verify_decomposition`
+    report and ``algebra_closure``, its ``reconstruction_distance``: the
+    distance from the input span to the span of the sector matrix units,
+    which is closed by construction."""
 
     ambient_dim: int
     sectors: tuple[Sector, ...]
@@ -87,59 +94,27 @@ class AlgebraDecomposition:
 
     def element(self, blocks) -> np.ndarray:
         """Assemble the algebra element with factor blocks ``blocks[k]``."""
-        out = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for sector, m in zip(self.sectors, blocks):
-            out += sector.isometry @ np.kron(np.asarray(m, dtype=complex),
-                                             np.eye(sector.n)) @ sector.isometry.conj().T
-        return out
+        return sum((_embed(s.isometry, m, np.eye(s.n)) for s, m in zip(self.sectors, blocks)),
+                   np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex))
+
+
+def _embed(v: np.ndarray, x, y) -> np.ndarray:
+    """``V (x (x) y) V^dag`` for a sector isometry ``V`` and factor/cofactor
+    operators ``x`` and ``y``."""
+    return v @ np.kron(np.asarray(x, dtype=complex), y) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
-# recognition
+# reference checks (the decomposition below certifies itself without them)
 # ---------------------------------------------------------------------------
 
-def _closure_pass(space: OperatorSpace, tol: ToleranceConfig) -> tuple[AlgebraCheck, np.ndarray]:
-    """Closure certificate and centre of a span, in one pass over its basis.
-
-    For each basis element ``b_l`` one batched product with the stacked basis
-    gives every ``b_j b_l`` and ``b_l b_j``.  The projection residuals of the
-    products and of the adjoints ``b_j^dag`` make the closure check.  The
-    commutators ``[b_j, b_l]`` build up the ``k x k`` Gram matrix of the map
-    ``c -> sum_j c_j [b_j, b_l]`` over all ``l``; its null space holds the
-    coefficients of the central elements.  Returns the check and an
-    orthonormal ``(n, dim, dim)`` stack spanning the centre.
-    """
-    k, r = space.size, space.dim
-    if k == 0:
-        return (AlgebraCheck(closed=True, worst_residual=0.0, worst_pair=None),
-                np.zeros((0, r, r), dtype=complex))
+def _stacked_basis(space: OperatorSpace) -> np.ndarray:
+    """The basis as a ``(k, dim, dim)`` stack, checked to be orthonormal."""
     basis = np.stack(space.basis)
-    flat = basis.reshape(k, r * r)
-    if np.max(np.abs(flat.conj() @ flat.T - np.eye(k))) > 1e-8:
+    flat = basis.reshape(len(basis), -1)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) > 1e-8:
         raise NumericalError("operator space basis is not orthonormal")
-
-    def residuals(ops: np.ndarray) -> np.ndarray:
-        v = ops.reshape(k, r * r)
-        return np.linalg.norm(v - (v @ flat.conj().T) @ flat, axis=1)
-
-    # column 0: adjoint of b_i; column j + 1: product b_i b_j
-    res = np.empty((k, k + 1))
-    res[:, 0] = residuals(basis.conj().transpose(0, 2, 1))
-    gram = np.zeros((k, k), dtype=complex)
-    for col in range(k):
-        right = basis @ basis[col]
-        res[:, col + 1] = residuals(right)
-        comm = (right - basis[col] @ basis).reshape(k, r * r)
-        gram += comm.conj() @ comm.T
-    i, j = np.unravel_index(np.argmax(res), res.shape)
-    worst = float(res[i, j])
-    check = AlgebraCheck(closed=worst <= tol.subspace, worst_residual=worst,
-                         worst_pair=(int(i), int(j) - 1) if worst > 0 else None)
-
-    w, c = np.linalg.eigh(gram)
-    cut = max(tol.subspace ** 2, tol.rank_rel * w[-1])
-    centre = np.tensordot(c[:, w <= cut].T, basis, axes=1)
-    return check, centre
+    return basis
 
 
 def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraCheck:
@@ -148,9 +123,25 @@ def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Alge
     Every pairwise product of basis elements (and every adjoint) is projected
     back onto the span; the certificate carries the worst projection residual
     and the offending pair.  Pair ``(i, -1)`` denotes the adjoint of basis
-    element ``i``.
+    element ``i``.  This costs ``k^3 r^2`` flops; :func:`canonical_decompose`
+    does not call it.
     """
-    return _closure_pass(space, tol)[0]
+    if space.size == 0:
+        return AlgebraCheck(closed=True, worst_residual=0.0, worst_pair=None)
+    basis = _stacked_basis(space)
+    flat = basis.reshape(len(basis), -1)
+
+    def residuals(ops: np.ndarray) -> np.ndarray:
+        v = ops.reshape(flat.shape)
+        return np.linalg.norm(v - (v @ flat.conj().T) @ flat, axis=1)
+
+    # column 0: adjoint of b_i; column j + 1: product b_i b_j
+    res = np.column_stack([residuals(basis.conj().transpose(0, 2, 1))]
+                          + [residuals(basis @ b) for b in basis])
+    i, j = np.unravel_index(np.argmax(res), res.shape)
+    worst = float(res[i, j])
+    return AlgebraCheck(closed=worst <= tol.subspace, worst_residual=worst,
+                        worst_pair=(int(i), int(j) - 1) if worst > 0 else None)
 
 
 def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
@@ -178,15 +169,19 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
 # canonical decomposition
 # ---------------------------------------------------------------------------
 
-def _cluster_real(values: np.ndarray, width: float) -> list[np.ndarray]:
-    order = np.argsort(values)
-    groups: list[list[int]] = [[int(order[0])]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= width:
-            groups[-1].append(int(idx))
+def _eigen_clusters(h: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Eigenvectors of a Hermitian ``h`` and the index groups of its ascending
+    eigenvalues, split where neighbours differ by more than ``tol.cluster_rel``
+    times their spread."""
+    w, v = np.linalg.eigh(h)
+    width = max(tol.cluster_rel * max(float(w[-1] - w[0]), 1.0), 1e-12)
+    groups: list[list[int]] = [[0]]
+    for idx in range(1, len(w)):
+        if w[idx] - w[groups[-1][-1]] <= width:
+            groups[-1].append(idx)
         else:
-            groups.append([int(idx)])
-    return [np.array(g) for g in groups]
+            groups.append([idx])
+    return v, [np.array(g) for g in groups]
 
 
 def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -194,6 +189,28 @@ def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarra
     coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     z = np.tensordot(coeff, ops, axes=1)
     return (z + z.conj().T) / 2.0
+
+
+def _centre(space: OperatorSpace, rng: np.random.Generator,
+            tol: ToleranceConfig) -> np.ndarray:
+    """An orthonormal ``(n, dim, dim)`` stack spanning the centre of a span.
+
+    Two generic Hermitian elements ``a_1, a_2`` generate a finite-dimensional
+    *-algebra, so whatever commutes with both is central.  The centre is the
+    null space of the ``k x k`` Gram matrix of ``c -> [sum_j c_j b_j, a_i]``,
+    which costs ``k r^3 + k^2 r^2`` flops.  A non-generic draw only makes the
+    null space too large.
+    """
+    basis = _stacked_basis(space)
+    k, r = basis.shape[:2]
+    gram = np.zeros((k, k), dtype=complex)
+    for _ in range(2):
+        a = _random_hermitian_in(basis, rng)
+        comm = (basis @ a - a @ basis).reshape(k, r * r)
+        gram += comm.conj() @ comm.T
+    w, c = np.linalg.eigh(gram)
+    cut = max(tol.subspace ** 2, tol.rank_rel * w[-1])
+    return np.tensordot(c[:, w <= cut].T, basis, axes=1)
 
 
 def _sector_key(s: Sector) -> tuple:
@@ -224,14 +241,18 @@ def canonical_decompose(
     """Decompose a *-algebra span into matrix factors with multiplicity.
 
     The input span must be closed under products and adjoints and contain
-    its own support projector (the algebra unit).  The sector list is sorted
-    descending by factor dimension, then by multiplicity, then by the sector
-    projector, so the order does not depend on ``seed``; the isometries are
-    deterministic for a fixed ``seed``.
+    its own support projector (the algebra unit).  Closure is not checked
+    apart: a span that is not a *-algebra fails the verification of the
+    rebuilt matrix units, or a count before it, on every attempt.
+
+    The sector list is sorted descending by factor dimension, then by
+    multiplicity, then by the sector projector, so the order does not depend
+    on ``seed``; the isometries are deterministic for a fixed ``seed``.
 
     Raises:
         DecompositionError: when eigenvalue clustering stays ambiguous after
-            resampling, or recovered dimensions fail the integer guard.
+            resampling, recovered dimensions fail the integer guard, or the
+            span is not a *-algebra.
     """
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
@@ -245,63 +266,47 @@ def canonical_decompose(
             residuals={"before": float(space.size), "after": float(comp_space.size)},
         )
 
-    # every element lives on the support, so closure there is closure of the input
-    check, centre = _closure_pass(comp_space, tol)
-    if not check:
-        raise DecompositionError(
-            "span is not closed under multiplication "
-            f"(worst residual {check.worst_residual:.3e} at pair {check.worst_pair})",
-            residuals={"closure_residual": check.worst_residual},
-        )
-    if len(centre) == 0:
-        raise DecompositionError("algebra has an empty center; is the unit present?")
-
+    # a non-generic draw of the centre, or a span that is no *-algebra, fails
+    # a count or the verification below; every attempt draws afresh
     rng = np.random.default_rng(seed)
     last_error: DecompositionError | None = None
     for _ in range(_attempts):
         try:
+            centre = _centre(comp_space, rng, tol)
+            if len(centre) == 0:
+                raise DecompositionError("algebra has an empty center; is the unit present?")
             sectors = _decompose_once(comp_space, centre, rng, tol)
+            dec = AlgebraDecomposition(
+                ambient_dim=space.dim,
+                sectors=tuple(sorted(
+                    (Sector(d=s.d, n=s.n, isometry=v_supp @ s.isometry) for s in sectors),
+                    key=_sector_key)),
+                support_projector=v_supp @ v_supp.conj().T,
+            )
+            if dec.algebra_dim != space.size:
+                raise DecompositionError(
+                    f"sector dimensions sum to {dec.algebra_dim}, span has {space.size}",
+                    residuals={"algebra_dim": float(dec.algebra_dim)},
+                )
+            if dec.support_rank() != r:
+                raise DecompositionError(
+                    f"sector sizes sum to {dec.support_rank()}, support has rank {r}"
+                )
+            report = verify_decomposition(space, dec, tol)
+            if report["max_residual"] > tol.subspace:
+                raise DecompositionError("decomposition failed verification", residuals=report)
         except DecompositionError as exc:
             last_error = exc
             continue
-        lifted = tuple(
-            Sector(d=s.d, n=s.n, isometry=v_supp @ s.isometry) for s in sectors
-        )
-        ordered = tuple(sorted(lifted, key=_sector_key))
-        dec = AlgebraDecomposition(
-            ambient_dim=space.dim,
-            sectors=ordered,
-            support_projector=v_supp @ v_supp.conj().T,
-        )
-        if dec.algebra_dim != space.size:
-            raise DecompositionError(
-                f"sector dimensions sum to {dec.algebra_dim}, span has {space.size}",
-                residuals={"algebra_dim": float(dec.algebra_dim)},
-            )
-        if dec.support_rank() != r:
-            raise DecompositionError(
-                f"sector sizes sum to {dec.support_rank()}, support has rank {r}"
-            )
-        report = verify_decomposition(space, dec, tol)
-        if report["max_residual"] > tol.subspace:
-            last_error = DecompositionError(
-                "decomposition failed verification", residuals=report
-            )
-            continue
-        return replace(dec, residuals={"algebra_closure": check.worst_residual, **report})
+        # the span of the sector matrix units is closed, so equality certifies closure
+        return replace(dec, residuals={"algebra_closure": report["reconstruction_distance"],
+                                       **report})
     raise last_error or DecompositionError("algebra decomposition failed")
 
 
 def _decompose_once(comp_space, centre, rng, tol):
     # 1. split the support with a generic Hermitian central element
-    for _ in range(4):
-        h = _random_hermitian_in(centre, rng)
-        if np.linalg.norm(h) > 1e-10:
-            break
-    w, v = np.linalg.eigh(h)
-    spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
-    width = max(tol.cluster_rel * max(spread, 1.0), 1e-12)
-    clusters = _cluster_real(w, width)
+    v, clusters = _eigen_clusters(_random_hermitian_in(centre, rng), tol)
     if len(clusters) != len(centre):
         raise DecompositionError(
             f"central element produced {len(clusters)} clusters, expected {len(centre)}",
@@ -338,10 +343,7 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
         return np.eye(m, dtype=complex)
     ops = np.stack(local_space.basis)
     h = _random_hermitian_in(ops, rng)
-    w, v = np.linalg.eigh(h)
-    spread = float(w[-1] - w[0]) if len(w) > 1 else 0.0
-    width = max(tol.cluster_rel * max(spread, 1.0), 1e-12)
-    clusters = _cluster_real(w, width)
+    v, clusters = _eigen_clusters(h, tol)
     if len(clusters) != d or any(len(c) != n for c in clusters):
         raise DecompositionError(
             "sector element eigenvalues did not split into equal multiplets",
@@ -367,6 +369,14 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
     return np.column_stack(columns)
 
 
+def _matrix_units(sector: Sector) -> np.ndarray:
+    """The ``(d^2, dim, dim)`` stack ``V (E_ab (x) 1_n) V^dag = V_a V_b^dag``,
+    ``a`` major, where ``V_a`` holds the ``n`` columns of factor row ``a``."""
+    v = sector.isometry.reshape(-1, sector.d, sector.n)
+    units = np.einsum("xai,ybi->abxy", v, v.conj())
+    return units.reshape(sector.d ** 2, *units.shape[2:])
+
+
 def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition,
                          tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
     """Residuals certifying a decomposition against the original span.
@@ -382,17 +392,10 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition,
         for other in dec.sectors[i + 1:]:
             orth_res = max(orth_res, float(np.max(np.abs(v.conj().T @ other.isometry))))
 
-    columns = []
-    for s in dec.sectors:
-        v = s.isometry
-        for a in range(s.d):
-            for b in range(s.d):
-                unit = np.zeros((s.d, s.d), dtype=complex)
-                unit[a, b] = 1.0
-                op = v @ np.kron(unit, np.eye(s.n)) @ v.conj().T
-                columns.append(op.reshape(-1, order="F"))
-    rebuilt = np.column_stack(columns)
-    recon = subspace_distance(space.vec_matrix(), rebuilt)
+    rebuilt = np.concatenate([_matrix_units(s) for s in dec.sectors])
+    # column-stacked vectorization, as in OperatorSpace.vec_matrix
+    recon = subspace_distance(space.vec_matrix(),
+                              rebuilt.transpose(0, 2, 1).reshape(len(rebuilt), -1).T)
 
     report = {
         "isometry_residual": iso_res,

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .algebra import _embed
 from .channels import (
     QuantumChannel,
     apply_channel,
@@ -33,7 +34,7 @@ from .channels import (
 )
 from .errors import NumericalError, ValidationError
 from .spectral import fixed_space
-from .structures import noiseless_structure, transpose_channel
+from .structures import _partial_trace_factor, noiseless_structure, transpose_channel
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -401,8 +402,7 @@ def _replace_factor_kraus(sector_iso: np.ndarray, d: int, n: int,
         for i in range(n):
             basis_vec = np.zeros(n)
             basis_vec[i] = 1.0
-            block = np.kron(np.eye(d), np.outer(target, basis_vec))
-            ops.append(sector_iso @ block @ sector_iso.conj().T)
+            ops.append(_embed(sector_iso, np.eye(d), np.outer(target, basis_vec)))
     return ops
 
 
@@ -433,11 +433,10 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     for sector, tau in zip(structure.algebra.sectors, structure.distortion_states):
         mu = None
         for state in code.states:
-            m = sector.isometry.conj().T @ state @ sector.isometry
-            weight = float(np.real(np.trace(m)))
+            reduced = _partial_trace_factor(sector, state)
+            weight = float(np.real(np.trace(reduced)))
             if weight < 1e-6:
                 continue
-            reduced = np.einsum("aiaj->ij", m.reshape(sector.d, sector.n, sector.d, sector.n))
             mu = (reduced + reduced.conj().T) / (2.0 * weight)
             break
         mus.append(mu if mu is not None else tau)
@@ -454,8 +453,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     comp_rank = int(round(float(np.real(np.trace(comp)))))
     if comp_rank > 0:
         first = structure.algebra.sectors[0]
-        default = first.isometry @ np.kron(np.eye(first.d) / first.d, mus[0]) \
-            @ first.isometry.conj().T
+        default = _embed(first.isometry, np.eye(first.d) / first.d, mus[0])
         w, v = np.linalg.eigh((default + default.conj().T) / 2.0)
         comp_basis = np.linalg.eigh(comp)[1][:, -comp_rank:]
         for m_idx in range(d):

@@ -21,12 +21,12 @@ projectors and checks the leak-in condition for initialization-free use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, Sector, canonical_decompose
+from .algebra import AlgebraDecomposition, Sector, _embed, _matrix_units, canonical_decompose
 from .channels import (
     QuantumChannel,
     apply_channel,
@@ -34,7 +34,6 @@ from .channels import (
     channel_from_kraus,
     compose,
     is_projector,
-    orthonormal_range_basis,
 )
 from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import (
@@ -87,14 +86,14 @@ class FixedPointStructure:
 
     def sample_state(self, blocks, weights=None) -> np.ndarray:
         """Assemble ``sum_k p_k V_k (blocks[k] (x) tau_k) V_k^dag``."""
-        sectors = self.algebra.sectors
-        if weights is None:
-            weights = [1.0 / len(sectors)] * len(sectors)
-        out = np.zeros((self.algebra.ambient_dim,) * 2, dtype=complex)
-        for w, sector, m, tau in zip(weights, sectors, blocks, self.distortion_states):
-            out += w * sector.isometry @ np.kron(np.asarray(m, dtype=complex), tau) \
-                @ sector.isometry.conj().T
-        return out
+        return _structure_state(self.algebra.sectors, self.distortion_states, blocks, weights)
+
+
+def _structure_state(sectors, taus, blocks, weights=None) -> np.ndarray:
+    if weights is None:
+        weights = [1.0 / len(sectors)] * len(sectors)
+    return sum(w * _embed(s.isometry, m, tau)
+               for w, s, m, tau in zip(weights, sectors, blocks, taus))
 
 
 @dataclass(frozen=True)
@@ -170,9 +169,10 @@ def unconditional_recovery(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TO
 # structure pipelines
 # ---------------------------------------------------------------------------
 
-def _partial_trace_factor(m: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Trace out the ``d``-dimensional factor of a ``(d*n) x (d*n)`` matrix."""
-    return np.einsum("aiaj->ij", m.reshape(d, n, d, n))
+def _partial_trace_factor(sector: Sector, x: np.ndarray) -> np.ndarray:
+    """Trace out the factor of ``V^dag x V``, leaving the ``n x n`` cofactor part."""
+    m = sector.isometry.conj().T @ x @ sector.isometry
+    return np.einsum("aiaj->ij", m.reshape(sector.d, sector.n, sector.d, sector.n))
 
 
 def _structure_from_space(
@@ -182,7 +182,6 @@ def _structure_from_space(
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
-    d = space.dim
     vs = space.support(tol)
     p0 = vs @ vs.conj().T
 
@@ -198,10 +197,7 @@ def _structure_from_space(
     sectors = tuple(
         Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors
     )
-    dec = AlgebraDecomposition(
-        ambient_dim=d, sectors=sectors, support_projector=p0,
-        residuals=dec_local.residuals,
-    )
+    dec = replace(dec_local, ambient_dim=space.dim, sectors=sectors, support_projector=p0)
 
     # distortion states: average a seeded pure state on each factor and trace
     # the factor out; cross-check independence from the probe state
@@ -213,12 +209,10 @@ def _structure_from_space(
         for _ in range(2):
             psi = rng.standard_normal(sector.d) + 1j * rng.standard_normal(sector.d)
             psi /= np.linalg.norm(psi)
-            probe = sector.isometry @ np.kron(np.outer(psi, psi.conj()),
-                                              np.eye(sector.n) / sector.n) \
-                @ sector.isometry.conj().T
+            probe = _embed(sector.isometry, np.outer(psi, psi.conj()),
+                           np.eye(sector.n) / sector.n)
             image = apply_superoperator(space.projector, probe)
-            m = sector.isometry.conj().T @ image @ sector.isometry
-            tau = _partial_trace_factor(m, sector.d, sector.n)
+            tau = _partial_trace_factor(sector, image)
             tau = (tau + tau.conj().T) / 2.0
             tr = float(np.real(np.trace(tau)))
             if abs(tr - 1.0) > 1e-6:
@@ -253,10 +247,7 @@ def _structure_from_space(
             blocks.append(rho / np.trace(rho))
         weights = rng.random(len(sectors)) + 0.1
         weights /= weights.sum()
-        state = FixedPointStructure(
-            kind=kind, support_projector=p0, algebra=dec,
-            distortion_states=tuple(taus), residuals={},
-        ).sample_state(blocks, weights)
+        state = _structure_state(sectors, taus, blocks, weights)
         image = fixedness_map(state)
         fix_res = max(fix_res, float(np.max(np.abs(image - state))))
     if fix_res > 1e-6:
@@ -265,17 +256,10 @@ def _structure_from_space(
             residuals={"fixed_state_residual": fix_res},
         )
 
-    residuals = {
-        "algebra_closure": dec.residuals["algebra_closure"],
-        "tau_cross_check": tau_cross,
-        "fixed_state_residual": fix_res,
-    }
     return FixedPointStructure(
-        kind=kind,
-        support_projector=p0,
-        algebra=dec,
-        distortion_states=tuple(taus),
-        residuals=residuals,
+        kind=kind, support_projector=p0, algebra=dec, distortion_states=tuple(taus),
+        residuals={"algebra_closure": dec.residuals["algebra_closure"],
+                   "tau_cross_check": tau_cross, "fixed_state_residual": fix_res},
     )
 
 
@@ -342,40 +326,22 @@ def fixed_point_structure(ch: QuantumChannel, seed: int = 0,
     """
     structure = noiseless_structure(ch, seed=seed, tol=tol)
     p0 = structure.support_projector
-    d = ch.dim_in
-    comp = np.eye(d) - p0
-    vs = orthonormal_range_basis(p0, tol)
+    comp = np.eye(ch.dim_in) - p0
 
     invariance = 0.0
     for k in ch.kraus:
         invariance = max(invariance, float(np.linalg.norm(comp @ k @ p0)))
 
+    # the units live on P0, so ||[P0 K P0, U]|| is the norm compressed to P0
+    units = np.concatenate([_matrix_units(s) for s in structure.algebra.sectors])
     commutation = 0.0
-    basis_local = []
-    for sector in structure.algebra.sectors:
-        v = sector.isometry
-        for a in range(sector.d):
-            for b in range(sector.d):
-                unit = np.zeros((sector.d, sector.d), dtype=complex)
-                unit[a, b] = 1.0
-                basis_local.append(vs.conj().T @ v @ np.kron(unit, np.eye(sector.n))
-                                   @ v.conj().T @ vs)
     for k in ch.kraus:
-        k_r = vs.conj().T @ k @ vs
-        for b in basis_local:
-            commutation = max(commutation,
-                              float(np.linalg.norm(k_r @ b - b @ k_r)))
+        k_r = p0 @ k @ p0
+        comm = (k_r @ units - units @ k_r).reshape(len(units), -1)
+        commutation = max(commutation, float(np.max(np.linalg.norm(comm, axis=1))))
 
-    residuals = dict(structure.residuals)
-    residuals["kraus_invariance"] = invariance
-    residuals["kraus_commutation"] = commutation
-    return FixedPointStructure(
-        kind=structure.kind,
-        support_projector=structure.support_projector,
-        algebra=structure.algebra,
-        distortion_states=structure.distortion_states,
-        residuals=residuals,
-    )
+    return replace(structure, residuals={**structure.residuals, "kraus_invariance": invariance,
+                                         "kraus_commutation": commutation})
 
 
 def initialization_free_check(ch: QuantumChannel, structure: FixedPointStructure,

@@ -9,7 +9,8 @@ from ipstruct import (
     is_algebra,
     verify_decomposition,
 )
-from ipstruct.algebra import _closure_pass
+import ipstruct.algebra
+from ipstruct.algebra import _centre
 from ipstruct.spectral import operator_space_from_span
 from ipstruct.tolerances import DEFAULT_TOL
 
@@ -162,8 +163,8 @@ def test_commutant_and_centre_of_sector_layouts(sectors):
     space = space_of(total, sectors, haar_unitary(total, np.random.default_rng(3)))
     assert commutant(space).size == sum(n * n for _, n in sectors) + pad ** 2
 
-    check, centre = _closure_pass(space, DEFAULT_TOL)
-    assert check
+    assert is_algebra(space)
+    centre = _centre(space, np.random.default_rng(0), DEFAULT_TOL)
     assert len(centre) == len(sectors)
     v = space.vec_matrix()
     for z in centre:
@@ -201,6 +202,62 @@ def test_decompose_rejects_non_algebra():
     space = operator_space_from_span(x.reshape(-1, 1, order="F"), dim=3)
     with pytest.raises(DecompositionError):
         canonical_decompose(space)
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@pytest.mark.parametrize("ops", [
+    [SIGMA_X],
+    [np.array([[0, 1], [0, 0]], dtype=complex)],
+    [np.eye(2, dtype=complex), SIGMA_X, SIGMA_Z],
+], ids=["sigma-x", "nilpotent-2", "one-x-z"])
+def test_non_closed_spans_fail_decomposition(ops):
+    # no closure check runs first: the rebuilt matrix units or the counts
+    # before them must refuse every span that is not a *-algebra (the 3 x 3
+    # nilpotent is test_decompose_rejects_non_algebra)
+    dim = len(ops[0])
+    space = operator_space_from_span(
+        np.column_stack([op.reshape(-1, order="F") for op in ops]), dim=dim)
+    assert not is_algebra(space)
+    with pytest.raises(DecompositionError):
+        canonical_decompose(space)
+
+
+def test_degenerate_centre_draw_is_retried(monkeypatch):
+    # a first draw that calls the whole span central splits M_2 (x) 1_2 (+) M_1
+    # into too few clusters; the next attempt draws afresh and succeeds
+    space = space_of(5, [(2, 2), (1, 1)], haar_unitary(5, np.random.default_rng(5)))
+    expected = canonical_decompose(space)
+    original = ipstruct.algebra._centre
+    calls = []
+
+    def degenerate_first(comp_space, rng, tol):
+        calls.append(rng)
+        if len(calls) == 1:
+            return np.stack(comp_space.basis)
+        return original(comp_space, rng, tol)
+
+    monkeypatch.setattr(ipstruct.algebra, "_centre", degenerate_first)
+    dec = canonical_decompose(space)
+    assert len(calls) == 2
+    assert (dec.shape, dec.cofactors) == (expected.shape, expected.cofactors)
+    for s, t in zip(dec.sectors, expected.sectors):
+        p, q = (x.isometry @ x.isometry.conj().T for x in (s, t))
+        assert np.linalg.norm(p - q) < 1e-7
+    assert dec.residuals["max_residual"] < 1e-8
+
+
+def test_matrix_units_follow_the_factor_major_layout():
+    rng = np.random.default_rng(9)
+    iso = haar_unitary(6, rng)[:, :4]
+    sector = ipstruct.algebra.Sector(d=2, n=2, isometry=iso)
+    units = ipstruct.algebra._matrix_units(sector)
+    for (a, b), unit in zip(np.ndindex(2, 2), units):
+        e = np.zeros((2, 2))
+        e[a, b] = 1.0
+        assert_allclose(unit, iso @ np.kron(e, np.eye(2)) @ iso.conj().T, atol=1e-12)
 
 
 def test_empty_span_rejected():

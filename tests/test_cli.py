@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,9 +384,12 @@ def test_reports_are_byte_identical_across_runs(fixtures_dir, capsys):
 
 
 def test_console_script_runs():
+    # the child does not inherit pytest's pythonpath setting, only the environment
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ipstruct.cli", "fixtures"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "dephasing_qubit" in proc.stdout
