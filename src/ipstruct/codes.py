@@ -9,7 +9,9 @@ noiseless again.  The checks below follow that split: fast sampled
 refutation, structural confirmation.
 
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
-equivalent to correctable via the transpose recovery.
+equivalent to correctable via the transpose recovery.  The noiseless check
+samples the time average ``P`` alone: for trace non-increasing ``E``, ``P o F
+= P`` and so ``||P X||_1 <= ||F X||_1`` for any mixture ``F`` of powers of ``E``.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .algebra import _embed
 from .channels import (
     QuantumChannel,
     apply_channel,
+    apply_superoperator,
     channel_from_kraus,
     compose,
     projector_onto_support,
-    to_superoperator,
-    unvec,
-    vec,
 )
 from .errors import NumericalError, ValidationError
 from .spectral import fixed_space
@@ -301,45 +301,40 @@ def sampled_preservation_check(
 
 def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether every code state satisfies ``E(rho) = rho``."""
-    if ch.dim_in != code.dim or ch.dim_out != code.dim:
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
+    if not ch.is_square:
         return False
-    for s in code.states:
-        if trace_norm(apply_channel(ch, s) - s) > tol.equality:
-            return False
-    return True
+    residuals = _hermitian_stack([apply_channel(ch, s) - s for s in code.states],
+                                 "fixed-point residual", tol)
+    return bool(_batched_trace_norm(residuals).max() <= tol.equality)
 
 
 def is_noiseless(code: Code, ch: QuantumChannel,
                  tol: ToleranceConfig = DEFAULT_TOL) -> NoiselessReport:
     """Whether distinguishability survives arbitrarily many applications.
 
-    It suffices to check the time-averaged channel together with a small
-    family of finite mixtures of powers: the identity-channel average, the
-    channel itself, and its square.  Each is run through the sampled
-    weighted-distance check, against one shared set of before-side norms.
+    The time average ``P`` (the Cesaro limit of ``E^n``) decides it alone,
+    through the sampled weighted-distance check.  For CP trace non-increasing
+    ``E``, ``P`` is CP and trace non-increasing and ``P o F = P`` for every
+    mixture of powers ``F`` (``E``, ``E^2``, ``(1 + E)/2``), so each sweep
+    operator has ``||P X||_1 = ||P(F X)||_1 <= ||F X||_1``: no ``F`` drops a
+    distance further than ``P``.  A map whose ``sum K^dag K`` has an
+    eigenvalue above ``1 + tol.equality`` raises :class:`ValidationError`.
     """
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
-    sup = to_superoperator(ch)
-    avg = fixed_space(sup, tol).projector
-    eye = np.eye(sup.matrix.shape[0], dtype=complex)
-    maps = [
-        ("time-average", avg.matrix),
-        ("single-step", sup.matrix),
-        ("half-identity-mix", 0.5 * (eye + sup.matrix)),
-        ("two-step", sup.matrix @ sup.matrix),
-    ]
-    # the before-side norms depend only on the code, so one sweep serves all
-    sweep = _pair_sweep(code, tol, P_GRID, include_mixtures=True)
-    d = ch.dim_in
-    for name, matrix in maps:
-        report = _compare(sweep, lambda x, m=matrix: unvec(m @ vec(x), d, d), tol)
-        if not report:
-            return NoiselessReport(verdict=False, failing_map=name, sample=report)
-    return NoiselessReport(verdict=True, failing_map=None,
-                           sample=PreservationReport(True, None, 0.0, 0.0))
+    gain = float(np.linalg.eigvalsh(sum(k.conj().T @ k for k in ch.kraus))[-1])
+    if not gain <= 1.0 + tol.equality:
+        raise ValidationError("noiseless check requires a trace non-increasing map "
+                              f"(sum K^dag K has eigenvalue {gain:.12g})")
+    avg = fixed_space(ch, tol).projector
+    report = _compare(_pair_sweep(code, tol, P_GRID, include_mixtures=True),
+                      lambda x: apply_superoperator(avg, x), tol)
+    return NoiselessReport(verdict=report.verdict,
+                           failing_map=None if report else "time-average", sample=report)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
@@ -348,6 +343,8 @@ def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
     noiseless again.  This coincides with preservation: any code whose
     distinguishability survives the channel is restored by this one fixed
     recovery map, so a negative verdict here is a genuine counterexample."""
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
     p = code_support(code, tol)
     recovery = transpose_channel(ch, p, tol=tol)
     composite = compose(recovery, ch, tol=tol)
@@ -467,10 +464,10 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     reset = channel_from_kraus(kraus, tol=tol)
     recovery = compose(reset, corr.recovery, tol=tol)
 
-    worst = 0.0
-    for state in code.states:
-        restored = apply_channel(recovery, apply_channel(ch, state))
-        worst = max(worst, trace_norm(restored - state))
+    residuals = _hermitian_stack(
+        [apply_channel(recovery, apply_channel(ch, s)) - s for s in code.states],
+        "recovery residual", tol)
+    worst = float(_batched_trace_norm(residuals).max())
     if worst > 1e-7:
         raise NumericalError(
             "assembled recovery does not fix the code states",

@@ -58,7 +58,7 @@ def complex_matrix_from_json(data: Any) -> np.ndarray:
             [complex(float(entry[0]), float(entry[1])) for entry in row]
             for row in data
         ]
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed complex matrix: {exc}") from exc
     if not rows:
         raise ValidationError("empty matrix")
@@ -81,8 +81,8 @@ def channel_from_json(data: Any) -> QuantumChannel:
         dim_in = int(data["dim_in"])
         dim_out = int(data["dim_out"])
         kraus_data = data["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"channel document missing field: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed channel document: {exc}") from exc
     ks = [complex_matrix_from_json(k) for k in kraus_data]
     ch = channel_from_kraus(ks)
     if ch.dim_in != dim_in or ch.dim_out != dim_out:
@@ -106,7 +106,7 @@ def stochastic_from_json(data: Any) -> StochasticChannel:
         n_in = int(data["n_in"])
         n_out = int(data["n_out"])
         m = np.array(data["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed stochastic document: {exc}") from exc
     sc = StochasticChannel(matrix=m)
     if sc.n_in != n_in or sc.n_out != n_out:
@@ -135,7 +135,7 @@ def graph_from_json(data: Any) -> tuple[int, list[tuple[int, int]]]:
     try:
         n = int(data["n"])
         edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed graph document: {exc}") from exc
     return n, edges
 

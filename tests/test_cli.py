@@ -196,14 +196,28 @@ def test_verify_code_correctable_level(fixtures_dir, capsys):
     assert code == 0
 
 
-def test_verify_code_dimension_mismatch_exits_2(fixtures_dir, capsys):
+@pytest.mark.parametrize("level", ["fixed", "preserved", "noiseless", "correctable"])
+def test_verify_code_dimension_mismatch_exits_2(fixtures_dir, capsys, level):
+    for channel, code_doc in [("dephasing_qubit", "code_ucp_sub"), ("depolarize_B", "code_cbit")]:
+        code, _, err = run_cli(
+            capsys, "verify-code",
+            "--channel", str(fixtures_dir / f"{channel}.json"),
+            "--code", str(fixtures_dir / f"{code_doc}.json"),
+            "--level", level,
+        )
+        assert code == 2
+        assert "error: code dimension does not match channel input" in err
+
+
+def test_verify_code_trace_increasing_map_exits_2(fixtures_dir, tmp_path, capsys):
+    gain = tmp_path / "gain.json"
+    gain.write_text(dumps(channel_to_json(channel_from_kraus([np.sqrt(2.0) * np.eye(2)]))))
     code, _, err = run_cli(
-        capsys, "verify-code",
-        "--channel", str(fixtures_dir / "dephasing_qubit.json"),
-        "--code", str(fixtures_dir / "code_ucp_sub.json"),
-        "--level", "preserved",
+        capsys, "verify-code", "--channel", str(gain),
+        "--code", str(fixtures_dir / "code_cbit.json"), "--level", "noiseless",
     )
     assert code == 2
+    assert "error: noiseless check requires a trace non-increasing map" in err
 
 
 def test_verify_code_five_qubit_preserved(fixtures_dir, capsys):
@@ -219,30 +233,30 @@ def test_verify_code_five_qubit_preserved(fixtures_dir, capsys):
 
 
 # ---------------------------------------------------------------------------
-# non-finite input: exit 2 on every verb that reads numbers
+# non-finite or malformed numbers: exit 2 on every verb that reads them
 # ---------------------------------------------------------------------------
 
-def _with_nan(src, dst, path):
+def _with_entry(src, dst, path, value=float("nan")):
     doc = json.loads(src.read_text())
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = float("nan")
+    node[path[-1]] = value
     dst.write_text(json.dumps(doc))
     return str(dst)
 
 
 def test_analyze_nan_kraus_exits_2(fixtures_dir, tmp_path, capsys):
-    bad = _with_nan(fixtures_dir / "dephasing_qubit.json", tmp_path / "nan.json",
-                    ["kraus", 0, 0, 0, 0])
+    bad = _with_entry(fixtures_dir / "dephasing_qubit.json", tmp_path / "nan.json",
+                      ["kraus", 0, 0, 0, 0])
     code, _, err = run_cli(capsys, "analyze", "--channel", bad, "--mode", "noiseless")
     assert code == 2
     assert "error:" in err
 
 
 def test_verify_code_nan_state_exits_2(fixtures_dir, tmp_path, capsys):
-    bad = _with_nan(fixtures_dir / "code_cbit.json", tmp_path / "nan.json",
-                    ["states", 0, 0, 0, 0])
+    bad = _with_entry(fixtures_dir / "code_cbit.json", tmp_path / "nan.json",
+                      ["states", 0, 0, 0, 0])
     code, _, err = run_cli(
         capsys, "verify-code", "--channel", str(fixtures_dir / "dephasing_qubit.json"),
         "--code", bad, "--level", "preserved",
@@ -252,9 +266,40 @@ def test_verify_code_nan_state_exits_2(fixtures_dir, tmp_path, capsys):
 
 
 def test_classical_maxcode_nan_entry_exits_2(fixtures_dir, tmp_path, capsys):
-    bad = _with_nan(fixtures_dir / "cyclic_four.json", tmp_path / "nan.json",
-                    ["matrix", 0, 0])
+    bad = _with_entry(fixtures_dir / "cyclic_four.json", tmp_path / "nan.json",
+                      ["matrix", 0, 0])
     code, _, err = run_cli(capsys, "classical-maxcode", "--stochastic", bad)
+    assert code == 2
+    assert "error:" in err
+
+
+_MALFORMED_VERBS = {
+    "channel": lambda fx, bad: ["analyze", "--channel", bad, "--mode", "noiseless"],
+    "code": lambda fx, bad: ["verify-code", "--channel", fx("dephasing_qubit"),
+                             "--code", bad, "--level", "preserved"],
+    "projector": lambda fx, bad: ["transpose", "--channel", fx("dephasing_qubit"),
+                                  "--projector", bad],
+    "stochastic": lambda fx, bad: ["classical-maxcode", "--stochastic", bad],
+}
+
+
+@pytest.mark.parametrize("kind,source,path,value", [
+    ("channel", "dephasing_qubit", ["kraus", 0, 0, 0], ["x", 0.0]),
+    ("channel", "dephasing_qubit", ["dim_in"], "one"),
+    ("code", "code_cbit", ["states", 0, 0, 0], [1.0, "0j"]),
+    ("projector", None, ["matrix", 0, 0], ["a", 0]),
+    ("stochastic", "cyclic_four", ["n_in"], "one"),
+], ids=["kraus-entry", "dim-in", "code-entry", "projector-entry", "stochastic-size"])
+def test_malformed_number_exits_2(fixtures_dir, tmp_path, capsys, kind, source, path, value):
+    # a number that does not parse is an input error (exit 2), not a traceback
+    if source is None:
+        src = tmp_path / "projector.json"
+        src.write_text(dumps({"matrix": complex_matrix_to_json(np.eye(2))}))
+    else:
+        src = fixtures_dir / f"{source}.json"
+    bad = _with_entry(src, tmp_path / "bad.json", path, value)
+    fx = lambda name: str(fixtures_dir / f"{name}.json")
+    code, _, err = run_cli(capsys, *_MALFORMED_VERBS[kind](fx, bad))
     assert code == 2
     assert "error:" in err
 

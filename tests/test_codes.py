@@ -20,7 +20,11 @@ from ipstruct import (
     zoo,
 )
 from ipstruct import codes
+from ipstruct.channels import compose, to_superoperator, unvec, vec
 from ipstruct.codes import P_GRID, _mixtures, code_support
+from ipstruct.spectral import fixed_space
+from ipstruct.structures import transpose_channel
+from ipstruct.tolerances import DEFAULT_TOL
 
 
 def test_trace_norm_known_values():
@@ -158,7 +162,7 @@ def test_preserved_but_not_noiseless():
     assert is_preserved(code, ch).verdict
     rep = is_noiseless(code, ch)
     assert not rep.verdict
-    assert rep.failing_map in ("time-average", "two-step", "half-identity-mix")
+    assert rep.failing_map == "time-average"
 
     mtd = zoo.fixture("measure_then_depolarize")
     ground = zoo.code_fixture("product_a_ground")
@@ -267,7 +271,10 @@ def test_witness_is_first_largest_drop_in_sweep_order(code_name, channel):
     assert abs(rep.distance_before - rep.distance_after - sweep[k][1]) < 1e-12
 
 
-def test_noiseless_shares_one_before_side_sweep(monkeypatch):
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Shapes of the stacks passed to ``_batched_trace_norm``, one per sweep
+    chunk."""
     calls = []
     norm = codes._batched_trace_norm
 
@@ -276,10 +283,23 @@ def test_noiseless_shares_one_before_side_sweep(monkeypatch):
         return norm(stack)
 
     monkeypatch.setattr(codes, "_batched_trace_norm", counting)
-    # a noiseless code, so all four maps are evaluated; one chunk per sweep
+    return calls
+
+
+def test_noiseless_shares_one_before_side_sweep(sweep_calls):
+    # a noiseless code, one chunk per sweep: the before side and the time
+    # average's after side
     rep = is_noiseless(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
     assert rep.verdict
-    assert len(calls) == 1 + 4
+    assert len(sweep_calls) == 1 + 1
+
+
+def test_preserved_runs_four_sweeps(sweep_calls):
+    # a passing code: before and after for the sampled check, then before and
+    # after for the noiseless check of the transpose composite
+    rep = is_preserved(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
+    assert rep.verdict
+    assert len(sweep_calls) == 4
 
 
 def test_non_hermiticity_preserving_map_is_refused():
@@ -288,3 +308,91 @@ def test_non_hermiticity_preserving_map_is_refused():
         sampled_preservation_check(zoo.code_fixture("cbit"), channel_from_kraus([np.eye(2)]),
                                    apply_map=lambda x: a @ x)
 
+
+def test_is_fixed_dimension_rules():
+    cbit = zoo.code_fixture("cbit")
+    with pytest.raises(ValidationError, match="code dimension does not match channel input"):
+        is_fixed(cbit, zoo.fixture("depolarize_B"))
+    # the input dimension matches but the output space differs: not fixed
+    assert not is_fixed(cbit, channel_from_kraus([np.eye(3)[:, :2]]))
+
+
+def test_trace_increasing_map_is_refused():
+    with pytest.raises(ValidationError, match="trace non-increasing"):
+        is_noiseless(zoo.code_fixture("cbit"), channel_from_kraus([np.sqrt(2.0) * np.eye(2)]))
+
+
+# ---------------------------------------------------------------------------
+# the time average dominates every mixture of powers of the channel
+# ---------------------------------------------------------------------------
+
+def _seeded_code(d: int, seed: int, inside: int | None = None) -> Code:
+    """Three pure states on a random plane, within the first ``inside``
+    coordinates when given."""
+    rng = np.random.default_rng(seed)
+    span = d if inside is None else inside
+    g = np.zeros((d, 2), dtype=complex)
+    g[:span] = rng.standard_normal((span, 2)) + 1j * rng.standard_normal((span, 2))
+    plane = np.linalg.qr(g)[0]
+    states = []
+    for _ in range(3):
+        psi = plane @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        states.append(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    return Code.from_states(states)
+
+
+# the listed fixture codes with the channels they are written for
+_LISTED_PAIRS = [("cbit", "dephasing_qubit"), ("plus_minus", "dephasing_qubit"),
+                 ("unitary_a_half", "depolarize_B"), ("ns_vs_code", "depolarize_B"),
+                 ("product_a_ground", "measure_then_depolarize"),
+                 ("cyclic_four_02", "cyclic_four"), ("ucp_sub", "ucp_d3"),
+                 ("qutrit_half_pair", "qutrit_half_fail"), ("squash_segment", "squash_three")]
+
+
+def _dominance_cases():
+    for name in zoo.fixture_names():
+        ch = zoo.fixture(name)
+        if isinstance(ch, Code):
+            continue
+        ch = ch if hasattr(ch, "kraus") else embed_classical(ch)
+        yield name, ch, _seeded_code(ch.dim_in, 7)
+    for code_name, name in _LISTED_PAIRS:
+        ch = zoo.fixture(name)
+        ch = ch if hasattr(ch, "kraus") else embed_classical(ch)
+        code = zoo.fixture(code_name) if code_name == "ns_vs_code" else zoo.code_fixture(code_name)
+        yield f"{code_name}-{name}", ch, code
+    for d in (3, 5):
+        for seed in (0, 1):
+            yield f"cptp-d{d}-s{seed}", zoo.random_cptp(d, 3, seed), _seeded_code(d, seed)
+    for d, k in ((4, 2), (6, 3)):
+        ch = zoo.random_dfs_channel(d, k, d)
+        yield f"dfs-d{d}-outside", ch, _seeded_code(d, d)
+        yield f"dfs-d{d}-inside", ch, _seeded_code(d, d, inside=k)
+
+
+_DOMINANCE = list(_dominance_cases())
+
+
+@pytest.mark.parametrize("ch,code", [c[1:] for c in _DOMINANCE],
+                         ids=[c[0] for c in _DOMINANCE])
+def test_time_average_dominates_the_deleted_maps(ch, code):
+    """The single step E, the half mix (1 + E)/2 and the square E^2 never
+    drop a sweep distance by more than the time average P does, on the
+    channel and on its transpose composite R o E."""
+    composite = compose(transpose_channel(ch, code_support(code)), ch)
+    sweep = codes._pair_sweep(code, DEFAULT_TOL, P_GRID, include_mixtures=True)
+    for f in (ch, composite):
+        # the premise of the argument: sum K^dag K <= 1
+        gram = sum(k.conj().T @ k for k in f.kraus)
+        assert np.linalg.eigvalsh(gram).max() <= 1.0 + DEFAULT_TOL.equality
+        d = f.dim_in
+        e = to_superoperator(f).matrix
+
+        def after(m):
+            mapped = np.stack([unvec(m @ vec(s), d, d) for s in sweep.states])
+            return codes._weighted_norms(mapped, sweep.ii, sweep.jj, sweep.ps)
+
+        # drop_F - drop_P = ||P X||_1 - ||F X||_1 at every sweep point X
+        average = after(fixed_space(f).projector.matrix)
+        for m in (e, 0.5 * (np.eye(d * d) + e), e @ e):
+            assert np.max(average - after(m)) <= 1e-12

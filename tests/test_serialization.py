@@ -124,3 +124,18 @@ def test_ragged_matrix_rejected():
         complex_matrix_from_json([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
     with pytest.raises(ValidationError):
         complex_matrix_from_json([])
+
+
+@pytest.mark.parametrize("load,doc", [
+    (complex_matrix_from_json, [[["x", 0.0]]]),
+    (complex_matrix_from_json, [[[1.0, "0j"]]]),
+    (channel_from_json, {"dim_in": "one", "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}),
+    (channel_from_json, {"dim_in": float("inf"), "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}),
+    (stochastic_from_json, {"n_in": float("inf"), "n_out": 1, "matrix": [[1.0]]}),
+    (graph_from_json, {"n": "two", "edges": []}),
+    (graph_from_json, {"n": 2, "edges": [["a", 1]]}),
+], ids=["entry-word", "entry-complex-string", "dim-word", "dim-infinite",
+        "stochastic-infinite", "graph-size-word", "graph-edge-word"])
+def test_malformed_numbers_are_validation_errors(load, doc):
+    with pytest.raises(ValidationError, match="malformed"):
+        load(doc)
