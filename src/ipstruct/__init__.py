@@ -65,7 +65,6 @@ from .structures import (
 from .codes import (
     Code,
     CorrectabilityReport,
-    NoiselessReport,
     PreservationReport,
     build_fixing_recovery,
     helstrom_probability,
@@ -136,7 +135,6 @@ __all__ = [
     "initialization_free_check",
     "Code",
     "PreservationReport",
-    "NoiselessReport",
     "CorrectabilityReport",
     "trace_norm",
     "helstrom_probability",

@@ -5,8 +5,8 @@ the channel, i.e. ``|| E(p rho - (1-p) sigma) ||_1 = || p rho - (1-p) sigma
 ||_1`` over the convex closure of the code.  Sampling weighted pairs can only
 refute this, so the authoritative positive certificate is structural: the
 code must sit inside a structure that the transpose-channel recovery makes
-noiseless again.  The checks below follow that split: fast sampled
-refutation, structural confirmation.
+noiseless again.  Every sweep level reports a :class:`PreservationReport`:
+the verdict, and a witness pair when it is refuted.
 
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
 equivalent to correctable via the transpose recovery.  The noiseless check
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "Code",
     "MixtureLabel",
     "PreservationReport",
-    "NoiselessReport",
     "CorrectabilityReport",
     "trace_norm",
     "helstrom_probability",
@@ -55,9 +53,12 @@ __all__ = [
 ]
 
 # p grid for weighted-distance sampling: endpoints plus a decade of interior
-# weights; mixtures of listed states draw their weights from a quarter grid
+# weights
 P_GRID = tuple([0.0] + [round(0.1 * k, 1) for k in range(1, 10)] + [1.0])
-MIXTURE_WEIGHT_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# mixtures of two and of three listed states: every weight tuple from the
+# quarter grid {1/4, 1/2, 3/4} that sums to one, in lexicographic order
+_MIXTURE_WEIGHTS = {2: ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25)),
+                    3: ((0.25, 0.25, 0.5), (0.25, 0.5, 0.25), (0.5, 0.25, 0.25))}
 
 # a weighted mixture of listed states: ((state_index, weight), ...)
 MixtureLabel = tuple[tuple[int, float], ...]
@@ -107,21 +108,10 @@ class PreservationReport:
 
 
 @dataclass(frozen=True)
-class NoiselessReport:
-    verdict: bool
-    failing_map: str | None
-    sample: PreservationReport
-
-    def __bool__(self) -> bool:
-        return self.verdict
-
-
-@dataclass(frozen=True)
 class CorrectabilityReport:
     verdict: bool
     recovery: QuantumChannel
-    support_projector: np.ndarray
-    noiseless: NoiselessReport
+    noiseless: PreservationReport
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -188,47 +178,35 @@ def code_support(code: Code, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 # sampled weak-condition checks
 # ---------------------------------------------------------------------------
 
-def _mixtures(code: Code, include_mixtures: bool) -> list[tuple[MixtureLabel, np.ndarray]]:
-    """Listed states plus mixtures of up to three of them whose weights come
-    from the quarter grid and sum to one."""
+def _mixtures(code: Code) -> list[tuple[MixtureLabel, np.ndarray]]:
+    """Listed states plus mixtures of two and of three of them whose weights
+    come from the quarter grid and sum to one."""
     out: list[tuple[MixtureLabel, np.ndarray]] = [
         (((i, 1.0),), s) for i, s in enumerate(code.states)
     ]
-    if not include_mixtures or len(code.states) < 2:
-        return out
-    indices = range(len(code.states))
-    for size in (2, 3):
-        for subset in itertools.combinations(indices, size):
-            for weights in itertools.product(MIXTURE_WEIGHT_GRID, repeat=size):
-                if sum(weights) != 1:
-                    continue
-                ws = tuple(float(w) for w in weights)
+    for size, grid in _MIXTURE_WEIGHTS.items():
+        for subset in itertools.combinations(range(len(code.states)), size):
+            for ws in grid:
                 state = sum(w * code.states[i] for w, i in zip(ws, subset))
-                label = tuple(zip(subset, ws))
-                out.append((label, state))
+                out.append((tuple(zip(subset, ws)), state))
     return out
 
 
 @dataclass(frozen=True)
 class _PairSweep:
-    """The weighted pairs of one check, with their trace norms before any map.
-
-    Pair ``k`` compares ``states[ii[k]]`` (prior ``p``) with
-    ``states[jj[k]]`` (prior ``1-p``) for every ``p`` in ``ps``; ``before``
-    holds ``|| p rho - (1-p) sigma ||_1`` with one row per pair.
-    """
+    """The weighted pairs of one check, with their trace norms before any
+    map (see :func:`_weighted_norms` for the layout of ``before``)."""
 
     labels: list[MixtureLabel]
     states: np.ndarray
-    ii: np.ndarray
-    jj: np.ndarray
-    ps: np.ndarray
     before: np.ndarray
 
 
-def _weighted_norms(states: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-                    ps: np.ndarray) -> np.ndarray:
-    """``|| p X_i - (1-p) X_j ||_1`` per pair (rows) and prior (columns)."""
+def _weighted_norms(states: np.ndarray) -> np.ndarray:
+    """``|| p X_i - (1-p) X_j ||_1`` with one row per pair ``i < j``, in
+    ``np.triu_indices`` order, and one column per prior ``p`` in ``P_GRID``."""
+    ii, jj = np.triu_indices(len(states), k=1)
+    ps = np.asarray(P_GRID)
     d = states.shape[1]
     out = np.empty((ii.size, ps.size))
     w = ps[None, :, None, None]
@@ -241,22 +219,22 @@ def _weighted_norms(states: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return out
 
 
-def _pair_sweep(code: Code, tol: ToleranceConfig, p_values: Sequence[float],
-                include_mixtures: bool) -> _PairSweep:
-    collection = _mixtures(code, include_mixtures)
+def _pair_sweep(code: Code, tol: ToleranceConfig) -> _PairSweep:
+    collection = _mixtures(code)
     states = _hermitian_stack([s for _, s in collection], "code state", tol)
-    ii, jj = np.triu_indices(len(collection), k=1)
-    ps = np.asarray(p_values, dtype=float)
     return _PairSweep(labels=[lab for lab, _ in collection], states=states,
-                      ii=ii, jj=jj, ps=ps, before=_weighted_norms(states, ii, jj, ps))
+                      before=_weighted_norms(states))
 
 
 def _compare(sweep: _PairSweep, apply_map: Callable[[np.ndarray], np.ndarray],
              tol: ToleranceConfig) -> PreservationReport:
     """Map every state of the sweep and report the pair whose distance drops
-    most, if that drop exceeds ``tol.subspace``."""
+    most, if that drop exceeds ``tol.subspace``.  ``apply_map`` must preserve
+    Hermiticity: a mapped state with an anti-Hermitian part above
+    ``tol.equality`` raises :class:`ValidationError` rather than being
+    measured by its Hermitian part alone."""
     mapped = _hermitian_stack([apply_map(s) for s in sweep.states], "mapped state", tol)
-    after = _weighted_norms(mapped, sweep.ii, sweep.jj, sweep.ps)
+    after = _weighted_norms(mapped)
     drops = sweep.before - after
     if drops.size == 0 or drops.max() <= tol.subspace:
         return PreservationReport(verdict=True, worst_pair=None,
@@ -264,39 +242,27 @@ def _compare(sweep: _PairSweep, apply_map: Callable[[np.ndarray], np.ndarray],
     # the witness is the first pair in sweep order among those whose drops
     # tie with the largest up to rounding; the verdict used the exact maximum
     k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
+    ii, jj = np.triu_indices(len(sweep.labels), k=1)
     return PreservationReport(
         verdict=False,
-        worst_pair=(sweep.labels[sweep.ii[k]], sweep.labels[sweep.jj[k]],
-                    float(sweep.ps[p_k])),
+        worst_pair=(sweep.labels[ii[k]], sweep.labels[jj[k]], P_GRID[p_k]),
         distance_before=float(sweep.before[k, p_k]),
         distance_after=float(after[k, p_k]),
     )
 
 
-def sampled_preservation_check(
-    code: Code,
-    ch: QuantumChannel,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    p_values: Sequence[float] = P_GRID,
-    include_mixtures: bool = True,
-    apply_map: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> PreservationReport:
+def sampled_preservation_check(code: Code, ch: QuantumChannel,
+                               tol: ToleranceConfig = DEFAULT_TOL) -> PreservationReport:
     """Search for a weighted pair whose distinguishability shrinks.
 
-    This is a refutation procedure: passing it does not certify
-    preservation (that needs the structural route in :func:`is_preserved`),
-    but any violation it finds is real.  ``apply_map`` substitutes an
-    arbitrary linear map for the channel action.  It must preserve
-    Hermiticity: the trace norms are taken as sums of ``|eigenvalues|`` of
-    Hermitian operators, and a mapped state with an anti-Hermitian part
-    above ``tol.equality`` raises :class:`ValidationError` rather than being
-    measured by its Hermitian part alone.
+    The sweep compares every pair of listed states and quarter-grid mixtures
+    at every prior in ``P_GRID``.  This is a refutation procedure: passing
+    it does not certify preservation (that needs the structural route in
+    :func:`is_preserved`), but any violation it finds is real.
     """
-    if apply_map is None:
-        if ch.dim_in != code.dim:
-            raise ValidationError("code dimension does not match channel input")
-        apply_map = lambda x: apply_channel(ch, x)
-    return _compare(_pair_sweep(code, tol, p_values, include_mixtures), apply_map, tol)
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
+    return _compare(_pair_sweep(code, tol), lambda x: apply_channel(ch, x), tol)
 
 
 def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -311,7 +277,7 @@ def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL)
 
 
 def is_noiseless(code: Code, ch: QuantumChannel,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> NoiselessReport:
+                 tol: ToleranceConfig = DEFAULT_TOL) -> PreservationReport:
     """Whether distinguishability survives arbitrarily many applications.
 
     The time average ``P`` (the Cesaro limit of ``E^n``) decides it alone,
@@ -320,21 +286,20 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     mixture of powers ``F`` (``E``, ``E^2``, ``(1 + E)/2``), so each sweep
     operator has ``||P X||_1 = ||P(F X)||_1 <= ||F X||_1``: no ``F`` drops a
     distance further than ``P``.  A map whose ``sum K^dag K`` has an
-    eigenvalue above ``1 + tol.equality`` raises :class:`ValidationError`.
+    eigenvalue above ``1 + tol.equality``, plus a rounding allowance of
+    ``len(kraus) * dim * eps`` for the sum, raises :class:`ValidationError`.
     """
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
     gain = float(np.linalg.eigvalsh(sum(k.conj().T @ k for k in ch.kraus))[-1])
-    if not gain <= 1.0 + tol.equality:
+    rounding = len(ch.kraus) * ch.dim_in * np.finfo(float).eps
+    if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
                               f"(sum K^dag K has eigenvalue {gain:.12g})")
     avg = fixed_space(ch, tol).projector
-    report = _compare(_pair_sweep(code, tol, P_GRID, include_mixtures=True),
-                      lambda x: apply_superoperator(avg, x), tol)
-    return NoiselessReport(verdict=report.verdict,
-                           failing_map=None if report else "time-average", sample=report)
+    return _compare(_pair_sweep(code, tol), lambda x: apply_superoperator(avg, x), tol)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
@@ -349,58 +314,42 @@ def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
     recovery = transpose_channel(ch, p, tol=tol)
     composite = compose(recovery, ch, tol=tol)
     report = is_noiseless(code, composite, tol=tol)
-    return CorrectabilityReport(
-        verdict=report.verdict,
-        recovery=recovery,
-        support_projector=p,
-        noiseless=report,
-    )
+    return CorrectabilityReport(verdict=report.verdict, recovery=recovery, noiseless=report)
 
 
 def is_preserved(code: Code, ch: QuantumChannel,
                  tol: ToleranceConfig = DEFAULT_TOL) -> PreservationReport:
     """Whether the code's distinguishability structure survives the channel.
 
-    Combines the sampled refutation (pairs and mixtures of up to three
-    listed states over a weight grid) with the structural certificate that
-    the transpose recovery restores the code.  A positive verdict requires
-    both; a violation from either is returned with its witness.
+    The structural stage decides the verdict: the transpose recovery ``R``
+    must make the code noiseless for ``R o E``
+    (:func:`is_correctable_via_transpose`).  The sampled sweep of ``E``
+    (:func:`sampled_preservation_check`) runs first only to supply the
+    witness that a refuted code reports, a pair whose distance drops under
+    ``E`` itself; it never refutes a code that the structural stage passes.
+    Proof: ``R`` (``sum R^dag R = Pi <= 1``) and the time average ``P`` of
+    ``R o E`` are positive and trace non-increasing, and ``P o (R o E) =
+    P``, so for every sweep operator ``||P X||_1 = ||P R (E X)||_1 <= ||E
+    X||_1``: the drop under ``E`` is at most the drop under ``P`` at every
+    sweep point.
     """
     sampled = sampled_preservation_check(code, ch, tol=tol)
     if not sampled:
         return sampled
-    structural = is_correctable_via_transpose(code, ch, tol=tol)
-    if structural.verdict:
-        return sampled
-    inner = structural.noiseless.sample
-    return PreservationReport(
-        verdict=False,
-        worst_pair=inner.worst_pair,
-        distance_before=inner.distance_before,
-        distance_after=inner.distance_after,
-    )
+    return is_correctable_via_transpose(code, ch, tol=tol).noiseless
 
 
 # ---------------------------------------------------------------------------
 # explicit recovery construction
 # ---------------------------------------------------------------------------
 
-def _replace_factor_kraus(sector_iso: np.ndarray, d: int, n: int,
-                          mu: np.ndarray) -> list[np.ndarray]:
-    """Kraus operators for "trace out the cofactor, install ``mu``" on one
-    sector, embedded in the ambient space."""
-    w, v = np.linalg.eigh((mu + mu.conj().T) / 2.0)
-    ops = []
-    for m_idx in range(n):
-        lam = max(float(w[m_idx]), 0.0)
-        if lam == 0.0:
-            continue
-        target = np.sqrt(lam) * v[:, m_idx]
-        for i in range(n):
-            basis_vec = np.zeros(n)
-            basis_vec[i] = 1.0
-            ops.append(_embed(sector_iso, np.eye(d), np.outer(target, basis_vec)))
-    return ops
+def _preparation_kraus(state: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
+    """Kraus operators ``sqrt(lam) |v><b|`` of "discard, prepare ``state``"
+    on the span of the orthonormal columns ``b`` of ``inputs``, over the
+    eigenpairs ``(lam, v)`` of ``state`` with ``lam > 0``."""
+    w, v = np.linalg.eigh((state + state.conj().T) / 2.0)
+    return [np.outer(np.sqrt(lam) * v[:, m], b.conj())
+            for m, lam in enumerate(w) if lam > 0.0 for b in inputs.T]
 
 
 def build_fixing_recovery(code: Code, ch: QuantumChannel,
@@ -421,7 +370,6 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     corr = is_correctable_via_transpose(code, ch, tol=tol)
     if not corr:
         raise ValidationError("code is not preserved; no fixing recovery exists")
-    p = corr.support_projector
     composite = compose(corr.recovery, ch, tol=tol)
     structure = noiseless_structure(composite, tol=tol)
 
@@ -438,28 +386,21 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
             break
         mus.append(mu if mu is not None else tau)
 
+    # per sector: trace out the cofactor and install mu
     kraus: list[np.ndarray] = []
     for sector, mu in zip(structure.algebra.sectors, mus):
-        kraus.extend(_replace_factor_kraus(sector.isometry, sector.d, sector.n, mu))
+        kraus.extend(_embed(sector.isometry, np.eye(sector.d), k)
+                     for k in _preparation_kraus(mu, np.eye(sector.n)))
 
     # route anything outside the support to a fixed default state so the
     # reset map is trace preserving on the whole space (never exercised by
     # recovered inputs, whose support lies inside P)
-    d = ch.dim_in
-    comp = np.eye(d) - structure.support_projector
+    comp = np.eye(ch.dim_in) - structure.support_projector
     comp_rank = int(round(float(np.real(np.trace(comp)))))
     if comp_rank > 0:
         first = structure.algebra.sectors[0]
         default = _embed(first.isometry, np.eye(first.d) / first.d, mus[0])
-        w, v = np.linalg.eigh((default + default.conj().T) / 2.0)
-        comp_basis = np.linalg.eigh(comp)[1][:, -comp_rank:]
-        for m_idx in range(d):
-            lam = max(float(w[m_idx]), 0.0)
-            if lam == 0.0:
-                continue
-            target = np.sqrt(lam) * v[:, m_idx]
-            for i in range(comp_rank):
-                kraus.append(np.outer(target, comp_basis[:, i].conj()))
+        kraus.extend(_preparation_kraus(default, np.linalg.eigh(comp)[1][:, -comp_rank:]))
 
     reset = channel_from_kraus(kraus, tol=tol)
     recovery = compose(reset, corr.recovery, tol=tol)

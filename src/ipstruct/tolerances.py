@@ -48,10 +48,11 @@ class ToleranceConfig:
         """Copy with both user-facing comparison thresholds replaced.
 
         ``equality`` and ``subspace`` are the thresholds that decide
-        verdicts; the internal rank/gap guards are left untouched.
+        verdicts; the internal rank/gap guards are left untouched.  A value
+        that is not positive and finite raises :class:`ValueError`.
         """
-        if not value > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < value < float("inf"):
+            raise ValueError(f"tolerance must be positive and finite, got {value}")
         return replace(self, equality=value, subspace=value)
 
 

@@ -43,7 +43,9 @@ from ipstruct import (
 )
 from ipstruct.channels import orthonormal_range_basis, projector_onto_support
 from ipstruct.cli import main
+from ipstruct.codes import P_GRID
 from ipstruct.spectral import operator_space_from_span
+from ipstruct.tolerances import DEFAULT_TOL
 
 
 def timed(fn, *args, **kwargs):
@@ -157,19 +159,34 @@ def test_example_five_qubit_random_depolarization():
 # group 2: regression pinning of the counterexample codes
 # ---------------------------------------------------------------------------
 
+def _listed_pair_drop(code, ch, priors):
+    """The largest drop of ``|| p rho - (1-p) sigma ||_1`` under ``ch`` over
+    pairs of listed states (no mixtures) and the given priors."""
+    return max(trace_norm(x) - trace_norm(apply_channel(ch, x))
+               for a, b in itertools.combinations(code.states, 2) for p in priors
+               for x in [p * a - (1.0 - p) * b])
+
+
 def test_regression_segment_code_needs_mixtures():
     ch = embed_classical(zoo.fixture("squash_three"))
     code = zoo.code_fixture("squash_segment")
-    assert sampled_preservation_check(code, ch, include_mixtures=False).verdict
+    # pairs of listed states alone, at every prior of the sweep, survive
+    assert _listed_pair_drop(code, ch, P_GRID) <= DEFAULT_TOL.subspace
+    full = sampled_preservation_check(code, ch)
+    assert not full.verdict
+    la, lb, _p = full.worst_pair
+    assert max(len(la), len(lb)) >= 2  # the witness involves a mixture
     assert not is_preserved(code, ch).verdict
 
 
 def test_regression_half_failure_code_needs_weights():
     ch = zoo.fixture("qutrit_half_fail")
     code = zoo.code_fixture("qutrit_half_pair")
-    weak = sampled_preservation_check(code, ch, p_values=[0.5],
-                                      include_mixtures=False)
-    assert weak.verdict
+    # pairs of listed states at equal priors survive
+    assert _listed_pair_drop(code, ch, [0.5]) <= DEFAULT_TOL.subspace
+    full = sampled_preservation_check(code, ch)
+    assert not full.verdict
+    assert full.worst_pair[2] != 0.5  # the witness needs a skewed prior
     assert not is_preserved(code, ch).verdict
 
 

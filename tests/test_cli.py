@@ -126,6 +126,15 @@ def test_analyze_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_analyze_infinite_tol_exits_2(fixtures_dir, capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--channel", str(fixtures_dir / "depolarize_B.json"),
+        "--tol", "inf",
+    )
+    assert code == 2 and out == ""
+    assert "error: tolerance must be positive and finite" in err
+
+
 def test_analyze_tol_is_recorded(fixtures_dir, capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--channel", str(fixtures_dir / "dephasing_qubit.json"),
@@ -151,17 +160,27 @@ def test_verify_code_pass(fixtures_dir, capsys):
     assert out.startswith("PASS")
 
 
-def test_verify_code_fail_is_exit_1(fixtures_dir, capsys):
+@pytest.mark.parametrize("channel,code_doc,level,verdict,failing_map", [
+    ("cyclic_four", "code_cyclic_four_02", "noiseless", False, "time-average"),
+    ("qutrit_half_fail", "code_qutrit_half_pair", "correctable", False, "time-average"),
+    ("depolarize_B", "code_unitary_a_half", "noiseless", True, None),
+    ("cyclic_four", "code_cyclic_four_02", "correctable", True, None),
+    ("cyclic_four", "code_cyclic_four_02", "preserved", True, "absent"),
+    ("dephasing_qubit", "code_plus_minus", "preserved", False, "absent"),
+    ("dephasing_qubit", "code_cbit", "fixed", True, "absent"),
+])
+def test_verify_code_failing_map(fixtures_dir, capsys, channel, code_doc, level, verdict,
+                                 failing_map):
+    # a failed verdict exits 1; the noiseless and correctable levels name the
+    # time average when they fail
     code, out, _ = run_cli(
-        capsys, "verify-code",
-        "--channel", str(fixtures_dir / "cyclic_four.json"),
-        "--code", str(fixtures_dir / "code_cyclic_four_02.json"),
-        "--level", "noiseless", "--json",
+        capsys, "verify-code", "--channel", str(fixtures_dir / f"{channel}.json"),
+        "--code", str(fixtures_dir / f"{code_doc}.json"), "--level", level, "--json",
     )
-    assert code == 1
     doc = json.loads(out)
-    assert doc["verdict"] is False
-    assert doc["detail"]["failing_map"] == "time-average"
+    assert code == (0 if verdict else 1)
+    assert doc["verdict"] is verdict
+    assert doc["detail"].get("failing_map", "absent") == failing_map
 
 
 def test_verify_code_weak_condition_failure(fixtures_dir, capsys):
@@ -211,13 +230,50 @@ def test_verify_code_dimension_mismatch_exits_2(fixtures_dir, capsys, level):
 
 def test_verify_code_trace_increasing_map_exits_2(fixtures_dir, tmp_path, capsys):
     gain = tmp_path / "gain.json"
-    gain.write_text(dumps(channel_to_json(channel_from_kraus([np.sqrt(2.0) * np.eye(2)]))))
-    code, _, err = run_cli(
-        capsys, "verify-code", "--channel", str(gain),
-        "--code", str(fixtures_dir / "code_cbit.json"), "--level", "noiseless",
-    )
-    assert code == 2
-    assert "error: noiseless check requires a trace non-increasing map" in err
+    for factor in (2.0, 1.0 + 1e-6):
+        gain.write_text(dumps(channel_to_json(channel_from_kraus([np.sqrt(factor) * np.eye(2)]))))
+        code, _, err = run_cli(
+            capsys, "verify-code", "--channel", str(gain),
+            "--code", str(fixtures_dir / "code_cbit.json"), "--level", "noiseless",
+        )
+        assert code == 2
+        assert "error: noiseless check requires a trace non-increasing map" in err
+
+
+_FIXTURE_PAIRS = [
+    ("dephasing_qubit", "code_cbit"), ("dephasing_qubit", "code_plus_minus"),
+    ("depolarize_B", "code_unitary_a_half"), ("depolarize_B", "ns_vs_code"),
+    ("measure_then_depolarize", "code_product_a_ground"),
+    ("cyclic_four", "code_cyclic_four_02"), ("ucp_d3", "code_ucp_sub"),
+    ("qutrit_half_fail", "code_qutrit_half_pair"), ("squash_three", "code_squash_segment"),
+]
+
+
+@pytest.mark.parametrize("level", ["noiseless", "correctable", "preserved"])
+def test_verify_code_tight_tol_is_not_an_input_error(fixtures_dir, capsys, level):
+    # rounding in sum K^dag K of a composite R o E stays inside the trace
+    # guard's allowance; the verdicts themselves are rounding-driven at this
+    # tolerance and are not pinned
+    pairs = _FIXTURE_PAIRS + ([("five_qubit_depolarize_one", "code_five_qubit_logical")]
+                              if level == "correctable" else [])
+    for channel, code_doc in pairs:
+        code, _, err = run_cli(
+            capsys, "verify-code", "--channel", str(fixtures_dir / f"{channel}.json"),
+            "--code", str(fixtures_dir / f"{code_doc}.json"), "--level", level,
+            "--tol", "1e-15",
+        )
+        assert code in (0, 1), (channel, code_doc, err)
+
+
+def test_verify_code_infinite_tol_exits_2(fixtures_dir, capsys):
+    for level in ("preserved", "noiseless"):
+        code, out, err = run_cli(
+            capsys, "verify-code", "--channel", str(fixtures_dir / "ucp_d3.json"),
+            "--code", str(fixtures_dir / "code_ucp_sub.json"), "--level", level,
+            "--tol", "inf",
+        )
+        assert code == 2 and out == ""
+        assert "error: tolerance must be positive and finite" in err
 
 
 def test_verify_code_five_qubit_preserved(fixtures_dir, capsys):

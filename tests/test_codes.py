@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from ipstruct import (
     Code,
     NumericalError,
+    PreservationReport,
     ValidationError,
     apply_channel,
     build_fixing_recovery,
@@ -20,7 +23,7 @@ from ipstruct import (
     zoo,
 )
 from ipstruct import codes
-from ipstruct.channels import compose, to_superoperator, unvec, vec
+from ipstruct.channels import apply_superoperator, compose, to_superoperator, unvec, vec
 from ipstruct.codes import P_GRID, _mixtures, code_support
 from ipstruct.spectral import fixed_space
 from ipstruct.structures import transpose_channel
@@ -63,7 +66,7 @@ def test_code_support():
 
 def test_mixture_grid_contents():
     code = zoo.code_fixture("qutrit_half_pair")  # 3 states
-    labels = [lab for lab, _ in _mixtures(code, include_mixtures=True)]
+    labels = [lab for lab, _ in _mixtures(code)]
     singles = [lab for lab in labels if len(lab) == 1]
     pairs = [lab for lab in labels if len(lab) == 2]
     triples = [lab for lab in labels if len(lab) == 3]
@@ -77,8 +80,8 @@ def test_mixture_grid_contents():
     assert len(set(labels)) == len(labels)
     for lab in labels:
         assert abs(sum(w for _, w in lab) - 1.0) < 1e-12
-    # pairwise-only mode keeps just the listed states
-    assert len(_mixtures(code, include_mixtures=False)) == 3
+    # a single listed state has no mixtures
+    assert len(_mixtures(Code.from_states(code.states[:1]))) == 1
 
 
 def test_sampled_check_catches_collapse():
@@ -108,13 +111,21 @@ def test_dimension_mismatch():
 # regression: weighted / mixture checks are strictly stronger
 # ---------------------------------------------------------------------------
 
+def _listed_pair_drop(code, ch, priors):
+    """The largest drop of ``|| p rho - (1-p) sigma ||_1`` under ``ch`` over
+    pairs of listed states (no mixtures) and the given priors."""
+    return max(trace_norm(x) - trace_norm(apply_channel(ch, x))
+               for a, b in itertools.combinations(code.states, 2) for p in priors
+               for x in [p * a - (1.0 - p) * b])
+
+
 def test_segment_code_caught_only_by_mixtures():
     """Two classical states each pairwise-survive the squash map, but a
     midpoint mixture against an endpoint loses distinguishability."""
     ch = embed_classical(zoo.fixture("squash_three"))
     code = zoo.code_fixture("squash_segment")
-    weak = sampled_preservation_check(code, ch, include_mixtures=False)
-    assert weak.verdict  # the deliberately weakened pairwise check passes
+    # the deliberately weakened pairwise check passes
+    assert _listed_pair_drop(code, ch, P_GRID) <= DEFAULT_TOL.subspace
     full = sampled_preservation_check(code, ch)
     assert not full.verdict
     assert not is_preserved(code, ch)
@@ -126,12 +137,11 @@ def test_weighted_pair_beats_unweighted():
     """States that tie at equal priors but separate under a skewed prior."""
     ch = zoo.fixture("qutrit_half_fail")
     code = zoo.code_fixture("qutrit_half_pair")
-    unweighted = sampled_preservation_check(
-        code, ch, p_values=[0.5], include_mixtures=False
-    )
-    assert unweighted.verdict
-    weighted = sampled_preservation_check(code, ch, include_mixtures=False)
-    assert not weighted.verdict
+    assert _listed_pair_drop(code, ch, [0.5]) <= DEFAULT_TOL.subspace
+    assert _listed_pair_drop(code, ch, P_GRID) > DEFAULT_TOL.subspace
+    full = sampled_preservation_check(code, ch)
+    assert not full.verdict
+    assert full.worst_pair[2] != 0.5  # the witness needs a skewed prior
     assert not is_preserved(code, ch)
 
 
@@ -161,8 +171,9 @@ def test_preserved_but_not_noiseless():
     code = zoo.code_fixture("cyclic_four_02")
     assert is_preserved(code, ch).verdict
     rep = is_noiseless(code, ch)
+    assert isinstance(rep, PreservationReport)
     assert not rep.verdict
-    assert rep.failing_map == "time-average"
+    assert rep.distance_before > rep.distance_after
 
     mtd = zoo.fixture("measure_then_depolarize")
     ground = zoo.code_fixture("product_a_ground")
@@ -256,7 +267,7 @@ def test_witness_is_first_largest_drop_in_sweep_order(code_name, channel):
     rep = sampled_preservation_check(code, channel)
     assert not rep.verdict
     # every (pair, prior) in sweep order: pairs i < j row by row, then priors
-    collection = _mixtures(code, include_mixtures=True)
+    collection = _mixtures(code)
     sweep = []
     for i, j in zip(*np.triu_indices(len(collection), k=1)):
         (la, a), (lb, b) = collection[i], collection[j]
@@ -304,9 +315,9 @@ def test_preserved_runs_four_sweeps(sweep_calls):
 
 def test_non_hermiticity_preserving_map_is_refused():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sweep = codes._pair_sweep(zoo.code_fixture("cbit"), DEFAULT_TOL)
     with pytest.raises(ValidationError, match="not Hermitian"):
-        sampled_preservation_check(zoo.code_fixture("cbit"), channel_from_kraus([np.eye(2)]),
-                                   apply_map=lambda x: a @ x)
+        codes._compare(sweep, lambda x: a @ x, DEFAULT_TOL)
 
 
 def test_is_fixed_dimension_rules():
@@ -320,6 +331,10 @@ def test_is_fixed_dimension_rules():
 def test_trace_increasing_map_is_refused():
     with pytest.raises(ValidationError, match="trace non-increasing"):
         is_noiseless(zoo.code_fixture("cbit"), channel_from_kraus([np.sqrt(2.0) * np.eye(2)]))
+    # the rounding allowance is len(kraus) * dim * eps, far below a 1e-6 gain
+    with pytest.raises(ValidationError, match="trace non-increasing"):
+        is_noiseless(zoo.code_fixture("cbit"),
+                     channel_from_kraus([np.sqrt(1.0 + 1e-6) * np.eye(2)]))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +395,7 @@ def test_time_average_dominates_the_deleted_maps(ch, code):
     drop a sweep distance by more than the time average P does, on the
     channel and on its transpose composite R o E."""
     composite = compose(transpose_channel(ch, code_support(code)), ch)
-    sweep = codes._pair_sweep(code, DEFAULT_TOL, P_GRID, include_mixtures=True)
+    sweep = codes._pair_sweep(code, DEFAULT_TOL)
     for f in (ch, composite):
         # the premise of the argument: sum K^dag K <= 1
         gram = sum(k.conj().T @ k for k in f.kraus)
@@ -390,9 +405,32 @@ def test_time_average_dominates_the_deleted_maps(ch, code):
 
         def after(m):
             mapped = np.stack([unvec(m @ vec(s), d, d) for s in sweep.states])
-            return codes._weighted_norms(mapped, sweep.ii, sweep.jj, sweep.ps)
+            return codes._weighted_norms(mapped)
 
         # drop_F - drop_P = ||P X||_1 - ||F X||_1 at every sweep point X
         average = after(fixed_space(f).projector.matrix)
         for m in (e, 0.5 * (np.eye(d * d) + e), e @ e):
             assert np.max(average - after(m)) <= 1e-12
+
+
+_STRUCTURAL_CASES = [c for c in _DOMINANCE if c[0] not in zoo.fixture_names()]
+
+
+@pytest.mark.parametrize("ch,code", [c[1:] for c in _STRUCTURAL_CASES],
+                         ids=[c[0] for c in _STRUCTURAL_CASES])
+def test_sampled_stage_never_decides_is_preserved(ch, code):
+    """The drop under E is at most the drop under the time average P of the
+    transpose composite R o E at every sweep point, so the structural stage
+    alone decides the verdict of ``is_preserved``."""
+    sweep = codes._pair_sweep(code, DEFAULT_TOL)
+    average = fixed_space(compose(transpose_channel(ch, code_support(code)), ch)).projector
+
+    def after(apply):
+        mapped = np.stack([apply(s) for s in sweep.states])
+        return codes._weighted_norms(mapped)
+
+    # drop_E - drop_P = ||P X||_1 - ||E X||_1
+    excess = (after(lambda s: apply_superoperator(average, s))
+              - after(lambda s: apply_channel(ch, s)))
+    assert np.max(excess) <= 1e-12
+    assert is_preserved(code, ch).verdict == is_correctable_via_transpose(code, ch).verdict
