@@ -35,20 +35,14 @@ from .channels import (
 from .spectral import (
     OperatorSpace,
     SpectralSpace,
-    asymptotic_projector,
     fixed_space,
-    fixed_space_adjoint,
-    peripheral_projector,
     rotating_space,
-    rotating_space_adjoint,
     subspace_distance,
 )
 from .algebra import (
     AlgebraDecomposition,
     Sector,
     canonical_decompose,
-    commutant,
-    is_algebra,
     verify_decomposition,
 )
 from .structures import (
@@ -112,16 +106,10 @@ __all__ = [
     "OperatorSpace",
     "SpectralSpace",
     "fixed_space",
-    "fixed_space_adjoint",
     "rotating_space",
-    "rotating_space_adjoint",
-    "asymptotic_projector",
-    "peripheral_projector",
     "subspace_distance",
     "AlgebraDecomposition",
     "Sector",
-    "is_algebra",
-    "commutant",
     "canonical_decompose",
     "verify_decomposition",
     "FixedPointStructure",

@@ -14,7 +14,6 @@ restricted factor pairs its eigenspaces into the tensor-product coordinates.
 No separate closure check runs.  The span of the sector matrix units is a
 *-algebra by construction, so the decomposition certifies itself: a span that
 is not a *-algebra fails a count or :func:`verify_decomposition`.
-:func:`is_algebra` and :func:`commutant` remain as reference checks.
 """
 
 from __future__ import annotations
@@ -26,29 +25,19 @@ import numpy as np
 
 from .errors import DecompositionError, NumericalError
 from .spectral import OperatorSpace, operator_space_from_span, subspace_distance
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import (BASIS_ORTHONORMAL, CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL,
+                         INTEGER_GUARD, RANK_REL, TRANSPORT_FLOOR, TRANSPORT_REL,
+                         ToleranceConfig)
 
 __all__ = [
-    "AlgebraCheck",
     "Sector",
     "AlgebraDecomposition",
-    "is_algebra",
-    "commutant",
     "canonical_decompose",
     "verify_decomposition",
 ]
 
-
-@dataclass(frozen=True)
-class AlgebraCheck:
-    """Result of :func:`is_algebra`; truthiness follows ``closed``."""
-
-    closed: bool
-    worst_residual: float
-    worst_pair: tuple[int, int] | None
-
-    def __bool__(self) -> bool:
-        return self.closed
+# fresh draws of the centre and sector elements before a decomposition fails
+DECOMPOSE_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -104,17 +93,31 @@ def _embed(v: np.ndarray, x, y) -> np.ndarray:
     return v @ np.kron(np.asarray(x, dtype=complex), y) @ v.conj().T
 
 
-# ---------------------------------------------------------------------------
-# reference checks (the decomposition below certifies itself without them)
-# ---------------------------------------------------------------------------
-
 def _stacked_basis(space: OperatorSpace) -> np.ndarray:
     """The basis as a ``(k, dim, dim)`` stack, checked to be orthonormal."""
     basis = np.stack(space.basis)
     flat = basis.reshape(len(basis), -1)
-    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) > 1e-8:
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) > BASIS_ORTHONORMAL:
         raise NumericalError("operator space basis is not orthonormal")
     return basis
+
+
+# ---------------------------------------------------------------------------
+# reference checks, not exported: the decomposition below certifies itself
+# without them, and no package code calls them.  They stay only while
+# BENCHMARK.json lists metrics under their names.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AlgebraCheck:
+    """Result of :func:`is_algebra`; truthiness follows ``closed``."""
+
+    closed: bool
+    worst_residual: float
+    worst_pair: tuple[int, int] | None
+
+    def __bool__(self) -> bool:
+        return self.closed
 
 
 def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraCheck:
@@ -149,7 +152,7 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
     element, found as the joint null space of the stacked commutator maps."""
     d = space.dim
     if space.size == 0:
-        return operator_space_from_span(np.eye(d * d, dtype=complex), d, tol)
+        return operator_space_from_span(np.eye(d * d, dtype=complex), d)
     eye = np.eye(d)
     rows = []
     for b in space.basis:
@@ -157,24 +160,24 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
         rows.append(np.kron(eye, b) - np.kron(b.T, eye))
     stacked = np.vstack(rows)
     _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    cut = max(tol.subspace, s[0] * tol.rank_rel)
+    cut = max(tol.subspace, s[0] * RANK_REL)
     null_dim = int(np.sum(s <= cut))
     if null_dim == 0:
         return OperatorSpace(dim=d, basis=())
     basis = vh[len(vh) - null_dim:].conj().T
-    return operator_space_from_span(basis, d, tol)
+    return operator_space_from_span(basis, d)
 
 
 # ---------------------------------------------------------------------------
 # canonical decomposition
 # ---------------------------------------------------------------------------
 
-def _eigen_clusters(h: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Eigenvectors of a Hermitian ``h`` and the index groups of its ascending
-    eigenvalues, split where neighbours differ by more than ``tol.cluster_rel``
+    eigenvalues, split where neighbours differ by more than ``CLUSTER_REL``
     times their spread."""
     w, v = np.linalg.eigh(h)
-    width = max(tol.cluster_rel * max(float(w[-1] - w[0]), 1.0), 1e-12)
+    width = max(CLUSTER_REL * max(float(w[-1] - w[0]), 1.0), CLUSTER_FLOOR)
     groups: list[list[int]] = [[0]]
     for idx in range(1, len(w)):
         if w[idx] - w[groups[-1][-1]] <= width:
@@ -209,7 +212,7 @@ def _centre(space: OperatorSpace, rng: np.random.Generator,
         comm = (basis @ a - a @ basis).reshape(k, r * r)
         gram += comm.conj() @ comm.T
     w, c = np.linalg.eigh(gram)
-    cut = max(tol.subspace ** 2, tol.rank_rel * w[-1])
+    cut = max(tol.subspace ** 2, RANK_REL * w[-1])
     return np.tensordot(c[:, w <= cut].T, basis, axes=1)
 
 
@@ -222,9 +225,9 @@ def _sector_key(s: Sector) -> tuple:
     return (-s.d, -s.n, *entries.round(6).tolist())
 
 
-def _near_integer(value: float, guard: float, what: str) -> int:
+def _near_integer(value: float, what: str) -> int:
     nearest = int(round(value))
-    if abs(value - nearest) > guard:
+    if abs(value - nearest) > INTEGER_GUARD:
         raise DecompositionError(
             f"{what} = {value:.6f} is not close to an integer",
             residuals={"integer_distance": abs(value - nearest)},
@@ -236,7 +239,6 @@ def canonical_decompose(
     space: OperatorSpace,
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
-    _attempts: int = 3,
 ) -> AlgebraDecomposition:
     """Decompose a *-algebra span into matrix factors with multiplicity.
 
@@ -257,9 +259,9 @@ def canonical_decompose(
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
 
-    v_supp = space.support(tol)
+    v_supp = space.support()
     r = v_supp.shape[1]
-    comp_space = space.compressed(v_supp, tol)
+    comp_space = space.compressed(v_supp)
     if comp_space.size != space.size:
         raise DecompositionError(
             "span dimension changed under support compression",
@@ -270,12 +272,12 @@ def canonical_decompose(
     # a count or the verification below; every attempt draws afresh
     rng = np.random.default_rng(seed)
     last_error: DecompositionError | None = None
-    for _ in range(_attempts):
+    for _ in range(DECOMPOSE_ATTEMPTS):
         try:
             centre = _centre(comp_space, rng, tol)
             if len(centre) == 0:
                 raise DecompositionError("algebra has an empty center; is the unit present?")
-            sectors = _decompose_once(comp_space, centre, rng, tol)
+            sectors = _decompose_once(comp_space, centre, rng)
             dec = AlgebraDecomposition(
                 ambient_dim=space.dim,
                 sectors=tuple(sorted(
@@ -292,7 +294,7 @@ def canonical_decompose(
                 raise DecompositionError(
                     f"sector sizes sum to {dec.support_rank()}, support has rank {r}"
                 )
-            report = verify_decomposition(space, dec, tol)
+            report = verify_decomposition(space, dec)
             if report["max_residual"] > tol.subspace:
                 raise DecompositionError("decomposition failed verification", residuals=report)
         except DecompositionError as exc:
@@ -304,9 +306,9 @@ def canonical_decompose(
     raise last_error or DecompositionError("algebra decomposition failed")
 
 
-def _decompose_once(comp_space, centre, rng, tol):
+def _decompose_once(comp_space, centre, rng):
     # 1. split the support with a generic Hermitian central element
-    v, clusters = _eigen_clusters(_random_hermitian_in(centre, rng), tol)
+    v, clusters = _eigen_clusters(_random_hermitian_in(centre, rng))
     if len(clusters) != len(centre):
         raise DecompositionError(
             f"central element produced {len(clusters)} clusters, expected {len(centre)}",
@@ -317,19 +319,18 @@ def _decompose_once(comp_space, centre, rng, tol):
     for cluster in clusters:
         q = v[:, cluster]  # r x m_k
         m_k = q.shape[1]
-        local_space = comp_space.compressed(q, tol)
-        d_k = _near_integer(np.sqrt(local_space.size), tol.integer_guard,
-                            "sqrt(sector algebra dimension)")
+        local_space = comp_space.compressed(q)
+        d_k = _near_integer(np.sqrt(local_space.size), "sqrt(sector algebra dimension)")
         if d_k == 0:
             raise DecompositionError("sector carries the zero algebra")
-        n_k = _near_integer(m_k / d_k, tol.integer_guard, "sector multiplicity")
-        iso_local = _sector_isometry(local_space, d_k, n_k, rng, tol)
+        n_k = _near_integer(m_k / d_k, "sector multiplicity")
+        iso_local = _sector_isometry(local_space, d_k, n_k, rng)
         sectors.append(Sector(d=d_k, n=n_k, isometry=q @ iso_local))
     return sectors
 
 
 def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
-                     rng: np.random.Generator, tol: ToleranceConfig) -> np.ndarray:
+                     rng: np.random.Generator) -> np.ndarray:
     """Coordinates in which a single-factor algebra reads ``M_d (x) 1_n``.
 
     A generic Hermitian algebra element has ``d`` eigenvalues of multiplicity
@@ -343,7 +344,7 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
         return np.eye(m, dtype=complex)
     ops = np.stack(local_space.basis)
     h = _random_hermitian_in(ops, rng)
-    v, clusters = _eigen_clusters(h, tol)
+    v, clusters = _eigen_clusters(h)
     if len(clusters) != d or any(len(c) != n for c in clusters):
         raise DecompositionError(
             "sector element eigenvalues did not split into equal multiplets",
@@ -360,7 +361,7 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
         pa = eig_blocks[a] @ eig_blocks[a].conj().T
         x = pa @ t @ w1
         u, s, vh = np.linalg.svd(x, full_matrices=False)
-        if s.size < n or s[-1] < 1e-8 * max(s[0], 1e-30):
+        if s.size < n or s[-1] < TRANSPORT_REL * max(s[0], TRANSPORT_FLOOR):
             raise DecompositionError(
                 "algebra transport between eigenspaces is rank deficient",
                 residuals={"min_singular": float(s[-1]) if s.size else 0.0},
@@ -377,8 +378,7 @@ def _matrix_units(sector: Sector) -> np.ndarray:
     return units.reshape(sector.d ** 2, *units.shape[2:])
 
 
-def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> dict[str, float]:
+def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dict[str, float]:
     """Residuals certifying a decomposition against the original span.
 
     Checks isometry orthonormality, mutual sector orthogonality, and that

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import DEFAULT_TOL, PROJECTOR, RANK_REL, STOCHASTIC, ToleranceConfig
 
 __all__ = [
     "QuantumChannel",
@@ -198,10 +198,10 @@ class StochasticChannel:
         object.__setattr__(self, "n_in", m.shape[1])
         if not np.all(np.isfinite(m)):
             raise ValidationError("stochastic matrix has non-finite entries")
-        if np.any(m < -1e-12):
+        if np.any(m < -STOCHASTIC):
             raise ValidationError("stochastic matrix has negative entries")
         col_sums = m.sum(axis=0)
-        if np.max(np.abs(col_sums - 1.0)) > 1e-12:
+        if np.max(np.abs(col_sums - 1.0)) > STOCHASTIC:
             raise ValidationError(
                 f"columns must sum to 1 (worst deviation {np.max(np.abs(col_sums - 1.0)):.3e})"
             )
@@ -238,28 +238,28 @@ def is_positive_semidefinite(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     return bool(w.min() >= -tol.equality)
 
 
-def is_projector(p: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    herm = np.max(np.abs(p - p.conj().T)) <= tol.projector
-    idem = np.max(np.abs(p @ p - p)) <= tol.projector
+def is_projector(p: np.ndarray) -> bool:
+    herm = np.max(np.abs(p - p.conj().T)) <= PROJECTOR
+    idem = np.max(np.abs(p @ p - p)) <= PROJECTOR
     return bool(herm and idem)
 
 
-def projector_onto_support(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def projector_onto_support(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a Hermitian PSD matrix.
 
-    Eigenvalues below ``tol.rank_rel`` times the largest one count as zero.
+    Eigenvalues below ``RANK_REL`` times the largest one count as zero.
     """
     h = (a + a.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
     top = np.max(np.abs(w)) if w.size else 0.0
     if top == 0.0:
         return np.zeros_like(h)
-    keep = w > tol.rank_rel * top
+    keep = w > RANK_REL * top
     vk = v[:, keep]
     return vk @ vk.conj().T
 
 
-def orthonormal_range_basis(p: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_range_basis(p: np.ndarray) -> np.ndarray:
     """Columns form an orthonormal basis of ``range(p)`` for a projector ``p``."""
     w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
     keep = w > 0.5
@@ -401,9 +401,9 @@ def restrict_to_subspace(
     p = np.asarray(projector, dtype=complex)
     if p.shape != (ch.dim_in, ch.dim_in):
         raise ValidationError(f"projector shape {p.shape} != channel dimension {ch.dim_in}")
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise ValidationError("matrix is not an orthogonal projector within tolerance")
-    v = orthonormal_range_basis(p, tol)
+    v = orthonormal_range_basis(p)
     if v.shape[1] == 0:
         raise ValidationError("projector has zero rank")
     ks = [v.conj().T @ k @ v for k in ch.kraus]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channels import StochasticChannel
 from .errors import ValidationError
+from .tolerances import OVERLAP_EPS
 
 __all__ = [
     "Graph",
@@ -26,7 +27,6 @@ __all__ = [
     "graph_to_channel",
 ]
 
-OVERLAP_EPS = 1e-12
 MAX_EXACT_VERTICES = 30
 MAX_ENUMERATION_VERTICES = 20
 
@@ -83,7 +83,7 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _clique_cover_bound(avail: int, masks: list[int], n: int) -> int:
+def _clique_cover_bound(avail: int, masks: list[int]) -> int:
     """Greedy partition of the available vertices into cliques; the number of
     cliques bounds the independence number from above."""
     bound = 0
@@ -101,13 +101,13 @@ def _clique_cover_bound(avail: int, masks: list[int], n: int) -> int:
     return bound
 
 
-def _mis_size(avail: int, masks: list[int], n: int, current: int, best: list[int]) -> None:
+def _mis_size(avail: int, masks: list[int], current: int, best: list[int]) -> None:
     if current + bin(avail).count("1") <= best[0]:
         return
     if avail == 0:
         best[0] = max(best[0], current)
         return
-    if current + _clique_cover_bound(avail, masks, n) <= best[0]:
+    if current + _clique_cover_bound(avail, masks) <= best[0]:
         return
     # branch on a vertex of maximum available degree
     v, vdeg = -1, -1
@@ -118,13 +118,13 @@ def _mis_size(avail: int, masks: list[int], n: int, current: int, best: list[int
         deg = bin(masks[u] & avail).count("1")
         if deg > vdeg:
             v, vdeg = u, deg
-    _mis_size(avail & ~((1 << v) | masks[v]), masks, n, current + 1, best)
-    _mis_size(avail & ~(1 << v), masks, n, current, best)
+    _mis_size(avail & ~((1 << v) | masks[v]), masks, current + 1, best)
+    _mis_size(avail & ~(1 << v), masks, current, best)
 
 
-def _independence_number(avail: int, masks: list[int], n: int) -> int:
+def _independence_number(avail: int, masks: list[int]) -> int:
     best = [0]
-    _mis_size(avail, masks, n, 0, best)
+    _mis_size(avail, masks, 0, best)
     return best[0]
 
 
@@ -143,14 +143,14 @@ def max_zero_error_code(sc: StochasticChannel) -> tuple[int, ...]:
         )
     masks = _adjacency_masks(g)
     full = (1 << g.n) - 1
-    target = _independence_number(full, masks, g.n)
+    target = _independence_number(full, masks)
     chosen: list[int] = []
     avail = full
     for v in range(g.n):
         if not (avail >> v) & 1:
             continue
         rest = avail & ~((1 << v) | masks[v])
-        if len(chosen) + 1 + _independence_number(rest, masks, g.n) == target:
+        if len(chosen) + 1 + _independence_number(rest, masks) == target:
             chosen.append(v)
             avail = rest
         else:
@@ -169,7 +169,7 @@ def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
         )
     masks = _adjacency_masks(g)
     full = (1 << g.n) - 1
-    target = _independence_number(full, masks, g.n)
+    target = _independence_number(full, masks)
     found: list[tuple[int, ...]] = []
 
     def recurse(avail: int, current: list[int]):

@@ -254,13 +254,10 @@ def _cmd_transpose(args) -> int:
 
     # self-check: CPTP-ness, and the composite returning the support to itself
     rep = is_cptp(recovery, tol=tol)
+    # a zero projector has already failed in transpose_channel (exit 3)
     rank = float(np.real(np.trace(proj)))
-    if rank > 0:
-        composite = compose(recovery, ch, tol=tol)
-        back = apply_channel(composite, proj / rank)
-        restored = float(np.linalg.norm(back - proj / rank))
-    else:  # unreachable: zero projector fails earlier
-        restored = float("nan")
+    back = apply_channel(compose(recovery, ch, tol=tol), proj / rank)
+    restored = float(np.linalg.norm(back - proj / rank))
     print(
         "self-check: "
         f"tp_residual={rep.tp_residual:.3e} "

@@ -34,7 +34,8 @@ from .channels import (
 from .errors import NumericalError, ValidationError
 from .spectral import fixed_space
 from .structures import _partial_trace_factor, noiseless_structure, transpose_channel
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
+                         RECOVERY_RESIDUAL, ToleranceConfig)
 
 __all__ = [
     "Code",
@@ -79,13 +80,13 @@ class Code:
                 raise ValidationError(f"state {i} has shape {s.shape}, expected ({self.dim}, {self.dim})")
             if not np.all(np.isfinite(s)):
                 raise ValidationError(f"state {i} has non-finite entries")
-            if np.max(np.abs(s - s.conj().T)) > 1e-9:
+            if np.max(np.abs(s - s.conj().T)) > CODE_STATE:
                 raise ValidationError(f"state {i} is not Hermitian")
             w = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-            if w.min() < -1e-10:
+            if w.min() < CODE_MIN_EIG:
                 raise ValidationError(f"state {i} has negative eigenvalue {w.min():.3e}")
             tr = float(np.real(np.trace(s)))
-            if abs(tr - 1.0) > 1e-9:
+            if abs(tr - 1.0) > CODE_STATE:
                 raise ValidationError(f"state {i} has trace {tr:.12f}")
 
     @classmethod
@@ -166,12 +167,12 @@ def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
-def code_support(code: Code, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def code_support(code: Code) -> np.ndarray:
     """Projector onto the union of the code states' supports."""
     acc = np.zeros((code.dim, code.dim), dtype=complex)
     for s in code.states:
         acc += s
-    return projector_onto_support(acc, tol)
+    return projector_onto_support(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
     recovery map, so a negative verdict here is a genuine counterexample."""
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
-    p = code_support(code, tol)
+    p = code_support(code)
     recovery = transpose_channel(ch, p, tol=tol)
     composite = compose(recovery, ch, tol=tol)
     report = is_noiseless(code, composite, tol=tol)
@@ -364,7 +365,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
 
     Raises:
         ValidationError: if the code is not correctable in the first place.
-        NumericalError: if the assembled recovery misses the 1e-7 residual
+        NumericalError: if the assembled recovery misses the ``RECOVERY_RESIDUAL``
             contract (indicating the code lacked common cofactor states).
     """
     corr = is_correctable_via_transpose(code, ch, tol=tol)
@@ -380,7 +381,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         for state in code.states:
             reduced = _partial_trace_factor(sector, state)
             weight = float(np.real(np.trace(reduced)))
-            if weight < 1e-6:
+            if weight < COFACTOR_WEIGHT:
                 continue
             mu = (reduced + reduced.conj().T) / (2.0 * weight)
             break
@@ -409,7 +410,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         [apply_channel(recovery, apply_channel(ch, s)) - s for s in code.states],
         "recovery residual", tol)
     worst = float(_batched_trace_norm(residuals).max())
-    if worst > 1e-7:
+    if worst > RECOVERY_RESIDUAL:
         raise NumericalError(
             "assembled recovery does not fix the code states",
             residuals={"worst_state_residual": worst},

@@ -42,18 +42,15 @@ from .channels import (
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import (DEFAULT_TOL, PAIRING_CONDITION, PERIPHERAL, RANK_REL, SPECTRAL_GAP,
+                         ToleranceConfig)
 
 __all__ = [
     "OperatorSpace",
     "SpectralSpace",
     "operator_space_from_span",
     "fixed_space",
-    "fixed_space_adjoint",
     "rotating_space",
-    "rotating_space_adjoint",
-    "asymptotic_projector",
-    "peripheral_projector",
     "subspace_distance",
 ]
 
@@ -75,20 +72,20 @@ class OperatorSpace:
             return np.zeros((self.dim**2, 0), dtype=complex)
         return np.column_stack([b.reshape(-1, order="F") for b in self.basis])
 
-    def support(self, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    def support(self) -> np.ndarray:
         """Orthonormal columns spanning the joint support of the span, the
         range of ``sum_b b b^dag + b^dag b``; largest eigenvalue first."""
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for b in self.basis:
             acc += b @ b.conj().T + b.conj().T @ b
         w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
-        return v[:, w > tol.rank_rel * np.max(np.abs(w))][:, ::-1]
+        return v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
 
-    def compressed(self, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> "OperatorSpace":
+    def compressed(self, v: np.ndarray) -> "OperatorSpace":
         """The span of ``v^dag b v`` over the basis, for an isometry ``v``."""
         m = v.shape[1]
         local = OperatorSpace(dim=m, basis=tuple(v.conj().T @ b @ v for b in self.basis))
-        return operator_space_from_span(local.vec_matrix(), m, tol)
+        return operator_space_from_span(local.vec_matrix(), m)
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,10 @@ class SpectralSpace(OperatorSpace):
     projector: Superoperator
 
 
-def operator_space_from_span(
-    vectors: np.ndarray, dim: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> OperatorSpace:
+def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
     """Orthonormalize a set of vectorized operators (columns) into a space.
 
-    Directions with singular value below ``tol.rank_rel`` times the largest
+    Directions with singular value below ``RANK_REL`` times the largest
     are dropped, so linearly dependent inputs are harmless.
     """
     v = np.asarray(vectors, dtype=complex)
@@ -120,7 +115,7 @@ def operator_space_from_span(
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return OperatorSpace(dim=dim, basis=())
-    keep = s > tol.rank_rel * s[0]
+    keep = s > RANK_REL * s[0]
     ops = tuple(u[:, i].reshape((dim, dim), order="F") for i in range(s.size) if keep[i])
     return OperatorSpace(dim=dim, basis=ops)
 
@@ -198,19 +193,20 @@ def _split(ch, select, nothing_selected: str,
 
 
 def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
-    """Operators with ``E(X) = X`` (``|lambda - 1| < tol.peripheral``), with
+    """Operators with ``E(X) = X`` (``|lambda - 1| < PERIPHERAL``), with
     the fixed points of the adjoint as ``dual`` and the time-averaged channel
     as ``projector``.
 
     Raises:
         NumericalError: if no eigenvalue is 1, or if the right/left pairing
-            is numerically singular (``pairing_condition`` above 1e12).
+            is numerically singular (``pairing_condition`` above
+            ``PAIRING_CONDITION``).
     """
-    space, _, x = _split(ch, lambda re, im: math.hypot(re - 1.0, im) < tol.peripheral,
+    space, _, x = _split(ch, lambda re, im: math.hypot(re - 1.0, im) < PERIPHERAL,
                          "no eigenvalue 1 found; is the map trace preserving?", tol)
     # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
     cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
-    if not np.isfinite(cond) or cond > 1e12:
+    if not np.isfinite(cond) or cond > PAIRING_CONDITION:
         raise NumericalError(
             "eigenvalue-1 right/left eigenvector pairing is numerically singular",
             residuals={"pairing_condition": cond},
@@ -220,20 +216,20 @@ def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
 
 def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
     """Span of eigenoperators with unit-modulus eigenvalues (``|lambda| = 1``
-    within ``tol.peripheral``), with the adjoint's span as ``dual`` and the
+    within ``PERIPHERAL``), with the adjoint's span as ``dual`` and the
     peripheral spectral projector as ``projector``.
 
     Raises:
         NumericalError: if no eigenvalue has unit modulus, or if interior
             eigenvalues crowd the unit circle (cluster gap below
-            ``tol.spectral_gap``), which would make the separation
+            ``SPECTRAL_GAP``), which would make the separation
             meaningless.
     """
-    space, interior, _ = _split(ch, lambda re, im: abs(math.hypot(re, im) - 1.0) < tol.peripheral,
+    space, interior, _ = _split(ch, lambda re, im: abs(math.hypot(re, im) - 1.0) < PERIPHERAL,
                                 "no unit-modulus eigenvalues found", tol)
     if interior.size:
         gap = 1.0 - float(np.max(_moduli(interior)))
-        if gap < tol.spectral_gap:
+        if gap < SPECTRAL_GAP:
             raise NumericalError(
                 "peripheral spectrum is not separated from the interior",
                 residuals={"cluster_gap": gap},
@@ -241,23 +237,23 @@ def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
     return space
 
 
+# Views of one field of a SpectralSpace, not exported: read ``fixed_space(ch)``
+# or ``rotating_space(ch)`` instead.  They stay only while BENCHMARK.json lists
+# a metric under each name, and go with those metrics.
+
 def fixed_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    """Fixed points of the adjoint map (left fixed points of ``E``)."""
     return fixed_space(ch, tol).dual
 
 
 def rotating_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    """Unit-modulus eigenoperators of the adjoint map."""
     return rotating_space(ch, tol).dual
 
 
 def asymptotic_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    """The time-averaged channel: spectral projector onto the fixed space."""
     return fixed_space(ch, tol).projector
 
 
 def peripheral_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    """Spectral projector onto the full unit-modulus subspace."""
     return rotating_space(ch, tol).projector
 
 

@@ -41,7 +41,8 @@ from .spectral import (
     fixed_space,
     rotating_space,
 )
-from .tolerances import DEFAULT_TOL, ToleranceConfig
+from .tolerances import (DEFAULT_TOL, FIXED_STATE_RESIDUAL, RANK_REL, TAU_MIN_EIG, TAU_TRACE,
+                         ToleranceConfig)
 
 __all__ = [
     "FixedPointStructure",
@@ -111,13 +112,13 @@ class InitializationFreeReport:
 # recovery maps
 # ---------------------------------------------------------------------------
 
-def _pinv_sqrt(a: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _pinv_sqrt(a: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix on its support."""
     h = (a + a.conj().T) / 2.0
     w, v = np.linalg.eigh(h)
     top = float(np.max(np.abs(w))) if w.size else 0.0
     inv = np.zeros_like(w)
-    keep = w > tol.rank_rel * top if top > 0 else np.zeros_like(w, dtype=bool)
+    keep = w > RANK_REL * top if top > 0 else np.zeros_like(w, dtype=bool)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     return (v * inv) @ v.conj().T
 
@@ -142,7 +143,7 @@ def transpose_channel(ch: QuantumChannel, projector: np.ndarray,
         raise ValidationError(
             f"projector shape {p.shape} does not match channel input {ch.dim_in}"
         )
-    if not is_projector(p, tol):
+    if not is_projector(p):
         raise ValidationError("support matrix is not an orthogonal projector")
     image = apply_channel(ch, p)
     mass = float(np.abs(np.trace(image)))
@@ -151,7 +152,7 @@ def transpose_channel(ch: QuantumChannel, projector: np.ndarray,
             "channel annihilates the subspace; no recovery map exists",
             residuals={"image_mass": mass},
         )
-    norm = _pinv_sqrt(image, tol)
+    norm = _pinv_sqrt(image)
     ks = [p @ k.conj().T @ norm for k in ch.kraus]
     return channel_from_kraus(ks, tol=tol)
 
@@ -182,11 +183,11 @@ def _structure_from_space(
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
-    vs = space.support(tol)
+    vs = space.support()
     p0 = vs @ vs.conj().T
 
     # compress the adjoint-side span onto the support; this is the algebra
-    alg_space = space.dual.compressed(vs, tol)
+    alg_space = space.dual.compressed(vs)
     if alg_space.size != space.size:
         raise NumericalError(
             "projected adjoint fixed space lost dimensions "
@@ -215,7 +216,7 @@ def _structure_from_space(
             tau = _partial_trace_factor(sector, image)
             tau = (tau + tau.conj().T) / 2.0
             tr = float(np.real(np.trace(tau)))
-            if abs(tr - 1.0) > 1e-6:
+            if abs(tr - 1.0) > TAU_TRACE:
                 raise NumericalError(
                     f"distortion state trace {tr:.6f} is far from 1",
                     residuals={"tau_trace": tr},
@@ -229,7 +230,7 @@ def _structure_from_space(
             )
         tau = samples[0]
         w = np.linalg.eigvalsh(tau)
-        if w.min() < -1e-9:
+        if w.min() < TAU_MIN_EIG:
             raise NumericalError(
                 f"distortion state has negative eigenvalue {w.min():.3e}",
                 residuals={"tau_min_eig": float(w.min())},
@@ -250,7 +251,7 @@ def _structure_from_space(
         state = _structure_state(sectors, taus, blocks, weights)
         image = fixedness_map(state)
         fix_res = max(fix_res, float(np.max(np.abs(image - state))))
-    if fix_res > 1e-6:
+    if fix_res > FIXED_STATE_RESIDUAL:
         raise DecompositionError(
             "assembled structure states are not fixed by the analyzed map",
             residuals={"fixed_state_residual": fix_res},

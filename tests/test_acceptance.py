@@ -21,9 +21,7 @@ from ipstruct import (
     compose,
     embed_classical,
     fixed_space,
-    fixed_space_adjoint,
     graph_to_channel,
-    is_algebra,
     is_correctable_via_transpose,
     is_fixed,
     is_noiseless,
@@ -41,6 +39,7 @@ from ipstruct import (
     unitarily_noiseless_structure,
     zoo,
 )
+from ipstruct.algebra import is_algebra
 from ipstruct.channels import orthonormal_range_basis, projector_onto_support
 from ipstruct.cli import main
 from ipstruct.codes import P_GRID
@@ -220,7 +219,7 @@ def test_property_fixed_spaces_and_distortion():
     for ch in _random_channel_pool():
         d = ch.dim_in
         fix = fixed_space(ch)
-        dual = fixed_space_adjoint(ch)
+        dual = fix.dual
         assert fix.size == dual.size
 
         acc = np.zeros((d, d), dtype=complex)
@@ -245,7 +244,7 @@ def test_property_commutant_residual():
     for ch in _random_channel_pool():
         d = ch.dim_in
         fix = fixed_space(ch)
-        dual = fixed_space_adjoint(ch)
+        dual = fix.dual
         acc = np.zeros((d, d), dtype=complex)
         for b in fix.basis:
             acc += b @ b.conj().T + b.conj().T @ b

@@ -5,12 +5,10 @@ from numpy.testing import assert_allclose
 from ipstruct import (
     DecompositionError,
     canonical_decompose,
-    commutant,
-    is_algebra,
     verify_decomposition,
 )
 import ipstruct.algebra
-from ipstruct.algebra import _centre
+from ipstruct.algebra import _centre, commutant, is_algebra
 from ipstruct.spectral import operator_space_from_span
 from ipstruct.tolerances import DEFAULT_TOL
 

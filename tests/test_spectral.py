@@ -7,21 +7,17 @@ from ipstruct import (
     NumericalError,
     Superoperator,
     ValidationError,
-    asymptotic_projector,
     channel_from_kraus,
-    commutant,
     embed_classical,
     fixed_space,
-    fixed_space_adjoint,
     is_unital,
-    peripheral_projector,
     rotating_space,
-    rotating_space_adjoint,
     subspace_distance,
     to_superoperator,
     vec,
     zoo,
 )
+from ipstruct.algebra import commutant
 from ipstruct.spectral import operator_space_from_span
 
 
@@ -43,7 +39,7 @@ def test_unitary_channel_spectrum():
         assert rotating_space(ch).size == d * d
         assert fixed_space(ch).size == d
         # the whole spectrum is peripheral, so the projector is the identity
-        assert_allclose(peripheral_projector(ch).matrix, np.eye(d * d), atol=1e-10)
+        assert_allclose(rotating_space(ch).projector.matrix, np.eye(d * d), atol=1e-10)
 
 
 def test_fixed_space_dephasing_is_diagonal():
@@ -69,7 +65,7 @@ PLANTED_AND_RANDOM = [
                          ids=[*map(str, range(8)), "dfs-6-3", "dfs-5-2-leak"])
 def test_fixed_space_dim_matches_adjoint(ch):
     space = fixed_space(ch)
-    assert space.size == fixed_space_adjoint(ch).size
+    assert space.size == space.dual.size
     # the dual holds fixed points of the adjoint map
     m = to_superoperator(ch).matrix
     dual = space.dual.vec_matrix()
@@ -99,7 +95,7 @@ def test_rotating_space_contains_fixed_space():
     ch = zoo.fixture("unitary_A_depolarize_B")
     fix = fixed_space(ch)
     rot = rotating_space(ch)
-    rot_dual = rotating_space_adjoint(ch)
+    rot_dual = rot.dual
     assert rot.size == rot_dual.size
     assert rot.size > fix.size  # the rotating coherences are extra
     f = fix.vec_matrix()
@@ -111,7 +107,7 @@ def test_rotating_space_contains_fixed_space():
 
 def test_asymptotic_projector_dephasing():
     ch = zoo.fixture("dephasing_qubit")
-    avg = asymptotic_projector(ch)
+    avg = fixed_space(ch).projector
     # the time average of dephasing is dephasing itself
     assert_allclose(avg.matrix, to_superoperator(ch).matrix, atol=1e-10)
 
@@ -126,7 +122,7 @@ def test_asymptotic_projector_against_power_and_cesaro():
     """
     ch = embed_classical(zoo.fixture("cyclic_four"))
     m = to_superoperator(ch).matrix
-    avg = asymptotic_projector(ch).matrix
+    avg = fixed_space(ch).projector.matrix
 
     power = np.linalg.matrix_power(m, 2000)
     assert np.max(np.abs(avg - power)) < 1e-6
@@ -143,7 +139,7 @@ def test_asymptotic_projector_against_power_and_cesaro():
 def test_asymptotic_projector_is_idempotent_and_absorbing():
     fixtures = [zoo.fixture(name) for name in ("depolarize_B", "cond_dephase_flip", "ucp_d3")]
     for i, ch in enumerate(fixtures + PLANTED_AND_RANDOM):
-        avg = asymptotic_projector(ch).matrix
+        avg = fixed_space(ch).projector.matrix
         m = to_superoperator(ch).matrix
         assert np.linalg.norm(avg @ avg - avg) < 1e-9, i
         assert np.linalg.norm(m @ avg - avg) < 1e-9, i
@@ -152,7 +148,7 @@ def test_asymptotic_projector_is_idempotent_and_absorbing():
 
 def test_peripheral_projector_commutes_and_projects():
     ch = zoo.fixture("unitary_A_depolarize_B")
-    per = peripheral_projector(ch).matrix
+    per = rotating_space(ch).projector.matrix
     m = to_superoperator(ch).matrix
     assert np.linalg.norm(per @ per - per) < 1e-9
     assert np.linalg.norm(per @ m - m @ per) < 1e-9
@@ -170,13 +166,13 @@ def test_peripheral_projector_gap_guard():
         np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * p0, np.sqrt(eps) * p1,
     ])
     with pytest.raises(NumericalError):
-        peripheral_projector(ch)
+        rotating_space(ch)
     # the same for the complex pair (1 - 2p) exp(-+0.9i), a 2 x 2 block of
     # the real Schur form, next to the fixed diagonal
     p, u = 5e-8, np.diag([1.0, np.exp(0.9j)])
     ch = channel_from_kraus([np.sqrt(1 - p) * u, np.sqrt(p) * np.diag([1.0, -1.0]) @ u])
     with pytest.raises(NumericalError, match="not separated"):
-        peripheral_projector(ch)
+        rotating_space(ch)
 
 
 def test_spectral_radius_bound_random():
