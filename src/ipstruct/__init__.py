@@ -18,7 +18,6 @@ from .channels import (
     QuantumChannel,
     StochasticChannel,
     Superoperator,
-    adjoint,
     apply_channel,
     apply_superoperator,
     channel_from_kraus,
@@ -27,7 +26,6 @@ from .channels import (
     embed_classical,
     is_cptp,
     is_unital,
-    restrict_to_subspace,
     to_superoperator,
     unvec,
     vec,
@@ -96,12 +94,10 @@ __all__ = [
     "to_superoperator",
     "apply_channel",
     "apply_superoperator",
-    "adjoint",
     "compose",
     "choi_matrix",
     "is_cptp",
     "is_unital",
-    "restrict_to_subspace",
     "embed_classical",
     "OperatorSpace",
     "SpectralSpace",

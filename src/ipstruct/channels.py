@@ -50,18 +50,13 @@ __all__ = [
     "to_superoperator",
     "apply_channel",
     "apply_superoperator",
-    "adjoint",
     "compose",
     "is_cptp",
     "is_unital",
     "choi_matrix",
-    "restrict_to_subspace",
     "embed_classical",
-    "is_hermitian",
-    "is_positive_semidefinite",
     "is_projector",
     "projector_onto_support",
-    "orthonormal_range_basis",
 ]
 
 
@@ -139,8 +134,8 @@ class QuantumChannel:
     """A completely positive map given by Kraus operators.
 
     ``trace_preserving`` records whether ``sum K_i^dag K_i = 1`` held at
-    construction time; maps produced by :func:`adjoint` or
-    :func:`restrict_to_subspace` may legitimately carry ``False``.
+    construction time; a trace non-increasing map, such as a transpose
+    recovery, may legitimately carry ``False``.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -227,17 +222,6 @@ class CptpReport:
 # predicates on operators
 # ---------------------------------------------------------------------------
 
-def is_hermitian(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol.equality)
-
-
-def is_positive_semidefinite(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-    return bool(w.min() >= -tol.equality)
-
-
 def is_projector(p: np.ndarray) -> bool:
     herm = np.max(np.abs(p - p.conj().T)) <= PROJECTOR
     idem = np.max(np.abs(p @ p - p)) <= PROJECTOR
@@ -257,14 +241,6 @@ def projector_onto_support(a: np.ndarray) -> np.ndarray:
     keep = w > RANK_REL * top
     vk = v[:, keep]
     return vk @ vk.conj().T
-
-
-def orthonormal_range_basis(p: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of ``range(p)`` for a projector ``p``."""
-    w, v = np.linalg.eigh((p + p.conj().T) / 2.0)
-    keep = w > 0.5
-    order = np.argsort(-w[keep])
-    return v[:, keep][:, order]
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +295,6 @@ def apply_superoperator(s: Superoperator, x: np.ndarray) -> np.ndarray:
     return unvec(s.matrix @ vec(x), s.dim_out, s.dim_out)
 
 
-def adjoint(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
-    """Hilbert-Schmidt adjoint ``Y -> sum_i K_i^dag Y K_i``.
-
-    The adjoint of a trace-preserving map is unital but generally not trace
-    preserving; the returned channel's flag reflects an explicit check.
-    """
-    return channel_from_kraus([k.conj().T for k in ch.kraus], tol=tol)
-
-
 def compose(after: QuantumChannel, before: QuantumChannel,
             tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
     """Composition ``after o before`` with Kraus products ``A_i B_j``."""
@@ -377,38 +344,8 @@ def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subspace restriction and classical embedding
+# classical embedding
 # ---------------------------------------------------------------------------
-
-def restrict_to_subspace(
-    ch: QuantumChannel,
-    projector: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[QuantumChannel, np.ndarray]:
-    """Compress a square channel to a subspace: Kraus ``P K_i P``.
-
-    Returns the compressed channel expressed in an orthonormal basis of
-    ``range(projector)`` together with the basis isometry ``V`` (columns span
-    the subspace, so ambient operators are recovered as ``V A V^dag``).  The
-    result is trace preserving exactly when the subspace is invariant.
-
-    Raises:
-        ValidationError: if ``projector`` is not an orthogonal projector or
-            the channel is not square.
-    """
-    if not ch.is_square:
-        raise ValidationError("subspace restriction requires a square channel")
-    p = np.asarray(projector, dtype=complex)
-    if p.shape != (ch.dim_in, ch.dim_in):
-        raise ValidationError(f"projector shape {p.shape} != channel dimension {ch.dim_in}")
-    if not is_projector(p):
-        raise ValidationError("matrix is not an orthogonal projector within tolerance")
-    v = orthonormal_range_basis(p)
-    if v.shape[1] == 0:
-        raise ValidationError("projector has zero rank")
-    ks = [v.conj().T @ k @ v for k in ch.kraus]
-    return channel_from_kraus(ks, tol=tol), v
-
 
 def embed_classical(sc: StochasticChannel) -> QuantumChannel:
     """Quantum channel that dephases in the computational basis and then

@@ -8,6 +8,12 @@ code must sit inside a structure that the transpose-channel recovery makes
 noiseless again.  Every sweep level reports a :class:`PreservationReport`:
 the verdict, and a witness pair when it is refuted.
 
+A sweep measures each stack of states on the joint range of the stack, when
+a measured certificate shows that this moves no distance by more than
+``SWEEP_COMPRESSION`` (see :func:`_weighted_norms`), and it computes the
+``p in {0, 1}`` columns from one norm per state.  The before side depends
+on the code alone, so each :class:`Code` computes it once for all checks.
+
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
 equivalent to correctable via the transpose recovery.  The noiseless check
 samples the time average ``P`` alone: for trace non-increasing ``E``, ``P o F
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +39,10 @@ from .channels import (
     projector_onto_support,
 )
 from .errors import NumericalError, ValidationError
-from .spectral import fixed_space
+from .spectral import _joint_support, fixed_space
 from .structures import _partial_trace_factor, noiseless_structure, transpose_channel
 from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
-                         RECOVERY_RESIDUAL, ToleranceConfig)
+                         RECOVERY_RESIDUAL, SWEEP_COMPRESSION, ToleranceConfig)
 
 __all__ = [
     "Code",
@@ -95,6 +102,16 @@ class Code:
         if not arr:
             raise ValidationError("code needs at least one state")
         return cls(states=arr, dim=arr[0].shape[0])
+
+    @cached_property
+    def _sweep(self) -> "_PairSweep":
+        """The before side of every sweep of this code, computed once."""
+        collection = _mixtures(self)
+        states = np.stack([s for _, s in collection])
+        before = _weighted_norms(states)
+        # every check of this code reads these arrays
+        states.flags.writeable = before.flags.writeable = False
+        return _PairSweep(labels=[lab for lab, _ in collection], states=states, before=before)
 
 
 @dataclass(frozen=True)
@@ -195,8 +212,8 @@ def _mixtures(code: Code) -> list[tuple[MixtureLabel, np.ndarray]]:
 
 @dataclass(frozen=True)
 class _PairSweep:
-    """The weighted pairs of one check, with their trace norms before any
-    map (see :func:`_weighted_norms` for the layout of ``before``)."""
+    """The weighted pairs of a code, with their trace norms before any map
+    (see :func:`_weighted_norms` for the layout of ``before``)."""
 
     labels: list[MixtureLabel]
     states: np.ndarray
@@ -205,26 +222,45 @@ class _PairSweep:
 
 def _weighted_norms(states: np.ndarray) -> np.ndarray:
     """``|| p X_i - (1-p) X_j ||_1`` with one row per pair ``i < j``, in
-    ``np.triu_indices`` order, and one column per prior ``p`` in ``P_GRID``."""
-    ii, jj = np.triu_indices(len(states), k=1)
-    ps = np.asarray(P_GRID)
-    d = states.shape[1]
-    out = np.empty((ii.size, ps.size))
-    w = ps[None, :, None, None]
+    ``np.triu_indices`` order, and one column per prior ``p`` in ``P_GRID``.
+
+    The stack is first compressed to ``V^dag X V``, ``V`` the isometry onto
+    the joint range of its operators (``spectral._joint_support``), when the
+    certificate ``r = max_i ||X_i - Pi X_i Pi||_1``, ``Pi = V V^dag``, is at
+    most ``SWEEP_COMPRESSION``; otherwise it is measured as given.  This
+    moves no value by more than ``r``: a sweep point ``Y = p X_i - (1-p)
+    X_j`` has coefficients of total modulus 1 over the stack, and
+    ``||V^dag Y V||_1 = ||Pi Y Pi||_1``, so ``| ||Y||_1 - ||V^dag Y V||_1 |
+    <= ||Y - Pi Y Pi||_1 <= p r + (1-p) r = r``.  The ``p = 0`` and ``p = 1``
+    columns are ``||X_j||_1`` and ``||X_i||_1``, read from one norm per
+    operator; only the interior priors are measured per pair.
+    """
+    n, d = states.shape[:2]
+    v = _joint_support(states, d)
+    if v.shape[1] < d:
+        pi = v @ v.conj().T
+        if _batched_trace_norm(states - pi @ states @ pi).max() <= SWEEP_COMPRESSION:
+            states = v.conj().T @ states @ v
+    m = states.shape[1]
+    single = _batched_trace_norm(states)
+    ii, jj = np.triu_indices(n, k=1)
+    out = np.empty((ii.size, len(P_GRID)))
+    out[:, 0], out[:, -1] = single[jj], single[ii]
+    w = np.asarray(P_GRID[1:-1])[None, :, None, None]
     # chunk the pair axis so the stacked difference arrays stay modest
-    chunk = max(1, int(2_000_000 // max(1, ps.size * d * d)))
+    chunk = max(1, int(2_000_000 // max(1, w.size * m * m)))
     for start in range(0, ii.size, chunk):
         sel = slice(start, start + chunk)
         diff = w * states[ii[sel]][:, None] - (1.0 - w) * states[jj[sel]][:, None]
-        out[sel] = _batched_trace_norm(diff.reshape(-1, d, d)).reshape(-1, ps.size)
+        out[sel, 1:-1] = _batched_trace_norm(diff.reshape(-1, m, m)).reshape(-1, w.size)
     return out
 
 
 def _pair_sweep(code: Code, tol: ToleranceConfig) -> _PairSweep:
-    collection = _mixtures(code)
-    states = _hermitian_stack([s for _, s in collection], "code state", tol)
-    return _PairSweep(labels=[lab for lab, _ in collection], states=states,
-                      before=_weighted_norms(states))
+    """The code's sweep, whose before side each code computes once; the
+    Hermiticity check reads ``tol`` and so runs on every call."""
+    _hermitian_stack(code._sweep.states, "code state", tol)
+    return code._sweep
 
 
 def _compare(sweep: _PairSweep, apply_map: Callable[[np.ndarray], np.ndarray],

@@ -29,6 +29,7 @@ trace-preserving positive map is semisimple.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,8 @@ class OperatorSpace:
         return np.column_stack([b.reshape(-1, order="F") for b in self.basis])
 
     def support(self) -> np.ndarray:
-        """Orthonormal columns spanning the joint support of the span, the
-        range of ``sum_b b b^dag + b^dag b``; largest eigenvalue first."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self.basis:
-            acc += b @ b.conj().T + b.conj().T @ b
-        w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
-        return v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
+        """Orthonormal columns spanning the joint support of the span."""
+        return _joint_support(self.basis, self.dim)
 
     def compressed(self, v: np.ndarray) -> "OperatorSpace":
         """The span of ``v^dag b v`` over the basis, for an isometry ``v``."""
@@ -99,6 +95,17 @@ class SpectralSpace(OperatorSpace):
 
     dual: OperatorSpace
     projector: Superoperator
+
+
+def _joint_support(ops: Iterable[np.ndarray], dim: int) -> np.ndarray:
+    """Orthonormal columns spanning the range of ``sum_x x x^dag + x^dag x``
+    over the ``dim x dim`` operators ``ops``; largest eigenvalue first.
+    Eigenvalues below ``RANK_REL`` times the largest count as zero."""
+    acc = np.zeros((dim, dim), dtype=complex)
+    for x in ops:
+        acc += x @ x.conj().T + x.conj().T @ x
+    w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
+    return v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
 
 
 def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:

@@ -40,11 +40,12 @@ from ipstruct import (
     zoo,
 )
 from ipstruct.algebra import is_algebra
-from ipstruct.channels import orthonormal_range_basis, projector_onto_support
+from ipstruct.channels import projector_onto_support
 from ipstruct.cli import main
 from ipstruct.codes import P_GRID
 from ipstruct.spectral import operator_space_from_span
 from ipstruct.tolerances import DEFAULT_TOL
+from oracles import orthonormal_range_basis
 
 
 def timed(fn, *args, **kwargs):

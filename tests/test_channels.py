@@ -8,7 +8,6 @@ from ipstruct import (
     StochasticChannel,
     Superoperator,
     ValidationError,
-    adjoint,
     apply_channel,
     apply_superoperator,
     channel_from_kraus,
@@ -17,7 +16,6 @@ from ipstruct import (
     embed_classical,
     is_cptp,
     is_unital,
-    restrict_to_subspace,
     to_superoperator,
     unvec,
     vec,
@@ -25,13 +23,17 @@ from ipstruct import (
 from ipstruct.channels import (
     from_hermitian_coordinates,
     hermitian_coordinates,
-    is_hermitian,
-    is_positive_semidefinite,
     is_projector,
-    orthonormal_range_basis,
     projector_onto_support,
 )
 from ipstruct import zoo
+from oracles import (
+    adjoint,
+    is_hermitian,
+    is_positive_semidefinite,
+    orthonormal_range_basis,
+    restrict_to_subspace,
+)
 
 
 def random_state(d, rng):

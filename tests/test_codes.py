@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import unitary_group
 
 from ipstruct import (
     Code,
@@ -25,7 +26,7 @@ from ipstruct import (
 from ipstruct import codes
 from ipstruct.channels import apply_superoperator, compose, to_superoperator, unvec, vec
 from ipstruct.codes import P_GRID, _mixtures, code_support
-from ipstruct.spectral import fixed_space
+from ipstruct.spectral import _joint_support, fixed_space
 from ipstruct.structures import transpose_channel
 from ipstruct.tolerances import DEFAULT_TOL
 
@@ -297,20 +298,42 @@ def sweep_calls(monkeypatch):
     return calls
 
 
+# a sweep of the 34 states of a four-state code on its full 4-dim range: one
+# norm per state, then one chunk of 561 pairs at the 9 interior priors
+_FULL_RANK_SWEEP = [(34, 4, 4), (561 * 9, 4, 4)]
+
+
 def test_noiseless_shares_one_before_side_sweep(sweep_calls):
-    # a noiseless code, one chunk per sweep: the before side and the time
-    # average's after side
+    # a noiseless code: the before side and the time average's after side
     rep = is_noiseless(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
     assert rep.verdict
-    assert len(sweep_calls) == 1 + 1
+    assert sweep_calls == _FULL_RANK_SWEEP * 2
 
 
-def test_preserved_runs_four_sweeps(sweep_calls):
-    # a passing code: before and after for the sampled check, then before and
-    # after for the noiseless check of the transpose composite
-    rep = is_preserved(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
+def test_preserved_runs_three_pair_sweeps(sweep_calls):
+    # a passing code: one before side, shared by both stages, then the after
+    # sides of the channel and of the transpose composite's time average
+    code = zoo.code_fixture("unitary_a_half")
+    rep = is_preserved(code, zoo.fixture("depolarize_B"))
     assert rep.verdict
-    assert len(sweep_calls) == 4
+    assert sweep_calls == _FULL_RANK_SWEEP * 3
+    # the before side is kept on the code: a second call sweeps after sides only
+    sweep_calls.clear()
+    assert is_preserved(code, zoo.fixture("depolarize_B")).verdict
+    assert sweep_calls == _FULL_RANK_SWEEP * 2
+
+
+def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls):
+    # the 34 states of the logical code and their images under the transpose
+    # composite's time average lie on the 2-dim code space: a 32-dim
+    # certificate, then 2 x 2 stacks.  The channel's images have full rank.
+    rep = is_preserved(zoo.code_fixture("five_qubit_logical"),
+                       zoo.fixture("five_qubit_depolarize_one"))
+    assert rep.verdict
+    compressed = [(34, 32, 32), (34, 2, 2), (561 * 9, 2, 2)]
+    assert sweep_calls[:3] == compressed
+    assert sweep_calls[-3:] == compressed
+    assert all(shape[1:] == (32, 32) for shape in sweep_calls[3:-3])
 
 
 def test_non_hermiticity_preserving_map_is_refused():
@@ -434,3 +457,106 @@ def test_sampled_stage_never_decides_is_preserved(ch, code):
               - after(lambda s: apply_channel(ch, s)))
     assert np.max(excess) <= 1e-12
     assert is_preserved(code, ch).verdict == is_correctable_via_transpose(code, ch).verdict
+
+
+# ---------------------------------------------------------------------------
+# the sweep on its joint range: compression is certified, never assumed
+# ---------------------------------------------------------------------------
+
+def _ambient_norms(states: np.ndarray) -> np.ndarray:
+    """Every sweep value as a nuclear norm at the ambient dimension, one row
+    per pair and one column per prior, in chunks of pairs."""
+    ii, jj = np.triu_indices(len(states), k=1)
+    w = np.asarray(P_GRID)[None, :, None, None]
+    rows = []
+    for start in range(0, ii.size, 64):
+        a, b = states[ii[start:start + 64]], states[jj[start:start + 64]]
+        diff = w * a[:, None] - (1.0 - w) * b[:, None]
+        rows.append(np.linalg.norm(diff, "nuc", axis=(-2, -1)))
+    return np.concatenate(rows) if rows else np.zeros((0, len(P_GRID)))
+
+
+def _sweep_stacks(code: Code, ch):
+    """The before side and the after sides of E, of its time average P and of
+    the time average of the transpose composite R o E."""
+    states = codes._pair_sweep(code, DEFAULT_TOL).states
+    average = fixed_space(ch).projector
+    composite = fixed_space(compose(transpose_channel(ch, code_support(code)), ch)).projector
+    return {"before": states,
+            "E": np.stack([apply_channel(ch, s) for s in states]),
+            "P": np.stack([apply_superoperator(average, s) for s in states]),
+            "RE": np.stack([apply_superoperator(composite, s) for s in states])}
+
+
+def _rank(stack: np.ndarray) -> int:
+    return _joint_support(stack, stack.shape[1]).shape[1]
+
+
+def test_compressed_sweep_matches_the_ambient_sweep_on_listed_pairs():
+    ranks = {}
+    for code_name, name in _LISTED_PAIRS:
+        ch = zoo.fixture(name)
+        ch = ch if hasattr(ch, "kraus") else embed_classical(ch)
+        code = zoo.fixture(code_name) if code_name == "ns_vs_code" else zoo.code_fixture(code_name)
+        for side, stack in _sweep_stacks(code, ch).items():
+            ranks[code_name, side] = (_rank(stack), stack.shape[1])
+            assert np.max(np.abs(codes._weighted_norms(stack) - _ambient_norms(stack))) <= 1e-12
+    # the comparison is not vacuous: these before sides run compressed
+    assert ranks["product_a_ground", "before"] == (2, 4)
+    assert ranks["ucp_sub", "before"] == (2, 3)
+    assert ranks["ns_vs_code", "before"] == (3, 4)
+    assert sum(r < d for r, d in ranks.values()) >= 10
+
+
+def test_compressed_sweep_matches_the_ambient_sweep_on_five_qubit():
+    stacks = _sweep_stacks(zoo.code_fixture("five_qubit_logical"),
+                           zoo.fixture("five_qubit_depolarize_one"))
+    for side in ("before", "RE"):
+        assert _rank(stacks[side]) == 2
+        assert np.max(np.abs(codes._weighted_norms(stacks[side])
+                             - _ambient_norms(stacks[side]))) <= 1e-12
+
+
+def test_small_eigenvalue_direction_is_measured_uncompressed(sweep_calls, monkeypatch):
+    # the 1e-7 direction squares to 1e-14 in sum X X^dag, below the rank cut:
+    # the joint range drops it, and the certificate r = 1e-7 refuses the cut
+    eps = 1e-7
+    stack = np.stack([np.diag([1.0 - eps, eps, 0.0]), np.diag([0.0, 0.0, 1.0])]).astype(complex)
+    assert _rank(stack) == 2
+    exact = _ambient_norms(stack)
+    got = codes._weighted_norms(stack)
+    assert np.max(np.abs(got - exact)) <= 1e-12
+    # a certificate, then the state norms and the pairs, all at dimension 3
+    assert sweep_calls == [(2, 3, 3), (2, 3, 3), (9, 3, 3)]
+    # compressing anyway would move the p = 1 column by the dropped weight
+    monkeypatch.setattr(codes, "SWEEP_COMPRESSION", 1.0)
+    assert abs(np.max(np.abs(codes._weighted_norms(stack) - exact)) - eps) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# code verdicts are invariant under unitary conjugation and Kraus gauge
+# ---------------------------------------------------------------------------
+
+def _verdicts(code: Code, ch) -> list:
+    return [is_fixed(code, ch), is_preserved(code, ch), is_noiseless(code, ch),
+            is_correctable_via_transpose(code, ch).noiseless]
+
+
+@pytest.mark.parametrize("ch,code", [c[1:] for c in _DOMINANCE],
+                         ids=[c[0] for c in _DOMINANCE])
+def test_code_verdicts_invariant_under_conjugation_and_gauge(ch, code):
+    rng = np.random.default_rng(11)
+    u = unitary_group.rvs(code.dim, random_state=rng)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    turned = (Code.from_states([u @ s @ u.conj().T for s in code.states]),
+              channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus]))
+    mixed = (code, channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus))
+                                       for row in mix]))
+    expected = _verdicts(code, ch)
+    for variant in (turned, mixed):
+        got = _verdicts(*variant)
+        assert got[0] == expected[0]
+        for rep, want in zip(got[1:], expected[1:]):
+            assert (rep.verdict, rep.worst_pair) == (want.verdict, want.worst_pair)
+            assert abs(rep.distance_before - want.distance_before) <= 1e-10
+            assert abs(rep.distance_after - want.distance_after) <= 1e-10

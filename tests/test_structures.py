@@ -12,7 +12,6 @@ import ipstruct.algebra
 from ipstruct import (
     NumericalError,
     ValidationError,
-    adjoint,
     apply_channel,
     channel_from_kraus,
     compose,
@@ -29,6 +28,7 @@ from ipstruct import (
     unitarily_noiseless_structure,
     zoo,
 )
+from oracles import adjoint
 
 
 def random_state(d, rng):
