@@ -227,9 +227,10 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
     The stack is first compressed to ``V^dag X V``, ``V`` the isometry onto
     the joint range of its operators (``spectral._joint_support``), when the
     certificate ``r = max_i ||X_i - Pi X_i Pi||_1``, ``Pi = V V^dag``, is at
-    most ``SWEEP_COMPRESSION``; otherwise it is measured as given.  This
-    moves no value by more than ``r``: a sweep point ``Y = p X_i - (1-p)
-    X_j`` has coefficients of total modulus 1 over the stack, and
+    most ``SWEEP_COMPRESSION``; otherwise, and when every operator is zero
+    (an empty range), it is measured as given.  This moves no value by more
+    than ``r``: a sweep point ``Y = p X_i - (1-p) X_j`` has coefficients of
+    total modulus 1 over the stack, and
     ``||V^dag Y V||_1 = ||Pi Y Pi||_1``, so ``| ||Y||_1 - ||V^dag Y V||_1 |
     <= ||Y - Pi Y Pi||_1 <= p r + (1-p) r = r``.  The ``p = 0`` and ``p = 1``
     columns are ``||X_j||_1`` and ``||X_i||_1``, read from one norm per
@@ -237,7 +238,7 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
     """
     n, d = states.shape[:2]
     v = _joint_support(states, d)
-    if v.shape[1] < d:
+    if 0 < v.shape[1] < d:
         pi = v @ v.conj().T
         if _batched_trace_norm(states - pi @ states @ pi).max() <= SWEEP_COMPRESSION:
             states = v.conj().T @ states @ v

@@ -13,6 +13,7 @@ from ipstruct import channel_from_kraus
 from ipstruct.serialization import (
     channel_from_json,
     channel_to_json,
+    code_states_to_json,
     complex_matrix_to_json,
     dumps,
 )
@@ -192,6 +193,22 @@ def test_verify_code_weak_condition_failure(fixtures_dir, capsys):
     )
     assert code == 1
     assert "FAIL" in out and "witness" in out
+
+
+@pytest.mark.parametrize("level", ["preserved", "noiseless"])
+def test_verify_code_annihilated_code_fails_with_a_witness(tmp_path, capsys, level):
+    kill, doc = tmp_path / "kill.json", tmp_path / "code.json"
+    kill.write_text(dumps(channel_to_json(channel_from_kraus([np.diag([0.0, 0.0, 1.0])]))))
+    doc.write_text(dumps(code_states_to_json([np.diag([1.0, 0.0, 0.0]),
+                                              np.diag([0.0, 1.0, 0.0])])))
+    argv = ["verify-code", "--channel", str(kill), "--code", str(doc), "--level", level]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["detail"]["worst_pair"] == {
+        "first": [[0, 1.0]], "second": [[1, 1.0]], "prior": 0.0}
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.startswith("FAIL") and "witness" in out
 
 
 def test_verify_code_fixed_level(fixtures_dir, capsys):

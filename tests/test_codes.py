@@ -95,6 +95,18 @@ def test_sampled_check_catches_collapse():
     assert rep.distance_before > rep.distance_after
 
 
+def test_annihilated_code_fails_with_a_witness():
+    # K = |2><2| maps every state on span{|0>, |1>} to zero: the after stack
+    # has an empty joint range and is measured as given
+    kill = channel_from_kraus([np.diag([0.0, 0.0, 1.0]).astype(complex)])
+    code = Code.from_states([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+    for check in (sampled_preservation_check, is_noiseless, is_preserved):
+        rep = check(code, kill)
+        assert not rep.verdict
+        assert rep.worst_pair == (((0, 1.0),), ((1, 1.0),), 0.0)
+        assert (rep.distance_before, rep.distance_after) == (1.0, 0.0)
+
+
 def test_sampled_check_passes_identity():
     ident = channel_from_kraus([np.eye(2)])
     rep = sampled_preservation_check(zoo.code_fixture("qubit_full"), ident)
