@@ -62,13 +62,10 @@ class Graph:
 
 def adjacency_graph(sc: StochasticChannel) -> Graph:
     """Confusability graph: an edge joins inputs whose images overlap."""
-    m = sc.matrix
-    edges = []
-    for i in range(sc.n_in):
-        for j in range(i + 1, sc.n_in):
-            if np.any((m[:, i] > OVERLAP_EPS) & (m[:, j] > OVERLAP_EPS)):
-                edges.append((i, j))
-    return Graph.from_edges(sc.n_in, edges)
+    reach = (sc.matrix > OVERLAP_EPS).astype(float)
+    # entry (i, j) counts, exactly, the outputs that both i and j reach
+    shared = np.triu(reach.T @ reach, k=1)
+    return Graph.from_edges(sc.n_in, zip(*np.nonzero(shared)))
 
 
 # ---------------------------------------------------------------------------

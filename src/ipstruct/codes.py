@@ -153,9 +153,17 @@ def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
     one triangle only, so a non-Hermitian input would be measured by a
     matrix it is not.  Callers check this (see :func:`_hermitian_stack`);
     the stack is symmetrized as ``(X + X^dag)/2`` here to drop rounding.
+
+    A 2x2 stack ``[[a, b], [b*, d]]`` takes the closed form: its eigenvalues
+    ``(a+d)/2 +- hypot((a-d)/2, |b|)`` have moduli summing to ``|a+d|`` if
+    they share a sign, else to ``hypot(a-d, 2|b|)``, whichever is larger.
     """
     if stack.shape[0] == 0:
         return np.zeros(0)
+    if stack.shape[-1] == 2:
+        a, d = stack[..., 0, 0].real, stack[..., 1, 1].real
+        b = np.abs(stack[..., 0, 1] + stack[..., 1, 0].conj()) / 2
+        return np.maximum(np.abs(a + d), np.hypot(a - d, 2 * b))
     herm = stack + stack.conj().swapaxes(-1, -2)
     herm *= 0.5
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)

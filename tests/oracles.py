@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ipstruct import DEFAULT_TOL, QuantumChannel, ToleranceConfig, ValidationError, channel_from_kraus
+from ipstruct import (DEFAULT_TOL, Graph, QuantumChannel, StochasticChannel, ToleranceConfig,
+                      ValidationError, channel_from_kraus)
 from ipstruct.channels import is_projector
+from ipstruct.tolerances import OVERLAP_EPS
 
 
 def is_hermitian(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -29,6 +31,18 @@ def orthonormal_range_basis(p: np.ndarray) -> np.ndarray:
     keep = w > 0.5
     order = np.argsort(-w[keep])
     return v[:, keep][:, order]
+
+
+def pairwise_adjacency_graph(sc: StochasticChannel) -> Graph:
+    """Confusability graph by one overlap test per input pair: an edge joins
+    ``i < j`` when some output has probability above ``OVERLAP_EPS`` from both."""
+    m = sc.matrix
+    edges = []
+    for i in range(sc.n_in):
+        for j in range(i + 1, sc.n_in):
+            if np.any((m[:, i] > OVERLAP_EPS) & (m[:, j] > OVERLAP_EPS)):
+                edges.append((i, j))
+    return Graph.from_edges(sc.n_in, edges)
 
 
 def adjoint(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:

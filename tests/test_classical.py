@@ -13,6 +13,9 @@ from ipstruct import (
     maximum_independent_sets,
     zoo,
 )
+from ipstruct.tolerances import OVERLAP_EPS
+
+from oracles import pairwise_adjacency_graph
 
 
 def brute_force_alpha(g: Graph) -> int:
@@ -62,9 +65,32 @@ def test_adjacency_graph_two_code():
 
 
 def test_adjacency_ignores_sub_threshold_overlap():
-    m = np.array([[1.0, 0.0], [0.0, 1.0]])
+    # both inputs reach output 0, input 1 only at a probability below the cut
+    m = np.array([[1.0, 0.5 * OVERLAP_EPS], [0.0, 1.0 - 0.5 * OVERLAP_EPS]])
     g = adjacency_graph(StochasticChannel(matrix=m))
     assert g.edges == frozenset()
+
+
+def test_adjacency_matches_pairwise_oracle_on_random_maps():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n_in, n_out = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+        # sparse columns, so that both edges and non-edges occur
+        m = rng.random((n_out, n_in)) * (rng.random((n_out, n_in)) < 0.3)
+        m[0, m.sum(axis=0) == 0] = 1.0
+        sc = StochasticChannel(matrix=m / m.sum(axis=0))
+        assert adjacency_graph(sc) == pairwise_adjacency_graph(sc)
+
+
+@pytest.mark.parametrize("shared", [OVERLAP_EPS, np.nextafter(OVERLAP_EPS, 1.0)],
+                         ids=["at_cut", "just_above"])
+def test_adjacency_overlap_cut_is_strict(shared):
+    # inputs 0 and 1 share output 0, each with probability ``shared``
+    m = np.array([[shared, shared], [1.0 - shared, 0.0], [0.0, 1.0 - shared]])
+    sc = StochasticChannel(matrix=m)
+    want = frozenset({(0, 1)}) if shared > OVERLAP_EPS else frozenset()
+    assert adjacency_graph(sc).edges == want
+    assert adjacency_graph(sc) == pairwise_adjacency_graph(sc)
 
 
 def test_max_code_known_cases():
@@ -135,7 +161,9 @@ def test_graph_to_channel_roundtrip_random():
     for _ in range(50):
         n = int(rng.integers(2, 9))
         g = random_graph(n, float(rng.uniform(0.0, 0.8)), rng)
-        assert adjacency_graph(graph_to_channel(g)).edges == g.edges
+        sc = graph_to_channel(g)
+        assert adjacency_graph(sc).edges == g.edges
+        assert pairwise_adjacency_graph(sc) == adjacency_graph(sc)
 
 
 def test_graph_to_channel_is_column_stochastic():

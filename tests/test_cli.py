@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ipstruct.cli import main
+from ipstruct.cli import build_parser, main
 from ipstruct import channel_from_kraus
 from ipstruct.serialization import (
     channel_from_json,
@@ -499,6 +499,42 @@ def test_reports_are_byte_identical_across_runs(fixtures_dir, capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every in-process call
+# ---------------------------------------------------------------------------
+
+def test_shared_parser_keeps_no_tolerance_between_calls(fixtures_dir, capsys):
+    channel = str(fixtures_dir / "dephasing_qubit.json")
+    _, out, _ = run_cli(capsys, "analyze", "--channel", channel, "--tol", "1e-6", "--json")
+    assert json.loads(out)["tolerance"] == {"equality": 1e-6, "subspace": 1e-6}
+    _, out, _ = run_cli(capsys, "analyze", "--channel", channel, "--json")
+    assert json.loads(out)["tolerance"] == {"equality": 1e-9, "subspace": 1e-8}
+
+
+def test_shared_parser_keeps_no_format_between_calls(fixtures_dir, capsys):
+    channel = str(fixtures_dir / "dephasing_qubit.json")
+    _, out, _ = run_cli(capsys, "analyze", "--channel", channel, "--json")
+    assert json.loads(out)["verb"] == "analyze"
+    _, out, _ = run_cli(capsys, "analyze", "--channel", channel)
+    assert out.startswith("mode:          noiseless\n")
+
+
+def test_shared_parser_survives_a_usage_error(fixtures_dir, capsys):
+    channel = str(fixtures_dir / "dephasing_qubit.json")
+    code_doc = str(fixtures_dir / "code_cbit.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-code", "--channel", channel, "--code", code_doc])
+    assert exc.value.code == 2
+    assert "--level" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "verify-code", "--channel", channel,
+                           "--code", code_doc, "--level", "fixed", "--json")
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_console_script_runs():

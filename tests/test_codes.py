@@ -268,6 +268,23 @@ def test_hermitian_trace_norm_matches_nuclear_norm(d):
     assert_allclose(got, [trace_norm(x) for x in stack], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8])
+def test_two_by_two_trace_norm_matches_nuclear_norm(scale):
+    # the closed form serves 2x2 stacks; rank-1, zero and multiple-of-identity
+    # members sit where its two branches meet
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((40, 2, 2)) + 1j * rng.standard_normal((40, 2, 2))
+    v = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    rank_one = np.einsum("ni,nj->nij", v, v.conj()) * rng.choice([-1.0, 1.0], (10, 1, 1))
+    identity = np.eye(2) * np.array([1.0, -2.0, 0.5])[:, None, None]
+    stack = scale * np.concatenate([g + g.conj().swapaxes(-1, -2), rank_one,
+                                    np.zeros((3, 2, 2)), identity])
+    got = codes._batched_trace_norm(stack)
+    want = np.array([trace_norm(x) for x in stack])
+    largest = np.abs(stack).max(axis=(1, 2))
+    assert np.all(np.abs(got - want) <= 1e-14 * largest)
+
+
 @pytest.mark.parametrize("code_name,channel", [
     ("qutrit_half_pair", zoo.fixture("qutrit_half_fail")),
     ("squash_segment", embed_classical(zoo.fixture("squash_three"))),
