@@ -25,7 +25,6 @@ from .channels import (
     compose,
     embed_classical,
     is_cptp,
-    is_unital,
     to_superoperator,
     unvec,
     vec,
@@ -59,7 +58,6 @@ from .codes import (
     CorrectabilityReport,
     PreservationReport,
     build_fixing_recovery,
-    helstrom_probability,
     is_correctable_via_transpose,
     is_fixed,
     is_noiseless,
@@ -97,7 +95,6 @@ __all__ = [
     "compose",
     "choi_matrix",
     "is_cptp",
-    "is_unital",
     "embed_classical",
     "OperatorSpace",
     "SpectralSpace",
@@ -121,7 +118,6 @@ __all__ = [
     "PreservationReport",
     "CorrectabilityReport",
     "trace_norm",
-    "helstrom_probability",
     "sampled_preservation_check",
     "is_fixed",
     "is_preserved",

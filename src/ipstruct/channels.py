@@ -52,7 +52,6 @@ __all__ = [
     "apply_superoperator",
     "compose",
     "is_cptp",
-    "is_unital",
     "choi_matrix",
     "embed_classical",
     "is_projector",
@@ -336,11 +335,6 @@ def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpRepor
         choi_min_eigenvalue=choi_min,
         unital_residual=unital_residual,
     )
-
-
-def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    acc = sum(k @ k.conj().T for k in ch.kraus)
-    return bool(np.max(np.abs(acc - np.eye(ch.dim_out))) <= tol.equality)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,11 @@ def max_zero_error_code(sc: StochasticChannel) -> tuple[int, ...]:
     list: each vertex in order is kept exactly when a maximum-size
     completion through it still exists.
     """
-    g = adjacency_graph(sc)
+    return _first_maximum_independent_set(adjacency_graph(sc))
+
+
+def _first_maximum_independent_set(g: Graph) -> tuple[int, ...]:
+    """The lexicographically smallest maximum independent set of ``g``."""
     if g.n > MAX_EXACT_VERTICES:
         raise ValidationError(
             f"exact solver is limited to {MAX_EXACT_VERTICES} symbols (got {g.n})"

@@ -23,7 +23,7 @@ from .channels import (
     embed_classical,
     is_cptp,
 )
-from .classical import adjacency_graph, max_zero_error_code, maximum_independent_sets
+from .classical import _first_maximum_independent_set, adjacency_graph, maximum_independent_sets
 from .codes import (
     Code,
     is_correctable_via_transpose,
@@ -279,7 +279,7 @@ def _cmd_classical_maxcode(args) -> int:
     if not isinstance(loaded, StochasticChannel):
         raise ValidationError("classical-maxcode needs a stochastic-map document")
     graph = adjacency_graph(loaded)
-    code = max_zero_error_code(loaded)
+    code = _first_maximum_independent_set(graph)
     report = {
         "verb": "classical-maxcode",
         "tolerance": _tolerance_record(tol),

@@ -50,7 +50,6 @@ __all__ = [
     "PreservationReport",
     "CorrectabilityReport",
     "trace_norm",
-    "helstrom_probability",
     "code_support",
     "is_fixed",
     "sampled_preservation_check",
@@ -182,14 +181,6 @@ def _hermitian_stack(ops: Sequence[np.ndarray], what: str,
             "weighted-distance check measures Hermitian operators only"
         )
     return stack
-
-
-def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
-    """Optimal success probability for discriminating ``rho`` (prior ``p``)
-    from ``sigma`` (prior ``1-p``) with a single measurement."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"prior must lie in [0, 1], got {p}")
-    return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
 def code_support(code: Code) -> np.ndarray:

@@ -14,16 +14,19 @@ The split runs in Hermitian coordinates (see :mod:`ipstruct.channels`): in an
 orthonormal basis of Hermitian operators a Hermiticity-preserving map, such
 as every map in Kraus form, has a real matrix ``M_r``, because
 ``tr(B_a E(B_b))`` is real when ``B_a``, ``B_b`` and ``E(B_b)`` are
-Hermitian.  All three results come from one ordered real Schur form
+Hermitian.  All three results come from one real Schur form
 ``M_r = Z T Z^T`` whose leading quasi-triangular block ``T11`` carries the
 selected eigenvalues (a conjugate pair shares ``|lambda|`` and
-``|lambda - 1|``, so it is selected or dropped whole), plus one real
-Sylvester solve ``T11 X - X T22 = T12`` for the coupling block.  The leading
-Schur vectors ``Z1`` span the right space, ``Z1 + Z2 X^T`` spans the left one,
-and the projector is ``R L^dag`` with ``R``, ``L`` those two blocks mapped
-back to operators.  Both bases therefore consist of Hermitian operators.  The
-invariant subspace is the eigenspace because the peripheral spectrum of a
-trace-preserving positive map is semisimple.
+``|lambda - 1|``, so it is selected or dropped whole).  The leading Schur
+vectors ``Z1`` span the right space, ``Z1 + Z2 X^T`` spans the left one, where
+``T11 X - X T22 = T12``, and the projector is ``R L^dag`` with ``R``, ``L``
+those two blocks mapped back to operators.  Both bases therefore consist of
+Hermitian operators.  The invariant subspace is the eigenspace because the
+peripheral spectrum of a trace-preserving positive map is semisimple.
+
+When ``||M_r - M_r^T||_F <= SELF_ADJOINT`` one symmetric eigensolve gives that
+form, diagonal with ``X = 0`` and equal left and right spaces; by Bauer-Fike each
+eigenvalue of ``M_r`` is within that of the solver's, far inside ``PERIPHERAL``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from .channels import (
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
-from .tolerances import (DEFAULT_TOL, PAIRING_CONDITION, PERIPHERAL, RANK_REL, SPECTRAL_GAP,
-                         ToleranceConfig)
+from .tolerances import (DEFAULT_TOL, PAIRING_CONDITION, PERIPHERAL, RANK_REL, SELF_ADJOINT,
+                         SPECTRAL_GAP, ToleranceConfig)
 
 __all__ = [
     "OperatorSpace",
@@ -160,43 +163,58 @@ def _moduli(t: np.ndarray) -> np.ndarray:
 
 
 def _split(ch, select, nothing_selected: str,
-           tol: ToleranceConfig) -> tuple[SpectralSpace, np.ndarray, np.ndarray]:
-    """Split the spectrum into the eigenvalues ``select(re, im)`` accepts and
-    the rest.
+           tol: ToleranceConfig) -> tuple[SpectralSpace, float, float]:
+    """Split the spectrum into the eigenvalues ``select(re, im)`` accepts and the rest.
 
-    Returns the selected space, the quasi-triangular block ``T22`` of the
-    unselected eigenvalues and the coupling ``X`` that solves
-    ``T11 X - X T22 = T12``.
+    Returns the selected space, the gap ``1 - |lambda|`` to the largest
+    unselected eigenvalue (``inf`` if none is left) and the pairing condition
+    ``||P|| = sqrt(1 + ||X||_2^2)``.
     """
     m, d = _superop_matrix(ch)
     m_r = hermitian_coordinates(m, d, tol)
-    del m  # freed before the Schur form
+    del m  # freed before the factorization
+    n = m_r.shape[0]
+    squares = 0.0  # ||M - M^T||_F^2 summed over blocks of 32 rows: no n x n temporary
+    for i in range(0, n, 32):
+        squares += np.linalg.norm(m_r[i:i + 32] - m_r[:, i:i + 32].T) ** 2
+    symmetric = math.sqrt(squares) <= SELF_ADJOINT
     try:
-        t, z, k = scipy.linalg.schur(m_r, output="real", overwrite_a=True, sort=select)
+        if symmetric:
+            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, driver="evd")
+        else:
+            t, z, k = scipy.linalg.schur(m_r, output="real", overwrite_a=True, sort=select)
     except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"ordered Schur form failed: {exc}") from exc
+        method = "symmetric eigensolve" if symmetric else "ordered Schur form"
+        raise NumericalError(f"{method} failed: {exc}") from exc
+    del m_r
+    if symmetric:  # the Schur form is diagonal: X = 0 and the left space is the right one
+        keep = np.fromiter(map(select, w, np.zeros(n)), dtype=bool, count=n)
+        k, z1, cond = int(np.count_nonzero(keep)), z[:, keep], 1.0
+        gap = 1.0 - float(np.max(np.abs(w[~keep]), initial=-math.inf))
+    else:
+        z1, x = z[:, :k], np.zeros((k, n - k))
+        gap = 1.0 - float(np.max(_moduli(t[k:, k:]), initial=-math.inf))
+        if 0 < k < n:
+            x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+            if info != 0:
+                raise NumericalError("Sylvester solve for the spectral coupling failed",
+                                     residuals={"sylvester_info": float(info)})
+            x = x / scale
+        left = z1 + z[:, k:] @ x.T
+        # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
+        cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
     if k == 0:
         raise NumericalError(nothing_selected)
-    z1, z2 = z[:, :k], z[:, k:]
-    if k == z.shape[0]:
-        x = np.zeros((k, 0))
-    else:
-        x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
-        if info != 0:
-            raise NumericalError("Sylvester solve for the spectral coupling failed",
-                                 residuals={"sylvester_info": float(info)})
-        x = x / scale
-    left = z1 + z2 @ x.T
     right = from_hermitian_coordinates(z1, d)
-    dual = from_hermitian_coordinates(np.linalg.qr(left)[0], d)
-    projector = right @ from_hermitian_coordinates(left, d).conj().T
+    dual = right if symmetric else from_hermitian_coordinates(np.linalg.qr(left)[0], d)
+    projector = right @ (right if symmetric else from_hermitian_coordinates(left, d)).conj().T
     space = SpectralSpace(
         dim=d,
         basis=_operators(right, d),
         dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
         projector=Superoperator(dim_in=d, dim_out=d, matrix=projector),
     )
-    return space, t[k:, k:], x
+    return space, gap, cond
 
 
 def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
@@ -209,10 +227,8 @@ def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
             is numerically singular (``pairing_condition`` above
             ``PAIRING_CONDITION``).
     """
-    space, _, x = _split(ch, lambda re, im: math.hypot(re - 1.0, im) < PERIPHERAL,
-                         "no eigenvalue 1 found; is the map trace preserving?", tol)
-    # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
-    cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
+    space, _, cond = _split(ch, lambda re, im: math.hypot(re - 1.0, im) < PERIPHERAL,
+                            "no eigenvalue 1 found; is the map trace preserving?", tol)
     if not np.isfinite(cond) or cond > PAIRING_CONDITION:
         raise NumericalError(
             "eigenvalue-1 right/left eigenvector pairing is numerically singular",
@@ -232,15 +248,13 @@ def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
             ``SPECTRAL_GAP``), which would make the separation
             meaningless.
     """
-    space, interior, _ = _split(ch, lambda re, im: abs(math.hypot(re, im) - 1.0) < PERIPHERAL,
-                                "no unit-modulus eigenvalues found", tol)
-    if interior.size:
-        gap = 1.0 - float(np.max(_moduli(interior)))
-        if gap < SPECTRAL_GAP:
-            raise NumericalError(
-                "peripheral spectrum is not separated from the interior",
-                residuals={"cluster_gap": gap},
-            )
+    space, gap, _ = _split(ch, lambda re, im: abs(math.hypot(re, im) - 1.0) < PERIPHERAL,
+                           "no unit-modulus eigenvalues found", tol)
+    if gap < SPECTRAL_GAP:
+        raise NumericalError(
+            "peripheral spectrum is not separated from the interior",
+            residuals={"cluster_gap": gap},
+        )
     return space
 
 

@@ -47,6 +47,7 @@ RANK_REL = 1e-10  # numerical rank: values below this times the largest are zero
 PROJECTOR = 1e-10  # entrywise Hermiticity and idempotency of an orthogonal projector
 PERIPHERAL = 1e-8  # |lambda - 1| (or ||lambda| - 1|) below this: fixed (or peripheral)
 SPECTRAL_GAP = 1e-6  # least gap between the unit circle and the interior spectrum
+SELF_ADJOINT = 1e-12  # ||M - M^T||_F up to this: a symmetric eigensolve, off by at most this
 PAIRING_CONDITION = 1e12  # largest condition of the fixed-space right/left pairing
 CLUSTER_REL = 1e-7  # eigenvalue cluster width, relative to a generic element's spread
 CLUSTER_FLOOR = 1e-12  # absolute floor of that width, for an element of tiny spread

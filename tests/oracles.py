@@ -1,4 +1,5 @@
-"""Operator predicates and channel views that no package code calls.
+"""Operator predicates, channel views and reference computations that no
+package code calls.
 
 The tests use them as independent oracles; the package keeps only what its
 analyses need.
@@ -6,11 +7,16 @@ analyses need.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from ipstruct import (DEFAULT_TOL, Graph, QuantumChannel, StochasticChannel, ToleranceConfig,
-                      ValidationError, channel_from_kraus)
-from ipstruct.channels import is_projector
+import numpy as np
+import scipy.linalg
+
+from ipstruct import (DEFAULT_TOL, Graph, QuantumChannel, StochasticChannel, Superoperator,
+                      ToleranceConfig, ValidationError, channel_from_kraus, to_superoperator,
+                      trace_norm)
+from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
+from ipstruct.spectral import OperatorSpace, SpectralSpace
 from ipstruct.tolerances import OVERLAP_EPS
 
 
@@ -82,3 +88,54 @@ def restrict_to_subspace(
         raise ValidationError("projector has zero rank")
     ks = [v.conj().T @ k @ v for k in ch.kraus]
     return channel_from_kraus(ks, tol=tol), v
+
+
+def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    acc = sum(k @ k.conj().T for k in ch.kraus)
+    return bool(np.max(np.abs(acc - np.eye(ch.dim_out))) <= tol.equality)
+
+
+def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
+    """Optimal success probability for discriminating ``rho`` (prior ``p``)
+    from ``sigma`` (prior ``1-p``) with a single measurement."""
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"prior must lie in [0, 1], got {p}")
+    return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
+
+
+def schur_split(ch: QuantumChannel, select,
+                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[SpectralSpace, float, float]:
+    """The spectral split of a square channel by one ordered real Schur form,
+    whatever the symmetry of its matrix; the reference for ``spectral._split``.
+
+    In Hermitian coordinates ``M_r = Z T Z^T`` with the eigenvalues that
+    ``select(re, im)`` accepts in the leading block ``T11``.  The coupling
+    ``X`` solves ``T11 X - X T22 = T12``; ``Z1`` spans the right space and
+    ``Z1 + Z2 X^T`` the left one.  Returns the space, the gap
+    ``1 - max |lambda|`` over the eigenvalues of ``T22`` (``inf`` if ``T22``
+    is empty) and the pairing condition ``sqrt(1 + ||X||_2^2)``.
+    """
+    d = ch.dim_in
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, d, tol)
+    t, z, k = scipy.linalg.schur(m_r, output="real", sort=select)
+    n = t.shape[0]
+    x = np.zeros((k, n - k))
+    if 0 < k < n:
+        x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        assert info == 0
+        x = x / scale
+    left = z[:, :k] + z[:, k:] @ x.T
+    right = from_hermitian_coordinates(z[:, :k], d)
+    dual = from_hermitian_coordinates(np.linalg.qr(left)[0], d)
+
+    def ops(columns):
+        return tuple(c.reshape((d, d), order="F") for c in columns.T)
+
+    space = SpectralSpace(
+        dim=d, basis=ops(right), dual=OperatorSpace(dim=d, basis=ops(dual)),
+        projector=Superoperator(dim_in=d, dim_out=d,
+                                matrix=right @ from_hermitian_coordinates(left, d).conj().T),
+    )
+    interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
+    gap = 1.0 - float(interior.max()) if interior.size else math.inf
+    return space, gap, float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))

@@ -15,7 +15,6 @@ from ipstruct import (
     compose,
     embed_classical,
     is_cptp,
-    is_unital,
     to_superoperator,
     unvec,
     vec,
@@ -31,6 +30,7 @@ from oracles import (
     adjoint,
     is_hermitian,
     is_positive_semidefinite,
+    is_unital,
     orthonormal_range_basis,
     restrict_to_subspace,
 )

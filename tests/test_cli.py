@@ -88,16 +88,31 @@ def test_init_free_flags_do_not_depend_on_seed(fixtures_dir, capsys):
 
 
 def test_analyze_schur_failure_exits_3(fixtures_dir, capsys, monkeypatch):
+    # ucp_d3 is not self-adjoint, so its split takes the ordered Schur form
     def failing_schur(*args, **kwargs):
         raise scipy.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
 
     monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
     code, _, err = run_cli(
-        capsys, "analyze", "--channel", str(fixtures_dir / "depolarize_B.json"),
+        capsys, "analyze", "--channel", str(fixtures_dir / "ucp_d3.json"),
         "--mode", "noiseless",
     )
     assert code == 3
     assert "Schur" in err
+
+
+def test_analyze_symmetric_eigensolve_failure_exits_3(fixtures_dir, capsys, monkeypatch):
+    # depolarize_B is self-adjoint, so its split takes the symmetric eigensolve
+    def failing_eigh(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    code, _, err = run_cli(
+        capsys, "analyze", "--channel", str(fixtures_dir / "depolarize_B.json"),
+        "--mode", "noiseless",
+    )
+    assert code == 3
+    assert "symmetric eigensolve" in err
 
 
 def test_analyze_without_spectral_gap_exits_3(tmp_path, capsys):
@@ -439,6 +454,29 @@ def test_classical_maxcode(fixtures_dir, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["code"] == [0, 2] and doc["size"] == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--all"]], ids=["code", "all"])
+def test_classical_maxcode_builds_the_graph_once(fixtures_dir, capsys, monkeypatch, extra):
+    import ipstruct.classical
+    import ipstruct.cli
+
+    calls = []
+    original = ipstruct.classical.adjacency_graph
+
+    def counted(sc):
+        calls.append(sc)
+        return original(sc)
+
+    for module in (ipstruct.classical, ipstruct.cli):
+        monkeypatch.setattr(module, "adjacency_graph", counted)
+    code, out, _ = run_cli(
+        capsys, "classical-maxcode",
+        "--stochastic", str(fixtures_dir / "squash_three.json"), "--json", *extra,
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["code"] == [0, 1]
 
 
 def test_classical_maxcode_all(fixtures_dir, capsys):

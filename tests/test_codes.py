@@ -14,7 +14,6 @@ from ipstruct import (
     build_fixing_recovery,
     channel_from_kraus,
     embed_classical,
-    helstrom_probability,
     is_correctable_via_transpose,
     is_fixed,
     is_noiseless,
@@ -29,6 +28,7 @@ from ipstruct.codes import P_GRID, _mixtures, code_support
 from ipstruct.spectral import _joint_support, fixed_space
 from ipstruct.structures import transpose_channel
 from ipstruct.tolerances import DEFAULT_TOL
+from oracles import helstrom_probability
 
 
 def test_trace_norm_known_values():

@@ -1,16 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.stats import unitary_group
 
 from ipstruct import (
     NumericalError,
+    StochasticChannel,
     Superoperator,
     ValidationError,
     channel_from_kraus,
+    compose,
     embed_classical,
     fixed_space,
-    is_unital,
     rotating_space,
     subspace_distance,
     to_superoperator,
@@ -18,7 +22,11 @@ from ipstruct import (
     zoo,
 )
 from ipstruct.algebra import commutant
-from ipstruct.spectral import operator_space_from_span
+from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates
+from ipstruct.spectral import _split, operator_space_from_span
+from ipstruct.structures import unconditional_recovery
+from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT
+from oracles import is_unital, schur_split
 
 
 def test_unitary_channel_spectrum():
@@ -252,3 +260,123 @@ def test_fixed_space_matches_commutant_of_kraus_span(ch, size):
     space = fixed_space(ch)
     assert space.size == reference.size == size
     assert subspace_distance(space, reference) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# a self-adjoint map is split by one symmetric eigensolve; the ordered Schur
+# form of every input (oracles.schur_split) is the reference
+# ---------------------------------------------------------------------------
+
+def _fixed(re, im):
+    return math.hypot(re - 1.0, im) < PERIPHERAL
+
+
+def _unit_circle(re, im):
+    return abs(math.hypot(re, im) - 1.0) < PERIPHERAL
+
+
+def _composite(ch):
+    """R o E with R the input-blind recovery: E^dag N E for a self-adjoint N."""
+    return compose(unconditional_recovery(ch), ch)
+
+
+def _count_factorizations(monkeypatch):
+    calls = []
+    for name in ("schur", "eigh"):
+        def counted(a, *args, _name=name, _original=getattr(scipy.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, counted)
+    return calls
+
+
+def _square_fixture(name):
+    """The fixture as a square quantum channel (a classical map embedded), or None."""
+    obj = zoo.fixture(name)
+    if isinstance(obj, StochasticChannel) and obj.n_in == obj.n_out:
+        return embed_classical(obj)
+    return obj if getattr(obj, "is_square", False) else None
+
+
+SQUARE_FIXTURES = [n for n in zoo.fixture_names() if _square_fixture(n) is not None]
+SELF_ADJOINT_INPUTS = {
+    **{n: (lambda n=n: zoo.fixture(n))
+       for n in ("dephasing_qubit", "depolarize_B", "five_qubit_depolarize_one")},
+    **{f"composite-{n}": (lambda n=n: _composite(_square_fixture(n))) for n in SQUARE_FIXTURES},
+    **{f"composite-cptp-{d}-{s}": (lambda d=d, s=s: _composite(zoo.random_cptp(d, 3, s)))
+       for d in (4, 8, 16) for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("select", [_fixed, _unit_circle], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("build", SELF_ADJOINT_INPUTS.values(), ids=SELF_ADJOINT_INPUTS.keys())
+def test_symmetric_split_matches_ordered_schur(build, select, monkeypatch):
+    ch = build()
+    ref, ref_gap, ref_cond = schur_split(ch, select)
+    calls = _count_factorizations(monkeypatch)
+    space, gap, cond = _split(ch, select, "nothing selected", DEFAULT_TOL)
+    assert calls == ["eigh"]
+    assert space.size == ref.size
+    assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
+    assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
+    assert np.max(np.abs(space.projector.matrix - ref.projector.matrix)) <= 1e-10
+    assert gap == ref_gap or abs(gap - ref_gap) <= 1e-10
+    assert abs(cond - ref_cond) <= 1e-10 and cond == 1.0
+
+
+def _perturbed(ch, asymmetry):
+    """The superoperator of ``ch`` with an antisymmetric part added in the last
+    rows and columns of its Hermitian coordinates, so that
+    ``||M_r - M_r^T||_F`` grows by ``asymmetry``."""
+    d = ch.dim_in
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, d)
+    m_r[-1, -2] += asymmetry / (2.0 * math.sqrt(2.0))
+    m_r[-2, -1] -= asymmetry / (2.0 * math.sqrt(2.0))
+    u = from_hermitian_coordinates(np.eye(d * d), d)
+    return Superoperator(dim_in=d, dim_out=d, matrix=u @ m_r @ u.conj().T)
+
+
+@pytest.mark.parametrize("scale, method", [(0.5, "eigh"), (2.0, "schur")])
+@pytest.mark.parametrize("ch", [zoo.fixture("depolarize_B"), _composite(zoo.random_cptp(8, 3, 1))],
+                         ids=["depolarize_B", "composite-cptp-8"])
+def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
+    # Bauer-Fike: the eigenvalues of M = S + K, S symmetric, lie within
+    # ||K||_2 <= ||K||_F of S's, far below PERIPHERAL, so both sides of the
+    # cut select the same eigenvalues; the composite's 64 rows span two
+    # blocks of the asymmetry sum, and the perturbation sits in the last
+    sup = _perturbed(ch, scale * SELF_ADJOINT)
+    reference = fixed_space(ch)
+    calls = _count_factorizations(monkeypatch)
+    space = fixed_space(sup)
+    assert calls == [method]
+    assert space.size == reference.size
+    assert subspace_distance(space, reference) <= DEFAULT_TOL.subspace
+
+
+def test_symmetric_eigensolve_failure_is_numerical(monkeypatch):
+    def failing_eigh(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", failing_eigh)
+    with pytest.raises(NumericalError, match="symmetric eigensolve"):
+        fixed_space(zoo.fixture("depolarize_B"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_split_invariant_under_gauge_and_conjugation(seed, monkeypatch):
+    # depolarize_B is self-adjoint; a Kraus gauge leaves the map, and a
+    # unitary conjugation its self-adjointness, unchanged
+    ch = zoo.fixture("depolarize_B")
+    rng = np.random.default_rng(seed)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    u = unitary_group.rvs(ch.dim_in, random_state=rng)
+    mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
+    turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
+    calls = _count_factorizations(monkeypatch)
+    space, gauged, rotated = fixed_space(ch), fixed_space(mixed), fixed_space(turned)
+    assert calls == ["eigh"] * 3
+    assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
+    conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
+    assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
+    assert rotated.size == space.size == 4

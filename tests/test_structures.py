@@ -205,18 +205,20 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
                    ipstruct.structures, ipstruct.codes):
         if hasattr(module, "to_superoperator"):
             monkeypatch.setattr(module, "to_superoperator", counted)
-    schur_inputs = []
-    original_schur = scipy.linalg.schur
+    factorizations = []
+    for name in ("schur", "eigh"):
+        def counted_factorization(a, *args, _name=name, _original=getattr(scipy.linalg, name),
+                                  **kwargs):
+            factorizations.append((_name, a.dtype))
+            return _original(a, *args, **kwargs)
 
-    def counted_schur(a, *args, **kwargs):
-        schur_inputs.append(a.dtype)
-        return original_schur(a, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(scipy.linalg, name, counted_factorization)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
-    # one real Schur form, in Hermitian coordinates
-    assert schur_inputs == [np.float64]
+    # one real factorization, in Hermitian coordinates; the composite R o E of
+    # the unconditional analysis is self-adjoint, so it takes the symmetric one
+    method = "eigh" if analyze is unconditional_structure else "schur"
+    assert factorizations == [(method, np.float64)]
 
 
 @pytest.mark.parametrize("analyze", [
