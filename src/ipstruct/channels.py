@@ -90,32 +90,37 @@ def hermitian_coordinates(m: np.ndarray, d: int,
                           tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The real matrix ``U^dag M U`` of a complex superoperator matrix ``m`` on
     ``d x d`` operators, in Fortran order so that LAPACK can overwrite it in
-    place.  The change of basis runs in place, so ``m`` is overwritten.
+    place.  ``m`` is only read: the change of basis runs on blocks of rows,
+    so no temporary comes near the size of ``m``.
 
     Raises:
         ValidationError: if the map is not Hermiticity preserving, i.e. the
             matrix has an imaginary part above ``tol.equality``.
     """
     alpha, swap = _hermitian_basis(d)
-    # columns: (M U)[:, c] = alpha_c M[:, c] + conj(alpha_c) M[:, swap(c)]
-    pair = m[:, swap]
-    pair *= alpha.conj()
-    m *= alpha
-    m += pair
-    del pair
-    # rows: (U^dag W)[r] = conj(alpha_r) W[r] + alpha_r W[swap(r)]
-    pair = m[swap]
-    pair *= alpha[:, None]
-    m *= alpha.conj()[:, None]
-    m += pair
-    del pair
-    leak = float(np.max(np.abs(m.imag)))
+    m, n, conj = np.asarray(m, dtype=complex), d * d, alpha.conj()  # no copy if complex
+    out = np.empty((n, n), order="F")
+    leak = 0.0
+    step = max(4, n // 64)  # 64 row blocks: a few temporaries of n^2 / 64 entries each
+    for start in range(0, n, step):
+        r = slice(start, start + step)
+        # rows: (U^dag M)[r] = conj(alpha_r) M[r] + alpha_r M[swap(r)]
+        block = m.take(swap[r], axis=0)
+        block *= alpha[r, None]
+        block += conj[r, None] * m[r]
+        # columns of V = U^dag M: (V U)[:, c] = alpha_c V[:, c] + conj(alpha_c) V[:, swap(c)]
+        pair = block.take(swap, axis=1)
+        pair *= conj
+        block *= alpha
+        block += pair
+        leak = max(leak, np.abs(block.imag).max())
+        out[r] = block.real
     if leak > tol.equality:
         raise ValidationError(
             f"map is not Hermiticity preserving (imaginary part {leak:.3e} "
             "in Hermitian coordinates)"
         )
-    return np.asfortranarray(m.real)
+    return out
 
 
 def from_hermitian_coordinates(z: np.ndarray, d: int) -> np.ndarray:
@@ -268,15 +273,15 @@ def channel_from_kraus(
 
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
-    ks = np.stack(ch.kraus).reshape(len(ch.kraus), -1)
-    # index layout: row (b*dim_out + a), col (d*dim_in + c) holds
-    # sum_i conj(K_i[b, d]) K_i[a, c]; one GEMM yields it at [(b, d), (a, c)]
-    m = (ks.conj().T @ ks).reshape(ch.dim_out, ch.dim_in, ch.dim_out, ch.dim_in)
-    return Superoperator(
-        dim_in=ch.dim_in,
-        dim_out=ch.dim_out,
-        matrix=m.transpose(0, 2, 1, 3).reshape(ch.dim_out**2, ch.dim_in**2),
-    )
+    d_in, d_out = ch.dim_in, ch.dim_out
+    ks = np.stack(ch.kraus)
+    flat = ks.reshape(len(ch.kraus), -1)
+    # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]:
+    # for each b one GEMM gives it at [d, (a, c)], written once into the result
+    m = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
+    for b in range(d_out):
+        m[b] = (ks[:, b, :].conj().T @ flat).reshape(d_in, d_out, d_in).transpose(1, 0, 2)
+    return Superoperator(dim_in=d_in, dim_out=d_out, matrix=m.reshape(d_out**2, d_in**2))
 
 
 def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from .algebra import _embed
 from .channels import (
     QuantumChannel,
     apply_channel,
-    apply_superoperator,
     channel_from_kraus,
     compose,
     projector_onto_support,
@@ -66,6 +65,9 @@ P_GRID = tuple([0.0] + [round(0.1 * k, 1) for k in range(1, 10)] + [1.0])
 # quarter grid {1/4, 1/2, 3/4} that sums to one, in lexicographic order
 _MIXTURE_WEIGHTS = {2: ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25)),
                     3: ((0.25, 0.25, 0.5), (0.25, 0.5, 0.25), (0.5, 0.25, 0.25))}
+
+# entries per difference stack of a sweep: 4 MB of complex, a quarter of a d = 32 superoperator
+_SWEEP_CHUNK = 2**18
 
 # a weighted mixture of listed states: ((state_index, weight), ...)
 MixtureLabel = tuple[tuple[int, float], ...]
@@ -247,8 +249,7 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
     out = np.empty((ii.size, len(P_GRID)))
     out[:, 0], out[:, -1] = single[jj], single[ii]
     w = np.asarray(P_GRID[1:-1])[None, :, None, None]
-    # chunk the pair axis so the stacked difference arrays stay modest
-    chunk = max(1, int(2_000_000 // max(1, w.size * m * m)))
+    chunk = max(1, _SWEEP_CHUNK // (w.size * m * m))
     for start in range(0, ii.size, chunk):
         sel = slice(start, start + chunk)
         diff = w * states[ii[sel]][:, None] - (1.0 - w) * states[jj[sel]][:, None]
@@ -335,8 +336,7 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
                               f"(sum K^dag K has eigenvalue {gain:.12g})")
-    avg = fixed_space(ch, tol).projector
-    return _compare(_pair_sweep(code, tol), lambda x: apply_superoperator(avg, x), tol)
+    return _compare(_pair_sweep(code, tol), fixed_space(ch, tol).project, tol)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,

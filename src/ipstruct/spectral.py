@@ -19,10 +19,13 @@ Hermitian.  All three results come from one real Schur form
 selected eigenvalues (a conjugate pair shares ``|lambda|`` and
 ``|lambda - 1|``, so it is selected or dropped whole).  The leading Schur
 vectors ``Z1`` span the right space, ``Z1 + Z2 X^T`` spans the left one, where
-``T11 X - X T22 = T12``, and the projector is ``R L^dag`` with ``R``, ``L``
-those two blocks mapped back to operators.  Both bases therefore consist of
-Hermitian operators.  The invariant subspace is the eigenspace because the
-peripheral spectrum of a trace-preserving positive map is semisimple.
+``T11 X - X T22 = T12``; as operators these are the Hermitian ``R`` and ``L``,
+and the projector ``P = R L^dag`` stays factored (``SpectralSpace.project``).
+The invariant subspace is the eigenspace because the peripheral spectrum of a
+trace-preserving positive map is semisimple.  Memory: the split holds the
+complex superoperator ``S``, read and never copied, its real form ``M_r`` (half
+of ``S``) and blocks of rows (``S / 64`` from ``d = 16`` on); the factorization
+overwrites ``M_r``, and only the selected columns outlive it.
 
 When ``||M_r - M_r^T||_F <= SELF_ADJOINT`` one symmetric eigensolve gives that
 form, diagonal with ``X = 0`` and equal left and right spaces; by Bauer-Fike each
@@ -92,12 +95,27 @@ class SpectralSpace(OperatorSpace):
     """The right eigenoperators of a selected part of the spectrum.
 
     ``dual`` spans the matching left eigenoperators (those of the adjoint
-    map) and ``projector`` is the spectral projector onto this space along
-    the rest of the spectrum.
+    map).  The spectral projector onto this space along the rest of the
+    spectrum is kept factored as ``P = R L^dag``: ``right`` holds the
+    vectorized basis as its columns and ``left`` the matching left columns.
     """
 
     dual: OperatorSpace
-    projector: Superoperator
+    right: np.ndarray
+    left: np.ndarray
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """``P(x) = R L^dag vec(x)`` for one operator or a stack of them."""
+        x = np.asarray(x)
+        stack = x.reshape(-1, self.dim, self.dim).transpose(0, 2, 1)  # rows are vec(x)
+        out = (stack.reshape(len(stack), -1) @ self.left.conj()) @ self.right.T
+        return out.reshape(stack.shape).transpose(0, 2, 1).reshape(x.shape)
+
+    @property
+    def projector(self) -> Superoperator:
+        """The spectral projector as a dense ``d^2 x d^2`` matrix, built on each read."""
+        return Superoperator(dim_in=self.dim, dim_out=self.dim,
+                             matrix=self.right @ self.left.conj().T)
 
 
 def _joint_support(ops: Iterable[np.ndarray], dim: int) -> np.ndarray:
@@ -135,15 +153,15 @@ def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
 # ---------------------------------------------------------------------------
 
 def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int]:
-    """A complex superoperator matrix that the caller may overwrite."""
+    """The complex superoperator matrix of a square map; it is only read."""
     if isinstance(ch, QuantumChannel):
         if not ch.is_square:
-            raise NumericalError("spectral analysis requires a square channel")
+            raise ValidationError("spectral analysis requires a square channel")
         return to_superoperator(ch).matrix, ch.dim_in
     if isinstance(ch, Superoperator):
         if ch.dim_in != ch.dim_out:
-            raise NumericalError("spectral analysis requires a square superoperator")
-        return np.array(ch.matrix, dtype=complex), ch.dim_in
+            raise ValidationError("spectral analysis requires a square superoperator")
+        return ch.matrix, ch.dim_in
     raise ValidationError(
         f"spectral analysis takes a QuantumChannel or a Superoperator, not {type(ch).__name__}"
     )
@@ -162,6 +180,21 @@ def _moduli(t: np.ndarray) -> np.ndarray:
     return mod
 
 
+def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray]:
+    """``(T, k, Z)`` from LAPACK ``dgees``, ``T`` led by the ``k`` eigenvalues that
+    ``select`` accepts.  It overwrites ``m_r``; the workspace query's outputs are dropped."""
+    dgees = scipy.linalg.lapack.dgees
+    lwork = int(dgees(select, m_r, lwork=-1, overwrite_a=True)[-2][0])
+    t, k, _, _, z, _, info = dgees(select, m_r, sort_t=1, lwork=lwork, overwrite_a=True)
+    if info != 0:  # 1..n: the QR iteration failed; n + 1 and n + 2: the reordering did
+        reason = {len(m_r) + 1: "eigenvalues too close to reorder",
+                  len(m_r) + 2: "a selected eigenvalue left the selection when reordered"}
+        raise NumericalError("ordered Schur form failed: " + reason.get(
+            info, f"the QR iteration did not converge (info {info})"),
+            residuals={"schur_info": float(info)})
+    return t, k, z
+
+
 def _split(ch, select, nothing_selected: str,
            tol: ToleranceConfig) -> tuple[SpectralSpace, float, float]:
     """Split the spectrum into the eigenvalues ``select(re, im)`` accepts and the rest.
@@ -172,27 +205,23 @@ def _split(ch, select, nothing_selected: str,
     """
     m, d = _superop_matrix(ch)
     m_r = hermitian_coordinates(m, d, tol)
-    del m  # freed before the factorization
+    del m  # a superoperator built here is freed before the factorization
     n = m_r.shape[0]
     squares = 0.0  # ||M - M^T||_F^2 summed over blocks of 32 rows: no n x n temporary
     for i in range(0, n, 32):
         squares += np.linalg.norm(m_r[i:i + 32] - m_r[:, i:i + 32].T) ** 2
     symmetric = math.sqrt(squares) <= SELF_ADJOINT
-    try:
-        if symmetric:
-            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, driver="evd")
-        else:
-            t, z, k = scipy.linalg.schur(m_r, output="real", overwrite_a=True, sort=select)
-    except scipy.linalg.LinAlgError as exc:
-        method = "symmetric eigensolve" if symmetric else "ordered Schur form"
-        raise NumericalError(f"{method} failed: {exc}") from exc
-    del m_r
     if symmetric:  # the Schur form is diagonal: X = 0 and the left space is the right one
+        try:
+            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, driver="evd")
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
         keep = np.fromiter(map(select, w, np.zeros(n)), dtype=bool, count=n)
         k, z1, cond = int(np.count_nonzero(keep)), z[:, keep], 1.0
         gap = 1.0 - float(np.max(np.abs(w[~keep]), initial=-math.inf))
     else:
-        z1, x = z[:, :k], np.zeros((k, n - k))
+        t, k, z = _ordered_schur(m_r, select)
+        x = np.zeros((k, n - k))
         gap = 1.0 - float(np.max(_moduli(t[k:, k:]), initial=-math.inf))
         if 0 < k < n:
             x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
@@ -200,20 +229,19 @@ def _split(ch, select, nothing_selected: str,
                 raise NumericalError("Sylvester solve for the spectral coupling failed",
                                      residuals={"sylvester_info": float(info)})
             x = x / scale
-        left = z1 + z[:, k:] @ x.T
+        del t
+        z1, left = z[:, :k].copy(), z[:, :k] + z[:, k:] @ x.T
         # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
         cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
+    del m_r, z  # only the k selected columns stay
     if k == 0:
         raise NumericalError(nothing_selected)
     right = from_hermitian_coordinates(z1, d)
     dual = right if symmetric else from_hermitian_coordinates(np.linalg.qr(left)[0], d)
-    projector = right @ (right if symmetric else from_hermitian_coordinates(left, d)).conj().T
-    space = SpectralSpace(
-        dim=d,
-        basis=_operators(right, d),
-        dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
-        projector=Superoperator(dim_in=d, dim_out=d, matrix=projector),
-    )
+    left = right if symmetric else from_hermitian_coordinates(left, d)
+    space = SpectralSpace(dim=d, basis=_operators(right, d),
+                          dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
+                          right=right, left=left)
     return space, gap, cond
 
 

@@ -30,7 +30,6 @@ from .algebra import AlgebraDecomposition, Sector, _embed, _matrix_units, canoni
 from .channels import (
     QuantumChannel,
     apply_channel,
-    apply_superoperator,
     channel_from_kraus,
     compose,
     is_projector,
@@ -212,7 +211,7 @@ def _structure_from_space(
             psi /= np.linalg.norm(psi)
             probe = _embed(sector.isometry, np.outer(psi, psi.conj()),
                            np.eye(sector.n) / sector.n)
-            image = apply_superoperator(space.projector, probe)
+            image = space.project(probe)
             tau = _partial_trace_factor(sector, image)
             tau = (tau + tau.conj().T) / 2.0
             tr = float(np.real(np.trace(tau)))
@@ -294,10 +293,7 @@ def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
     """
     _require_square(ch)
     space = rotating_space(ch, tol)
-    return _structure_from_space(
-        space, lambda x: apply_superoperator(space.projector, x),
-        "unitarily-noiseless", seed, tol,
-    )
+    return _structure_from_space(space, space.project, "unitarily-noiseless", seed, tol)
 
 
 def unconditional_structure(ch: QuantumChannel, seed: int = 0,

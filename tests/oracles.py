@@ -133,8 +133,7 @@ def schur_split(ch: QuantumChannel, select,
 
     space = SpectralSpace(
         dim=d, basis=ops(right), dual=OperatorSpace(dim=d, basis=ops(dual)),
-        projector=Superoperator(dim_in=d, dim_out=d,
-                                matrix=right @ from_hermitian_coordinates(left, d).conj().T),
+        right=right, left=from_hermitian_coordinates(left, d),
     )
     interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
     gap = 1.0 - float(interior.max()) if interior.size else math.inf

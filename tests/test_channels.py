@@ -87,6 +87,21 @@ def test_superoperator_matches_direct_action(seed):
     )
 
 
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+def test_rectangular_superoperator_is_the_kron_sum(d_in, d_out):
+    # the superoperator's rows index the output and its columns the input
+    rng = np.random.default_rng(d_in)
+    g = rng.standard_normal((2 * d_out, d_in)) + 1j * rng.standard_normal((2 * d_out, d_in))
+    q, _ = np.linalg.qr(g)
+    ch = channel_from_kraus([q[:d_out], q[d_out:]])
+    sup = to_superoperator(ch)
+    assert (sup.dim_in, sup.dim_out) == (d_in, d_out)
+    expected = sum(np.kron(k.conj(), k) for k in ch.kraus)
+    assert np.max(np.abs(sup.matrix - expected)) <= 1e-15
+    rho = random_state(d_in, rng)
+    assert_allclose(apply_superoperator(sup, rho), apply_channel(ch, rho), atol=1e-12)
+
+
 def test_apply_channel_rectangular():
     # a 2 -> 3 isometry channel
     v = np.zeros((3, 2), dtype=complex)

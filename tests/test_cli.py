@@ -87,18 +87,37 @@ def test_init_free_flags_do_not_depend_on_seed(fixtures_dir, capsys):
     assert len(flags) == 1
 
 
-def test_analyze_schur_failure_exits_3(fixtures_dir, capsys, monkeypatch):
-    # ucp_d3 is not self-adjoint, so its split takes the ordered Schur form
-    def failing_schur(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+def _analyze_with_failing_dgees(info, fixtures_dir, capsys, monkeypatch):
+    """``analyze`` on ucp_d3, which is not self-adjoint, so its split takes the
+    ordered Schur form; LAPACK ``dgees`` is stubbed to return ``info(n)``."""
+    def failing_dgees(select, a, **kwargs):
+        n = a.shape[0]
+        return a, 0, np.zeros(n), np.zeros(n), np.zeros((n, n)), np.array([3.0 * n]), info(n)
 
-    monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
-    code, _, err = run_cli(
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing_dgees)
+    return run_cli(
         capsys, "analyze", "--channel", str(fixtures_dir / "ucp_d3.json"),
         "--mode", "noiseless",
     )
+
+
+def test_analyze_schur_failure_exits_3(fixtures_dir, capsys, monkeypatch):
+    # info n + 2: a selected eigenvalue no longer satisfies the selection after reordering
+    code, _, err = _analyze_with_failing_dgees(lambda n: n + 2, fixtures_dir, capsys, monkeypatch)
     assert code == 3
     assert "Schur" in err
+
+
+@pytest.mark.parametrize("info, reason", [
+    (lambda n: 1, "QR iteration"),
+    (lambda n: n + 1, "too close to reorder"),
+    (lambda n: n + 2, "left the selection"),
+], ids=["qr-iteration", "reorder", "selection-changed"])
+def test_analyze_every_schur_failure_code_exits_3(info, reason, fixtures_dir, capsys,
+                                                  monkeypatch):
+    code, _, err = _analyze_with_failing_dgees(info, fixtures_dir, capsys, monkeypatch)
+    assert code == 3
+    assert "ordered Schur form failed" in err and reason in err
 
 
 def test_analyze_symmetric_eigensolve_failure_exits_3(fixtures_dir, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -589,3 +590,22 @@ def test_code_verdicts_invariant_under_conjugation_and_gauge(ch, code):
             assert (rep.verdict, rep.worst_pair) == (want.verdict, want.worst_pair)
             assert abs(rep.distance_before - want.distance_before) <= 1e-10
             assert abs(rep.distance_after - want.distance_after) <= 1e-10
+
+
+def test_five_qubit_sweep_stays_below_the_superoperator():
+    # the sweep's difference stacks are chunked in bytes: they once reached
+    # 6 times the 32 x 32 superoperator (16 * 32^4 bytes)
+    ch = zoo.fixture("five_qubit_depolarize_one")
+    w, v = np.linalg.eigh(zoo.five_qubit_code_projector())
+    iso = v[:, w > 0.5]
+    rng = np.random.default_rng(1)
+    code = Code.from_states([iso @ zoo.random_density(2, rng) @ iso.conj().T
+                             for _ in range(4)])
+    tracemalloc.start()
+    try:
+        report = sampled_preservation_check(code, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict
+    assert peak < 16 * 32**4

@@ -11,6 +11,7 @@ from ipstruct import (
     StochasticChannel,
     Superoperator,
     ValidationError,
+    apply_superoperator,
     channel_from_kraus,
     compose,
     embed_classical,
@@ -281,13 +282,17 @@ def _composite(ch):
 
 
 def _count_factorizations(monkeypatch):
+    """Record each ordered Schur form (a ``dgees`` call that is not a workspace
+    query) as ``"schur"`` and each symmetric eigensolve as ``"eigh"``."""
     calls = []
-    for name in ("schur", "eigh"):
-        def counted(a, *args, _name=name, _original=getattr(scipy.linalg, name), **kwargs):
-            calls.append(_name)
-            return _original(a, *args, **kwargs)
+    for module, name, label in ((scipy.linalg.lapack, "dgees", "schur"),
+                                (scipy.linalg, "eigh", "eigh")):
+        def counted(*args, _label=label, _original=getattr(module, name), **kwargs):
+            if kwargs.get("lwork") != -1:
+                calls.append(_label)
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -380,3 +385,51 @@ def test_symmetric_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
     conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
     assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
     assert rotated.size == space.size == 4
+
+
+# ---------------------------------------------------------------------------
+# the spectral projector is kept factored; the input is only read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("split", [fixed_space, rotating_space])
+@pytest.mark.parametrize("name", SQUARE_FIXTURES)
+def test_project_matches_the_dense_projector(name, split):
+    space = split(_square_fixture(name))
+    d = space.dim
+    rng = np.random.default_rng(len(name))
+    stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    dense = space.projector
+    assert np.max(np.abs(space.project(stack[0])
+                         - apply_superoperator(dense, stack[0]))) <= 1e-12
+    expected = np.stack([apply_superoperator(dense, x) for x in stack])
+    assert space.project(stack).shape == stack.shape
+    assert np.max(np.abs(space.project(stack) - expected)) <= 1e-12
+
+
+def test_hand_built_superoperator_is_only_read():
+    sup = to_superoperator(zoo.random_cptp(4, 2, 1))
+    before = sup.matrix.copy()
+    for split in (fixed_space, rotating_space):
+        split(sup)
+        assert np.array_equal(sup.matrix, before)
+
+
+@pytest.mark.parametrize("row", [0, 12, 24])
+def test_hermiticity_leak_in_any_row_block_is_refused(row):
+    # entry (row, row) of a d = 5 superoperator is a diagonal operator entry, so
+    # 0.1i there is an imaginary part of 0.1 in that row of Hermitian coordinates
+    m = to_superoperator(zoo.random_cptp(5, 2, 1)).matrix.copy()
+    m[row, row] += 0.1j
+    with pytest.raises(ValidationError, match="1.000e-01"):
+        fixed_space(Superoperator(dim_in=5, dim_out=5, matrix=m))
+
+
+@pytest.mark.parametrize("split", [fixed_space, rotating_space])
+def test_non_square_spectral_input_is_a_validation_error(split):
+    v = np.zeros((3, 2), dtype=complex)
+    v[0, 0] = v[1, 1] = 1.0
+    ch = channel_from_kraus([v])
+    with pytest.raises(ValidationError, match="square channel"):
+        split(ch)
+    with pytest.raises(ValidationError, match="square superoperator"):
+        split(to_superoperator(ch))

@@ -206,18 +206,19 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
         if hasattr(module, "to_superoperator"):
             monkeypatch.setattr(module, "to_superoperator", counted)
     factorizations = []
-    for name in ("schur", "eigh"):
-        def counted_factorization(a, *args, _name=name, _original=getattr(scipy.linalg, name),
-                                  **kwargs):
-            factorizations.append((_name, a.dtype))
-            return _original(a, *args, **kwargs)
+    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg, "eigh")):
+        def counted_factorization(*args, _name=name, _original=getattr(module, name), **kwargs):
+            a = args[1] if _name == "dgees" else args[0]  # dgees(select, a, ...)
+            if kwargs.get("lwork") != -1:  # not the workspace query
+                factorizations.append((_name, a.dtype))
+            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, name, counted_factorization)
+        monkeypatch.setattr(module, name, counted_factorization)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
     # one real factorization, in Hermitian coordinates; the composite R o E of
     # the unconditional analysis is self-adjoint, so it takes the symmetric one
-    method = "eigh" if analyze is unconditional_structure else "schur"
+    method = "eigh" if analyze is unconditional_structure else "dgees"
     assert factorizations == [(method, np.float64)]
 
 
@@ -270,6 +271,23 @@ def test_large_algebras_stay_small_in_memory(build, shape, cofactors):
         tracemalloc.stop()
     assert (s.shape, s.cofactors) == (shape, cofactors)
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("analyze", [
+    noiseless_structure, unitarily_noiseless_structure, unconditional_structure,
+])
+@pytest.mark.parametrize("d, seed", [(16, 1), (16, 2), (20, 1)])
+def test_spectral_analysis_holds_one_superoperator(analyze, d, seed):
+    # the superoperator S, its real form (half of S) and O(d^3) blocks: the
+    # peak above the start stays under 1.8 S; copies of S once made it 2.1 S
+    ch = zoo.random_cptp(d, 3, seed)
+    tracemalloc.start()
+    try:
+        analyze(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 16 * d**4
 
 
 @pytest.mark.parametrize("d, dfs", [(10, 5), (12, 4)])
