@@ -24,8 +24,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DecompositionError, NumericalError
-from .spectral import OperatorSpace, operator_space_from_span, subspace_distance
-from .tolerances import (BASIS_ORTHONORMAL, CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL,
+from .spectral import OperatorSpace, _is_orthonormal, operator_space_from_span
+from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL,
                          INTEGER_GUARD, RANK_REL, TRANSPORT_FLOOR, TRANSPORT_REL,
                          ToleranceConfig)
 
@@ -93,15 +93,6 @@ def _embed(v: np.ndarray, x, y) -> np.ndarray:
     return v @ np.kron(np.asarray(x, dtype=complex), y) @ v.conj().T
 
 
-def _stacked_basis(space: OperatorSpace) -> np.ndarray:
-    """The basis as a ``(k, dim, dim)`` stack, checked to be orthonormal."""
-    basis = np.stack(space.basis)
-    flat = basis.reshape(len(basis), -1)
-    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) > BASIS_ORTHONORMAL:
-        raise NumericalError("operator space basis is not orthonormal")
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # reference checks, not exported: the decomposition below certifies itself
 # without them, and no package code calls them.  They stay only while
@@ -131,7 +122,9 @@ def is_algebra(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Alge
     """
     if space.size == 0:
         return AlgebraCheck(closed=True, worst_residual=0.0, worst_pair=None)
-    basis = _stacked_basis(space)
+    basis = space.basis
+    if not _is_orthonormal(basis):
+        raise NumericalError("operator space basis is not orthonormal")
     flat = basis.reshape(len(basis), -1)
 
     def residuals(ops: np.ndarray) -> np.ndarray:
@@ -154,16 +147,12 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
     if space.size == 0:
         return operator_space_from_span(np.eye(d * d, dtype=complex), d)
     eye = np.eye(d)
-    rows = []
-    for b in space.basis:
-        # vec([B, X]) = (1 kron B - B^T kron 1) vec(X) in column stacking
-        rows.append(np.kron(eye, b) - np.kron(b.T, eye))
-    stacked = np.vstack(rows)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    # vec([B, X]) = (1 kron B - B^T kron 1) vec(X) in column stacking, one block per B
+    stacked = np.kron(eye, space.basis)
+    stacked -= np.kron(space.basis.transpose(0, 2, 1), eye)
+    _, s, vh = np.linalg.svd(stacked.reshape(-1, d * d), full_matrices=False)
     cut = max(tol.subspace, s[0] * RANK_REL)
     null_dim = int(np.sum(s <= cut))
-    if null_dim == 0:
-        return OperatorSpace(dim=d, basis=())
     basis = vh[len(vh) - null_dim:].conj().T
     return operator_space_from_span(basis, d)
 
@@ -204,7 +193,7 @@ def _centre(space: OperatorSpace, rng: np.random.Generator,
     which costs ``k r^3 + k^2 r^2`` flops.  A non-generic draw only makes the
     null space too large.
     """
-    basis = _stacked_basis(space)
+    basis = space.basis
     k, r = basis.shape[:2]
     gram = np.zeros((k, k), dtype=complex)
     for _ in range(2):
@@ -342,7 +331,7 @@ def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
     if d == 1:
         # abelian factor: any orthonormal basis of the sector works
         return np.eye(m, dtype=complex)
-    ops = np.stack(local_space.basis)
+    ops = local_space.basis
     h = _random_hermitian_in(ops, rng)
     v, clusters = _eigen_clusters(h)
     if len(clusters) != d or any(len(c) != n for c in clusters):
@@ -381,9 +370,16 @@ def _matrix_units(sector: Sector) -> np.ndarray:
 def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dict[str, float]:
     """Residuals certifying a decomposition against the original span.
 
-    Checks isometry orthonormality, mutual sector orthogonality, and that
-    the span rebuilt from matrix units equals the input span.
+    Checks isometry orthonormality, mutual sector orthogonality, and that the
+    span rebuilt from matrix units equals the input span: ``||B - (B A^dag) A||_2``
+    for the basis ``B`` and the units ``A`` scaled by ``1/sqrt(n)``, orthonormal to
+    within the first two residuals, is the sine of the largest principal angle.
+
+    Raises:
+        NumericalError: if the basis of ``space`` is not orthonormal.
     """
+    if not _is_orthonormal(space.basis):
+        raise NumericalError("operator space basis is not orthonormal")
     iso_res = 0.0
     orth_res = 0.0
     for i, s in enumerate(dec.sectors):
@@ -392,10 +388,10 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
         for other in dec.sectors[i + 1:]:
             orth_res = max(orth_res, float(np.max(np.abs(v.conj().T @ other.isometry))))
 
-    rebuilt = np.concatenate([_matrix_units(s) for s in dec.sectors])
-    # column-stacked vectorization, as in OperatorSpace.vec_matrix
-    recon = subspace_distance(space.vec_matrix(),
-                              rebuilt.transpose(0, 2, 1).reshape(len(rebuilt), -1).T)
+    a = np.concatenate([_matrix_units(s) / np.sqrt(s.n) for s in dec.sectors])
+    a = a.reshape(len(a), -1)
+    b = space.basis.reshape(-1, space.dim ** 2)
+    recon = 1.0 if len(a) != len(b) else float(np.linalg.norm(b - (b @ a.conj().T) @ a, 2))
 
     report = {
         "isometry_residual": iso_res,

@@ -238,7 +238,7 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
     operator; only the interior priors are measured per pair.
     """
     n, d = states.shape[:2]
-    v = _joint_support(states, d)
+    v = _joint_support(states)
     if 0 < v.shape[1] < d:
         pi = v @ v.conj().T
         if _batched_trace_norm(states - pi @ states @ pi).max() <= SWEEP_COMPRESSION:

@@ -35,7 +35,6 @@ eigenvalue of ``M_r`` is within that of the solver's, far inside ``PERIPHERAL``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,8 @@ from .channels import (
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
-from .tolerances import (DEFAULT_TOL, PAIRING_CONDITION, PERIPHERAL, RANK_REL, SELF_ADJOINT,
-                         SPECTRAL_GAP, ToleranceConfig)
+from .tolerances import (BASIS_ORTHONORMAL, DEFAULT_TOL, PAIRING_CONDITION, PERIPHERAL, RANK_REL,
+                         SELF_ADJOINT, SPECTRAL_GAP, ToleranceConfig)
 
 __all__ = [
     "OperatorSpace",
@@ -64,10 +63,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorSpace:
-    """A subspace of operator space with a Hilbert-Schmidt orthonormal basis."""
+    """A span of operators with a Hilbert-Schmidt orthonormal ``(size, dim, dim)`` basis."""
 
     dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
+
+    def __post_init__(self):
+        basis = np.asarray(self.basis, dtype=complex).reshape(-1, self.dim, self.dim)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def size(self) -> int:
@@ -75,19 +78,18 @@ class OperatorSpace:
 
     def vec_matrix(self) -> np.ndarray:
         """``dim^2 x size`` matrix whose columns are the column-stacked basis."""
-        if not self.basis:
-            return np.zeros((self.dim**2, 0), dtype=complex)
-        return np.column_stack([b.reshape(-1, order="F") for b in self.basis])
+        return self.basis.transpose(0, 2, 1).reshape(-1, self.dim ** 2).T
 
     def support(self) -> np.ndarray:
         """Orthonormal columns spanning the joint support of the span."""
-        return _joint_support(self.basis, self.dim)
+        return _joint_support(self.basis)
 
     def compressed(self, v: np.ndarray) -> "OperatorSpace":
-        """The span of ``v^dag b v`` over the basis, for an isometry ``v``."""
-        m = v.shape[1]
-        local = OperatorSpace(dim=m, basis=tuple(v.conj().T @ b @ v for b in self.basis))
-        return operator_space_from_span(local.vec_matrix(), m)
+        """The span of ``v^dag b v`` for an isometry ``v``, orthonormalized if it shrinks."""
+        local = OperatorSpace(dim=v.shape[1], basis=v.conj().T @ self.basis @ v)
+        if _is_orthonormal(local.basis):
+            return local
+        return operator_space_from_span(local.vec_matrix(), local.dim)
 
 
 @dataclass(frozen=True)
@@ -96,33 +98,39 @@ class SpectralSpace(OperatorSpace):
 
     ``dual`` spans the matching left eigenoperators (those of the adjoint
     map).  The spectral projector onto this space along the rest of the
-    spectrum is kept factored as ``P = R L^dag``: ``right`` holds the
-    vectorized basis as its columns and ``left`` the matching left columns.
+    spectrum is kept factored as ``P(x) = sum_i <L_i, x> B_i`` over the basis
+    and the matching left eigenoperators, the ``(size, dim, dim)`` stack ``left``.
     """
 
     dual: OperatorSpace
-    right: np.ndarray
     left: np.ndarray
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """``P(x) = R L^dag vec(x)`` for one operator or a stack of them."""
+        """``P(x) = sum_i <L_i, x> B_i`` for one operator or a stack of them."""
         x = np.asarray(x)
-        stack = x.reshape(-1, self.dim, self.dim).transpose(0, 2, 1)  # rows are vec(x)
-        out = (stack.reshape(len(stack), -1) @ self.left.conj()) @ self.right.T
-        return out.reshape(stack.shape).transpose(0, 2, 1).reshape(x.shape)
+        coeff = x.reshape(-1, self.dim * self.dim) @ self.left.reshape(self.size, -1).conj().T
+        return (coeff @ self.basis.reshape(self.size, -1)).reshape(x.shape)
 
     @property
     def projector(self) -> Superoperator:
         """The spectral projector as a dense ``d^2 x d^2`` matrix, built on each read."""
+        left = self.left.transpose(0, 2, 1).reshape(self.size, -1)  # rows are vec(L_i)
         return Superoperator(dim_in=self.dim, dim_out=self.dim,
-                             matrix=self.right @ self.left.conj().T)
+                             matrix=self.vec_matrix() @ left.conj())
 
 
-def _joint_support(ops: Iterable[np.ndarray], dim: int) -> np.ndarray:
+def _is_orthonormal(basis: np.ndarray) -> bool:
+    """Whether a ``(k, dim, dim)`` stack's Gram matrix is within ``BASIS_ORTHONORMAL`` of 1."""
+    flat = basis.reshape(-1, basis.shape[-1] ** 2)
+    gram = flat.conj() @ flat.T
+    return bool(np.max(np.abs(gram - np.eye(len(basis))), initial=0.0) <= BASIS_ORTHONORMAL)
+
+
+def _joint_support(ops: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of ``sum_x x x^dag + x^dag x``
-    over the ``dim x dim`` operators ``ops``; largest eigenvalue first.
+    over a ``(k, dim, dim)`` stack ``ops``; largest eigenvalue first.
     Eigenvalues below ``RANK_REL`` times the largest count as zero."""
-    acc = np.zeros((dim, dim), dtype=complex)
+    acc = np.zeros(ops.shape[1:], dtype=complex)
     for x in ops:
         acc += x @ x.conj().T + x.conj().T @ x
     w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
@@ -138,14 +146,9 @@ def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
     v = np.asarray(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[0] != dim * dim:
         raise NumericalError(f"span matrix has shape {v.shape}, expected ({dim*dim}, k)")
-    if v.shape[1] == 0:
-        return OperatorSpace(dim=dim, basis=())
     u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return OperatorSpace(dim=dim, basis=())
-    keep = s > RANK_REL * s[0]
-    ops = tuple(u[:, i].reshape((dim, dim), order="F") for i in range(s.size) if keep[i])
-    return OperatorSpace(dim=dim, basis=ops)
+    keep = s > RANK_REL * np.max(s, initial=0.0)
+    return OperatorSpace(dim=dim, basis=_operators(u[:, keep], dim))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +170,8 @@ def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int
     )
 
 
-def _operators(columns: np.ndarray, d: int) -> tuple[np.ndarray, ...]:
-    return tuple(c.reshape((d, d), order="F") for c in columns.T)
+def _operators(columns: np.ndarray, d: int) -> np.ndarray:
+    return columns.T.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def _moduli(t: np.ndarray) -> np.ndarray:
@@ -241,7 +244,7 @@ def _split(ch, select, nothing_selected: str,
     left = right if symmetric else from_hermitian_coordinates(left, d)
     space = SpectralSpace(dim=d, basis=_operators(right, d),
                           dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
-                          right=right, left=left)
+                          left=_operators(left, d))
     return space, gap, cond
 
 

@@ -129,11 +129,11 @@ def schur_split(ch: QuantumChannel, select,
     dual = from_hermitian_coordinates(np.linalg.qr(left)[0], d)
 
     def ops(columns):
-        return tuple(c.reshape((d, d), order="F") for c in columns.T)
+        return columns.T.reshape(-1, d, d).transpose(0, 2, 1)
 
     space = SpectralSpace(
         dim=d, basis=ops(right), dual=OperatorSpace(dim=d, basis=ops(dual)),
-        right=right, left=from_hermitian_coordinates(left, d),
+        left=ops(from_hermitian_coordinates(left, d)),
     )
     interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
     gap = 1.0 - float(interior.max()) if interior.size else math.inf

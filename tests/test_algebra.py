@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from ipstruct import (
     DecompositionError,
+    NumericalError,
+    OperatorSpace,
     canonical_decompose,
     verify_decomposition,
 )
@@ -121,6 +123,22 @@ def test_canonical_decompose_known_shape():
     assert res["max_residual"] < 1e-8
     assert dec.residuals == {"algebra_closure": dec.residuals["algebra_closure"], **res}
     assert dec.residuals["algebra_closure"] < 1e-8
+    # the span is exactly an algebra, so the distance is rounding alone
+    assert res["reconstruction_distance"] <= 1e-13
+    # one basis element turned by t towards an operator outside the span: the
+    # distance reads sin t, down to angles far below tol.subspace
+    v = space.vec_matrix()
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    x -= v @ (v.conj().T @ x)
+    outside = (x / np.linalg.norm(x)).reshape(8, 8, order="F")
+    for t in (1e-9, 1e-5, 0.3):
+        turned = space.basis.copy()
+        turned[0] = np.cos(t) * turned[0] + np.sin(t) * outside
+        dist = verify_decomposition(OperatorSpace(dim=8, basis=turned), dec)
+        assert abs(dist["reconstruction_distance"] - np.sin(t)) <= 1e-12, t
+    # a hand-built basis that is not orthonormal is refused
+    with pytest.raises(NumericalError, match="not orthonormal"):
+        verify_decomposition(OperatorSpace(dim=8, basis=2.0 * space.basis), dec)
 
 
 def test_canonical_decompose_reconstructs_elements():
@@ -234,7 +252,7 @@ def test_degenerate_centre_draw_is_retried(monkeypatch):
     def degenerate_first(comp_space, rng, tol):
         calls.append(rng)
         if len(calls) == 1:
-            return np.stack(comp_space.basis)
+            return comp_space.basis
         return original(comp_space, rng, tol)
 
     monkeypatch.setattr(ipstruct.algebra, "_centre", degenerate_first)

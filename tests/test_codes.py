@@ -519,7 +519,7 @@ def _sweep_stacks(code: Code, ch):
 
 
 def _rank(stack: np.ndarray) -> int:
-    return _joint_support(stack, stack.shape[1]).shape[1]
+    return _joint_support(stack).shape[1]
 
 
 def test_compressed_sweep_matches_the_ambient_sweep_on_listed_pairs():

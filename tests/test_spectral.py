@@ -8,6 +8,7 @@ from scipy.stats import unitary_group
 
 from ipstruct import (
     NumericalError,
+    OperatorSpace,
     StochasticChannel,
     Superoperator,
     ValidationError,
@@ -51,6 +52,12 @@ def test_unitary_channel_spectrum():
         assert_allclose(rotating_space(ch).projector.matrix, np.eye(d * d), atol=1e-10)
 
 
+def _assert_stack(space):
+    """The one layout of a span: a complex ``(size, dim, dim)`` array."""
+    assert isinstance(space.basis, np.ndarray) and space.basis.dtype == complex
+    assert space.basis.shape == (space.size, space.dim, space.dim)
+
+
 def test_fixed_space_dephasing_is_diagonal():
     space = fixed_space(zoo.fixture("dephasing_qubit"))
     assert space.size == 2
@@ -75,12 +82,14 @@ PLANTED_AND_RANDOM = [
 def test_fixed_space_dim_matches_adjoint(ch):
     space = fixed_space(ch)
     assert space.size == space.dual.size
+    _assert_stack(space)
+    _assert_stack(space.dual)
     # the dual holds fixed points of the adjoint map
     m = to_superoperator(ch).matrix
     dual = space.dual.vec_matrix()
     assert np.linalg.norm(m.conj().T @ dual - dual) < 1e-9
-    # both bases come out of Hermitian coordinates
-    for b in space.basis + space.dual.basis:
+    # both bases come out of Hermitian coordinates; each element is checked
+    for b in np.concatenate([space.basis, space.dual.basis]):
         assert np.max(np.abs(b - b.conj().T)) < 1e-12
     # the right space is the null space of S - 1, found independently
     null = scipy.linalg.null_space(m - np.eye(m.shape[0]))
@@ -106,6 +115,8 @@ def test_rotating_space_contains_fixed_space():
     rot = rotating_space(ch)
     rot_dual = rot.dual
     assert rot.size == rot_dual.size
+    _assert_stack(rot)
+    _assert_stack(rot_dual)
     assert rot.size > fix.size  # the rotating coherences are extra
     f = fix.vec_matrix()
     r = rot.vec_matrix()
@@ -208,6 +219,47 @@ def test_operator_space_from_span_drops_dependent_columns():
     cols = np.column_stack([a[:, 0], a[:, 1], a[:, 0] + a[:, 1]])
     space = operator_space_from_span(cols, dim=2)
     assert space.size == 2
+    _assert_stack(space)
+    # no columns, or only zero ones, give the empty stack
+    for empty in (np.zeros((4, 0)), np.zeros((4, 3))):
+        assert operator_space_from_span(empty, dim=2).basis.shape == (0, 2, 2)
+    # a tuple of operators, or an empty one, is stacked by the constructor
+    coerced = OperatorSpace(dim=2, basis=tuple(space.basis))
+    _assert_stack(coerced)
+    assert np.array_equal(coerced.basis, space.basis)
+    assert OperatorSpace(dim=2, basis=()).basis.shape == (0, 2, 2)
+
+
+def test_compressed_orthonormalizes_only_a_span_that_shrinks(monkeypatch):
+    rng = np.random.default_rng(8)
+    ops = np.zeros((5, 4, 4), dtype=complex)  # supported on the first three basis vectors
+    ops[:, :3, :3] = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    space = operator_space_from_span(np.column_stack([vec(x) for x in ops]), dim=4)
+    v = space.support()
+    assert v.shape == (4, 3)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an isometric compression needs no SVD")
+
+    # onto the support the compression is isometric: the stack is kept as it is
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", no_svd)
+        kept = space.compressed(v)
+    assert np.array_equal(kept.basis, v.conj().T @ space.basis @ v)
+    _assert_stack(kept)
+    # onto two support directions the five elements span at most four
+    w = v[:, :2]
+    shrunk = space.compressed(w)
+    stack = w.conj().T @ space.basis @ w
+    reference = operator_space_from_span(np.column_stack([vec(x) for x in stack]), dim=2)
+    _assert_stack(shrunk)
+    assert shrunk.size == reference.size == 4
+    flat = shrunk.basis.reshape(4, -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(4))) <= 1e-12
+    assert subspace_distance(shrunk, reference) <= 1e-12
+    # off the support every element is annihilated; an empty span stays empty
+    assert space.compressed(np.eye(4)[:, 3:]).basis.shape == (0, 1, 1)
+    assert OperatorSpace(dim=4, basis=()).compressed(v).basis.shape == (0, 3, 3)
 
 
 def test_subspace_distance():
