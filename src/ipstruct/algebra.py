@@ -208,7 +208,10 @@ def _centre(space: OperatorSpace, rng: np.random.Generator,
 def _sector_key(s: Sector) -> tuple:
     """Larger factors first; ties are broken by the sector projector alone
     (its diagonal, then its entries, rounded), never by the random element
-    that found the sectors."""
+    that found the sectors.  The projector is read in the coordinates of the
+    isometry's rows, so a caller that lifts sectors into a larger space
+    sorts them again there, where the order no longer depends on the basis
+    chosen for the support."""
     p = s.isometry @ s.isometry.conj().T
     entries = (-np.concatenate([p.diagonal(), p.ravel()])).view(float)
     return (-s.d, -s.n, *entries.round(6).tolist())

@@ -193,6 +193,8 @@ class StochasticChannel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2:
             raise ValidationError("stochastic matrix must be 2-dimensional")
+        if 0 in m.shape:
+            raise ValidationError(f"stochastic matrix of shape {m.shape} has no entries")
         object.__setattr__(self, "n_out", m.shape[0])
         object.__setattr__(self, "n_in", m.shape[1])
         if not np.all(np.isfinite(m)):
@@ -232,19 +234,26 @@ def is_projector(p: np.ndarray) -> bool:
     return bool(herm and idem)
 
 
+def _psd_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` and orthonormal eigenvectors ``v`` (columns) spanning
+    the support of a Hermitian PSD matrix, largest eigenvalue first.
+
+    The one rank cut of a PSD operator: ``eigh`` of ``(a + a^dag)/2``, keeping
+    the eigenvalues above ``RANK_REL`` times the largest modulus.  The zero
+    matrix has an empty support.
+    """
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    keep = w > RANK_REL * np.max(np.abs(w), initial=0.0)
+    return w[keep][::-1], v[:, keep][:, ::-1]
+
+
 def projector_onto_support(a: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a Hermitian PSD matrix.
 
     Eigenvalues below ``RANK_REL`` times the largest one count as zero.
     """
-    h = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    top = np.max(np.abs(w)) if w.size else 0.0
-    if top == 0.0:
-        return np.zeros_like(h)
-    keep = w > RANK_REL * top
-    vk = v[:, keep]
-    return vk @ vk.conj().T
+    v = _psd_support(a)[1]
+    return v @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

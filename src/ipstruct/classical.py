@@ -98,31 +98,39 @@ def _clique_cover_bound(avail: int, masks: list[int]) -> int:
     return bound
 
 
-def _mis_size(avail: int, masks: list[int], current: int, best: list[int]) -> None:
-    if current + bin(avail).count("1") <= best[0]:
-        return
-    if avail == 0:
-        best[0] = max(best[0], current)
-        return
-    if current + _clique_cover_bound(avail, masks) <= best[0]:
-        return
-    # branch on a vertex of maximum available degree
-    v, vdeg = -1, -1
-    scan = avail
-    while scan:
-        u = (scan & -scan).bit_length() - 1
-        scan &= scan - 1
-        deg = bin(masks[u] & avail).count("1")
-        if deg > vdeg:
-            v, vdeg = u, deg
-    _mis_size(avail & ~((1 << v) | masks[v]), masks, current + 1, best)
-    _mis_size(avail & ~(1 << v), masks, current, best)
+def _maximum_sets(g: Graph, every: bool) -> list[tuple[int, ...]]:
+    """Maximum independent sets of ``g`` in lexicographic order: all of them
+    when ``every``, else only the lexicographically smallest one.
 
+    Each branch keeps the lowest available vertex first and then drops it, so
+    leaves arrive in lexicographic order of their sorted vertex lists, and a
+    branch is pruned on the clique-cover bound.  Without ``every`` a branch
+    that cannot beat the best size is pruned: one that holds the smallest
+    maximum set has a bound of at least the independence number, which
+    exceeds the best size until that set is reached.  With ``every`` only a
+    branch that cannot reach the best size is pruned, and the list restarts
+    whenever the best size grows.
+    """
+    masks = _adjacency_masks(g)
+    best = [-1]  # below every size, so the first leaf is recorded
+    found: list[tuple[int, ...]] = []
 
-def _independence_number(avail: int, masks: list[int]) -> int:
-    best = [0]
-    _mis_size(avail, masks, 0, best)
-    return best[0]
+    def recurse(avail: int, current: list[int]):
+        bound = len(current) + _clique_cover_bound(avail, masks)
+        if bound < best[0] or (bound == best[0] and not every):
+            return
+        if avail == 0:
+            if len(current) > best[0]:
+                best[0] = len(current)
+                found.clear()
+            found.append(tuple(current))
+            return
+        v = (avail & -avail).bit_length() - 1
+        recurse(avail & ~((1 << v) | masks[v]), current + [v])
+        recurse(avail & ~(1 << v), current)
+
+    recurse((1 << g.n) - 1, [])
+    return found
 
 
 def max_zero_error_code(sc: StochasticChannel) -> tuple[int, ...]:
@@ -130,8 +138,7 @@ def max_zero_error_code(sc: StochasticChannel) -> tuple[int, ...]:
     confusability graph.
 
     Ties are broken toward the lexicographically smallest sorted vertex
-    list: each vertex in order is kept exactly when a maximum-size
-    completion through it still exists.
+    list: it is the first maximum set a lexicographic branch and bound meets.
     """
     return _first_maximum_independent_set(adjacency_graph(sc))
 
@@ -142,21 +149,7 @@ def _first_maximum_independent_set(g: Graph) -> tuple[int, ...]:
         raise ValidationError(
             f"exact solver is limited to {MAX_EXACT_VERTICES} symbols (got {g.n})"
         )
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    target = _independence_number(full, masks)
-    chosen: list[int] = []
-    avail = full
-    for v in range(g.n):
-        if not (avail >> v) & 1:
-            continue
-        rest = avail & ~((1 << v) | masks[v])
-        if len(chosen) + 1 + _independence_number(rest, masks) == target:
-            chosen.append(v)
-            avail = rest
-        else:
-            avail &= ~(1 << v)
-    return tuple(chosen)
+    return _maximum_sets(g, every=False)[0]
 
 
 def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
@@ -168,25 +161,7 @@ def maximum_independent_sets(g: Graph) -> list[tuple[int, ...]]:
         raise ValidationError(
             f"enumeration is limited to {MAX_ENUMERATION_VERTICES} vertices (got {g.n})"
         )
-    masks = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    target = _independence_number(full, masks)
-    found: list[tuple[int, ...]] = []
-
-    def recurse(avail: int, current: list[int]):
-        if len(current) + bin(avail).count("1") < target:
-            return
-        if len(current) == target:
-            found.append(tuple(current))
-            return
-        if avail == 0:
-            return
-        v = (avail & -avail).bit_length() - 1
-        recurse(avail & ~((1 << v) | masks[v]), current + [v])
-        recurse(avail & ~(1 << v), current)
-
-    recurse(full, [])
-    return sorted(found)
+    return _maximum_sets(g, every=True)
 
 
 def graph_to_channel(g: Graph) -> StochasticChannel:

@@ -32,6 +32,7 @@ import numpy as np
 from .algebra import _embed
 from .channels import (
     QuantumChannel,
+    _psd_support,
     apply_channel,
     channel_from_kraus,
     compose,
@@ -383,10 +384,11 @@ def is_preserved(code: Code, ch: QuantumChannel,
 def _preparation_kraus(state: np.ndarray, inputs: np.ndarray) -> list[np.ndarray]:
     """Kraus operators ``sqrt(lam) |v><b|`` of "discard, prepare ``state``"
     on the span of the orthonormal columns ``b`` of ``inputs``, over the
-    eigenpairs ``(lam, v)`` of ``state`` with ``lam > 0``."""
-    w, v = np.linalg.eigh((state + state.conj().T) / 2.0)
+    eigenpairs ``(lam, v)`` of ``state`` on its support
+    (``channels._psd_support``)."""
+    w, v = _psd_support(state)
     return [np.outer(np.sqrt(lam) * v[:, m], b.conj())
-            for m, lam in enumerate(w) if lam > 0.0 for b in inputs.T]
+            for m, lam in enumerate(w) for b in inputs.T]
 
 
 def build_fixing_recovery(code: Code, ch: QuantumChannel,
@@ -431,13 +433,13 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
 
     # route anything outside the support to a fixed default state so the
     # reset map is trace preserving on the whole space (never exercised by
-    # recovered inputs, whose support lies inside P)
-    comp = np.eye(ch.dim_in) - structure.support_projector
-    comp_rank = int(round(float(np.real(np.trace(comp)))))
-    if comp_rank > 0:
+    # recovered inputs, whose support lies inside P); at full rank 1 - P is
+    # rounding alone, which a relative cut would keep
+    if structure.support_rank < ch.dim_in:
         first = structure.algebra.sectors[0]
         default = _embed(first.isometry, np.eye(first.d) / first.d, mus[0])
-        kraus.extend(_preparation_kraus(default, np.linalg.eigh(comp)[1][:, -comp_rank:]))
+        outside = _psd_support(np.eye(ch.dim_in) - structure.support_projector)[1]
+        kraus.extend(_preparation_kraus(default, outside))
 
     reset = channel_from_kraus(kraus, tol=tol)
     recovery = compose(reset, corr.recovery, tol=tol)

@@ -43,6 +43,7 @@ import scipy.linalg
 from .channels import (
     QuantumChannel,
     Superoperator,
+    _psd_support,
     from_hermitian_coordinates,
     hermitian_coordinates,
     to_superoperator,
@@ -133,8 +134,7 @@ def _joint_support(ops: np.ndarray) -> np.ndarray:
     acc = np.zeros(ops.shape[1:], dtype=complex)
     for x in ops:
         acc += x @ x.conj().T + x.conj().T @ x
-    w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
-    return v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
+    return _psd_support(acc)[1]
 
 
 def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:

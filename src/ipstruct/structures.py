@@ -26,9 +26,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, Sector, _embed, _matrix_units, canonical_decompose
+from .algebra import (AlgebraDecomposition, Sector, _embed, _matrix_units, _sector_key,
+                      canonical_decompose)
 from .channels import (
     QuantumChannel,
+    _psd_support,
     apply_channel,
     channel_from_kraus,
     compose,
@@ -40,8 +42,7 @@ from .spectral import (
     fixed_space,
     rotating_space,
 )
-from .tolerances import (DEFAULT_TOL, FIXED_STATE_RESIDUAL, RANK_REL, TAU_MIN_EIG, TAU_TRACE,
-                         ToleranceConfig)
+from .tolerances import DEFAULT_TOL, FIXED_STATE_RESIDUAL, TAU_MIN_EIG, TAU_TRACE, ToleranceConfig
 
 __all__ = [
     "FixedPointStructure",
@@ -113,13 +114,8 @@ class InitializationFreeReport:
 
 def _pinv_sqrt(a: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix on its support."""
-    h = (a + a.conj().T) / 2.0
-    w, v = np.linalg.eigh(h)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    inv = np.zeros_like(w)
-    keep = w > RANK_REL * top if top > 0 else np.zeros_like(w, dtype=bool)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
-    return (v * inv) @ v.conj().T
+    w, v = _psd_support(a)
+    return (v / np.sqrt(w)) @ v.conj().T
 
 
 def transpose_channel(ch: QuantumChannel, projector: np.ndarray,
@@ -194,9 +190,10 @@ def _structure_from_space(
         )
 
     dec_local = canonical_decompose(alg_space, seed=seed, tol=tol)
-    sectors = tuple(
-        Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors
-    )
+    # ties are broken in the input space, not in the arbitrary support basis
+    sectors = tuple(sorted(
+        (Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors),
+        key=_sector_key))
     dec = replace(dec_local, ambient_dim=space.dim, sectors=sectors, support_projector=p0)
 
     # distortion states: average a seeded pure state on each factor and trace

@@ -43,7 +43,11 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
-RANK_REL = 1e-10  # numerical rank: values below this times the largest are zero
+# numerical rank: values below this times the largest are zero.  One routine,
+# channels._psd_support, cuts every PSD operator; the other users are
+# spectral.operator_space_from_span on a span's singular values and the null
+# spaces of algebra.commutant and algebra._centre, beside a tol.subspace floor
+RANK_REL = 1e-10
 PROJECTOR = 1e-10  # entrywise Hermiticity and idempotency of an orthogonal projector
 PERIPHERAL = 1e-8  # |lambda - 1| (or ||lambda| - 1|) below this: fixed (or peripheral)
 SPECTRAL_GAP = 1e-6  # least gap between the unit circle and the interior spectrum

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.stats import unitary_group
 
 from ipstruct import (
     DEFAULT_TOL,
@@ -20,12 +21,15 @@ from ipstruct import (
     vec,
 )
 from ipstruct.channels import (
+    _psd_support,
     from_hermitian_coordinates,
     hermitian_coordinates,
     is_projector,
     projector_onto_support,
 )
 from ipstruct import zoo
+from ipstruct.spectral import _joint_support
+from ipstruct.tolerances import RANK_REL
 from oracles import (
     adjoint,
     is_hermitian,
@@ -259,3 +263,43 @@ def test_projector_onto_support():
     basis = orthonormal_range_basis(p)
     assert basis.shape == (3, 2)
     assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+
+
+def test_support_cut_is_relative_and_strict():
+    # in a random basis: kept above RANK_REL times the largest, dropped below
+    top = 3.0
+    w = np.array([0.5 * RANK_REL * top, top, 0.0, 2.0 * RANK_REL * top, 0.25 * top])
+    u = unitary_group.rvs(5, random_state=np.random.default_rng(2))
+    a = (u * w) @ u.conj().T
+    kept, v = _psd_support(a)
+    assert_allclose(kept, [top, 0.25 * top, 2.0 * RANK_REL * top], rtol=1e-5, atol=0.0)
+    assert v.shape == (5, 3)
+    assert_allclose(np.abs(v.conj().T @ u[:, [1, 4, 3]]), np.eye(3), atol=1e-9)
+    assert_allclose(projector_onto_support(a), v @ v.conj().T, atol=0.0)
+    # a value exactly at the cut is dropped
+    assert _psd_support(np.diag([1.0, RANK_REL]))[0].tolist() == [1.0]
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_support_of_zero_matrix_is_empty(d):
+    w, v = _psd_support(np.zeros((d, d), dtype=complex))
+    assert w.shape == (0,) and v.shape == (d, 0)
+    assert_allclose(projector_onto_support(np.zeros((d, d))), np.zeros((d, d)), atol=0.0)
+
+
+def test_joint_support_is_unchanged_bit_for_bit():
+    # the support basis feeds the decomposition, so its columns, phases and
+    # order must stay those of this formula
+    rng = np.random.default_rng(23)
+    for d, r, k in [(3, 1, 2), (4, 2, 3), (6, 3, 2), (8, 8, 4), (8, 5, 6)]:
+        iso = unitary_group.rvs(d, random_state=rng)[:, :r]
+        g = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+        ops = iso @ g @ iso.conj().T
+        acc = np.zeros((d, d), dtype=complex)
+        for x in ops:
+            acc += x @ x.conj().T + x.conj().T @ x
+        w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
+        expected = v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
+        got = _joint_support(ops)
+        assert got.shape == (d, r)
+        assert np.array_equal(got, expected)

@@ -13,21 +13,19 @@ from ipstruct import (
     maximum_independent_sets,
     zoo,
 )
+from ipstruct.classical import _first_maximum_independent_set
 from ipstruct.tolerances import OVERLAP_EPS
 
 from oracles import pairwise_adjacency_graph
 
 
-def brute_force_alpha(g: Graph) -> int:
-    """Reference independence number by subset enumeration (n <= 16)."""
-    best = 0
-    for size in range(g.n, 0, -1):
-        for subset in itertools.combinations(range(g.n), size):
-            chosen = set(subset)
-            if all((i, j) not in g.edges
-                   for i, j in itertools.combinations(sorted(chosen), 2)):
-                return size
-    return best
+def brute_force_maximum_sets(g: Graph) -> list[tuple[int, ...]]:
+    """Reference: every maximum independent set, sorted, by subset enumeration."""
+    for size in range(g.n, -1, -1):
+        found = [subset for subset in itertools.combinations(range(g.n), size)
+                 if not any(pair in g.edges for pair in itertools.combinations(subset, 2))]
+        if found:
+            return found
 
 
 def all_graphs(n):
@@ -113,25 +111,29 @@ def test_max_code_is_lexicographically_least():
     assert max_zero_error_code(sc) == (0, 2)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _assert_matches_brute_force(g: Graph):
+    want = brute_force_maximum_sets(g)
+    assert maximum_independent_sets(g) == want
+    assert max_zero_error_code(graph_to_channel(g)) == want[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_exact_solver_exhaustive_small(n):
     for g in all_graphs(n):
-        sets = maximum_independent_sets(g)
-        alpha = brute_force_alpha(g)
-        assert all(len(s) == alpha for s in sets)
-        # every reported set is independent
-        for s in sets:
-            assert all((i, j) not in g.edges
-                       for i, j in itertools.combinations(s, 2))
+        _assert_matches_brute_force(g)
 
 
 def test_exact_solver_random_oracle():
     rng = np.random.default_rng(17)
     for _ in range(50):
         n = int(rng.integers(2, 11))
-        g = random_graph(n, float(rng.uniform(0.1, 0.7)), rng)
-        sets = maximum_independent_sets(g)
-        assert len(sets[0]) == brute_force_alpha(g)
+        _assert_matches_brute_force(random_graph(n, float(rng.uniform(0.1, 0.7)), rng))
+
+
+def test_empty_graph_has_the_empty_code():
+    g = Graph.from_edges(0, [])
+    assert _first_maximum_independent_set(g) == ()
+    assert maximum_independent_sets(g) == [()]
 
 
 def test_maximum_independent_sets_two_code():

@@ -516,6 +516,19 @@ def test_classical_maxcode_rejects_channel_doc(fixtures_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", [
+    ["classical-maxcode", "--stochastic"],
+    ["analyze", "--mode", "noiseless", "--channel"],
+], ids=["classical-maxcode", "analyze"])
+def test_empty_stochastic_matrix_exits_2(tmp_path, capsys, verb):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"n_in": 0, "n_out": 1, "matrix": [[]]}))
+    code, out, err = run_cli(capsys, *verb, str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classical_maxcode_guard_exits_2(tmp_path, capsys):
     from ipstruct import Graph, graph_to_channel
     from ipstruct.serialization import stochastic_to_json

@@ -233,6 +233,13 @@ def test_hierarchy_implications():
 # recovery construction
 # ---------------------------------------------------------------------------
 
+def _assert_recovery_fixes(code: Code, ch) -> None:
+    rec = build_fixing_recovery(code, ch)
+    for s in code.states:
+        restored = apply_channel(rec, apply_channel(ch, s))
+        assert trace_norm(restored - s) < 1e-7
+
+
 @pytest.mark.parametrize("code_name,fixture_name,embed", [
     ("cyclic_four_02", "cyclic_four", True),
     ("ucp_sub", "ucp_d3", False),
@@ -243,11 +250,20 @@ def test_build_fixing_recovery(code_name, fixture_name, embed):
     ch = zoo.fixture(fixture_name)
     if embed:
         ch = embed_classical(ch)
-    code = zoo.code_fixture(code_name)
-    rec = build_fixing_recovery(code, ch)
-    for s in code.states:
-        restored = apply_channel(rec, apply_channel(ch, s))
-        assert trace_norm(restored - s) < 1e-7
+    _assert_recovery_fixes(zoo.code_fixture(code_name), ch)
+
+
+@pytest.mark.parametrize("code_name,fixture_name", [
+    ("cbit", "dephasing_qubit"),
+    ("ucp_sub", "ucp_d3"),
+])
+def test_build_fixing_recovery_in_a_turned_basis(code_name, fixture_name):
+    # turned by a unitary, a full support (cbit) leaves 1 - P at rounding
+    # level rather than zero, and a relative cut of it would keep that noise
+    code, ch = zoo.code_fixture(code_name), zoo.fixture(fixture_name)
+    u = unitary_group.rvs(code.dim, random_state=np.random.default_rng(6))
+    _assert_recovery_fixes(Code.from_states([u @ s @ u.conj().T for s in code.states]),
+                           channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus]))
 
 
 def test_build_fixing_recovery_rejects_unpreserved():

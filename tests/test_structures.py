@@ -382,6 +382,30 @@ def test_initialization_free_on_decaying_plane():
     assert not rep.initialization_free
 
 
+def test_tied_sector_order_does_not_depend_on_the_support_basis(monkeypatch):
+    # squash_three has two (1, 1) sectors, one initialization-free and one
+    # not; any unitary mix of the support columns spans the same support
+    ch = embed_classical(zoo.fixture("squash_three"))
+
+    def flags():
+        s = fixed_point_structure(ch)
+        return [bool(initialization_free_check(ch, s, k))
+                for k in range(len(s.algebra.sectors))]
+
+    expected = flags()
+    assert sorted(expected) == [False, True]
+    support = ipstruct.spectral._joint_support
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+
+        def turned(ops):
+            v = support(ops)
+            return v @ unitary_group.rvs(v.shape[1], random_state=rng)
+
+        monkeypatch.setattr(ipstruct.spectral, "_joint_support", turned)
+        assert flags() == expected, seed
+
+
 def test_initialization_free_trivial_when_support_is_everything():
     ch = zoo.fixture("dephasing_qubit")
     s = fixed_point_structure(ch)

@@ -36,3 +36,15 @@ def test_thresholds_live_in_tolerances_module():
                 if tok.type == tokenize.NUMBER and "e" in text and not text.startswith("0x"):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert found == []
+
+
+def test_rank_cut_lives_in_few_modules():
+    # channels._psd_support makes every rank cut of a PSD operator; the other
+    # users cut singular values and null spaces, which are other decisions
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open("rb") as f:
+            for tok in tokenize.tokenize(f.readline):
+                if tok.type == tokenize.NAME and tok.string == "RANK_REL":
+                    users.add(path.name)
+    assert users == {"tolerances.py", "channels.py", "spectral.py", "algebra.py"}
