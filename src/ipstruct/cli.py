@@ -23,7 +23,8 @@ from .channels import (
     embed_classical,
     is_cptp,
 )
-from .classical import _first_maximum_independent_set, adjacency_graph, maximum_independent_sets
+from .classical import (MAX_EXACT_VERTICES, _first_maximum_independent_set, adjacency_graph,
+                        maximum_independent_sets)
 from .codes import (
     Code,
     is_correctable_via_transpose,
@@ -279,7 +280,10 @@ def _cmd_classical_maxcode(args) -> int:
     if not isinstance(loaded, StochasticChannel):
         raise ValidationError("classical-maxcode needs a stochastic-map document")
     graph = adjacency_graph(loaded)
-    code = _first_maximum_independent_set(graph)
+    # --all: the first enumerated set is the code, unless the exact solver's guard speaks first
+    sets = (maximum_independent_sets(graph) if args.all and graph.n <= MAX_EXACT_VERTICES
+            else [_first_maximum_independent_set(graph)])
+    code = sets[0]
     report = {
         "verb": "classical-maxcode",
         "tolerance": _tolerance_record(tol),
@@ -293,7 +297,6 @@ def _cmd_classical_maxcode(args) -> int:
         f"maximum zero-error code: {list(code)} (size {len(code)})",
     ]
     if args.all:
-        sets = maximum_independent_sets(graph)
         report["all_maximum_codes"] = [[int(v) for v in s] for s in sets]
         lines.append(f"all maximum codes: {[list(s) for s in sets]}")
     _emit(args, report, lines)

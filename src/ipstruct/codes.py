@@ -8,11 +8,13 @@ code must sit inside a structure that the transpose-channel recovery makes
 noiseless again.  Every sweep level reports a :class:`PreservationReport`:
 the verdict, and a witness pair when it is refuted.
 
-A sweep measures each stack of states on the joint range of the stack, when
-a measured certificate shows that this moves no distance by more than
-``SWEEP_COMPRESSION`` (see :func:`_weighted_norms`), and it computes the
-``p in {0, 1}`` columns from one norm per state.  The before side depends
-on the code alone, so each :class:`Code` computes it once for all checks.
+A sweep level first maps the listed states alone.  A code that the map ``F``
+moves by ``r = max_a ||F(rho_a) - rho_a||_1 <= tol.subspace`` passes unswept:
+a sweep point ``Y = p X_i - (1-p) X_j`` has coefficients of total modulus at
+most 1 over the listed states, so it drops by ``||Y||_1 - ||F Y||_1 <= ||Y -
+F Y||_1 <= r``.  Otherwise the mixtures' images follow by linearity, and each
+stack is measured on its joint range when a certificate allows (see
+:func:`_weighted_norms`); each :class:`Code` computes its before side once.
 
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
 equivalent to correctable via the transpose recovery.  The noiseless check
@@ -67,8 +69,8 @@ P_GRID = tuple([0.0] + [round(0.1 * k, 1) for k in range(1, 10)] + [1.0])
 _MIXTURE_WEIGHTS = {2: ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25)),
                     3: ((0.25, 0.25, 0.5), (0.25, 0.5, 0.25), (0.5, 0.25, 0.25))}
 
-# entries per difference stack of a sweep: 4 MB of complex, a quarter of a d = 32 superoperator
-_SWEEP_CHUNK = 2**18
+# entries per difference stack of a sweep: 256 KB of complex, which fits in L2
+_SWEEP_CHUNK = 2**14
 
 # a weighted mixture of listed states: ((state_index, weight), ...)
 MixtureLabel = tuple[tuple[int, float], ...]
@@ -109,11 +111,12 @@ class Code:
     def _sweep(self) -> "_PairSweep":
         """The before side of every sweep of this code, computed once."""
         collection = _mixtures(self)
-        states = np.stack([s for _, s in collection])
-        before = _weighted_norms(states)
+        # row m writes the m-th swept state over the listed states
+        weights = np.array([np.bincount(*zip(*lab), len(self.states)) for lab, _ in collection])
+        before = _weighted_norms(np.stack([s for _, s in collection]))
         # every check of this code reads these arrays
-        states.flags.writeable = before.flags.writeable = False
-        return _PairSweep(labels=[lab for lab, _ in collection], states=states, before=before)
+        weights.flags.writeable = before.flags.writeable = False
+        return _PairSweep(labels=[lab for lab, _ in collection], weights=weights, before=before)
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ class _PairSweep:
     (see :func:`_weighted_norms` for the layout of ``before``)."""
 
     labels: list[MixtureLabel]
-    states: np.ndarray
+    weights: np.ndarray
     before: np.ndarray
 
 
@@ -258,36 +261,38 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_sweep(code: Code, tol: ToleranceConfig) -> _PairSweep:
-    """The code's sweep, whose before side each code computes once; the
-    Hermiticity check reads ``tol`` and so runs on every call."""
-    _hermitian_stack(code._sweep.states, "code state", tol)
-    return code._sweep
+def _displacement(code: Code, images: np.ndarray) -> float:
+    """How far a map moves the code: ``max_a ||F(rho_a) - rho_a||_1`` over
+    the listed states, from their images."""
+    return float(_batched_trace_norm(images - np.stack(code.states)).max())
 
 
-def _compare(sweep: _PairSweep, apply_map: Callable[[np.ndarray], np.ndarray],
+def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
              tol: ToleranceConfig) -> PreservationReport:
-    """Map every state of the sweep and report the pair whose distance drops
-    most, if that drop exceeds ``tol.subspace``.  ``apply_map`` must preserve
-    Hermiticity: a mapped state with an anti-Hermitian part above
-    ``tol.equality`` raises :class:`ValidationError` rather than being
-    measured by its Hermitian part alone."""
-    mapped = _hermitian_stack([apply_map(s) for s in sweep.states], "mapped state", tol)
-    after = _weighted_norms(mapped)
-    drops = sweep.before - after
-    if drops.size == 0 or drops.max() <= tol.subspace:
-        return PreservationReport(verdict=True, worst_pair=None,
-                                  distance_before=0.0, distance_after=0.0)
-    # the witness is the first pair in sweep order among those whose drops
-    # tie with the largest up to rounding; the verdict used the exact maximum
-    k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
-    ii, jj = np.triu_indices(len(sweep.labels), k=1)
-    return PreservationReport(
-        verdict=False,
-        worst_pair=(sweep.labels[ii[k]], sweep.labels[jj[k]], P_GRID[p_k]),
-        distance_before=float(sweep.before[k, p_k]),
-        distance_after=float(after[k, p_k]),
-    )
+    """Report the pair whose distance drops most under the linear map
+    ``apply_map``, if that drop exceeds ``tol.subspace``, or pass unswept a
+    code that it moves no further (module docstring).  A code state or mapped
+    state with an anti-Hermitian part above ``tol.equality`` raises
+    :class:`ValidationError`."""
+    _hermitian_stack(code.states, "code state", tol)
+    images = _hermitian_stack([apply_map(s) for s in code.states], "mapped state", tol)
+    if images.shape[-1] != code.dim or _displacement(code, images) > tol.subspace:
+        sweep = code._sweep
+        after = _weighted_norms(np.tensordot(sweep.weights, images, axes=1))
+        drops = sweep.before - after
+        if drops.size and drops.max() > tol.subspace:
+            # the witness is the first pair in sweep order among those whose drops
+            # tie with the largest up to rounding; the verdict used the exact maximum
+            k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
+            ii, jj = np.triu_indices(len(sweep.labels), k=1)
+            return PreservationReport(
+                verdict=False,
+                worst_pair=(sweep.labels[ii[k]], sweep.labels[jj[k]], P_GRID[p_k]),
+                distance_before=float(sweep.before[k, p_k]),
+                distance_after=float(after[k, p_k]),
+            )
+    return PreservationReport(verdict=True, worst_pair=None,
+                              distance_before=0.0, distance_after=0.0)
 
 
 def sampled_preservation_check(code: Code, ch: QuantumChannel,
@@ -301,7 +306,7 @@ def sampled_preservation_check(code: Code, ch: QuantumChannel,
     """
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
-    return _compare(_pair_sweep(code, tol), lambda x: apply_channel(ch, x), tol)
+    return _compare(code, lambda x: apply_channel(ch, x), tol)
 
 
 def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -310,9 +315,9 @@ def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL)
         raise ValidationError("code dimension does not match channel input")
     if not ch.is_square:
         return False
-    residuals = _hermitian_stack([apply_channel(ch, s) - s for s in code.states],
-                                 "fixed-point residual", tol)
-    return bool(_batched_trace_norm(residuals).max() <= tol.equality)
+    images = np.stack([apply_channel(ch, s) for s in code.states])
+    _hermitian_stack(images - code.states, "fixed-point residual", tol)
+    return _displacement(code, images) <= tol.equality
 
 
 def is_noiseless(code: Code, ch: QuantumChannel,
@@ -337,7 +342,7 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
                               f"(sum K^dag K has eigenvalue {gain:.12g})")
-    return _compare(_pair_sweep(code, tol), fixed_space(ch, tol).project, tol)
+    return _compare(code, fixed_space(ch, tol).project, tol)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
@@ -369,7 +374,8 @@ def is_preserved(code: Code, ch: QuantumChannel,
     ``R o E`` are positive and trace non-increasing, and ``P o (R o E) =
     P``, so for every sweep operator ``||P X||_1 = ||P R (E X)||_1 <= ||E
     X||_1``: the drop under ``E`` is at most the drop under ``P`` at every
-    sweep point.
+    sweep point.  A stage whose map moves no listed state by more than
+    ``tol.subspace`` passes without a sweep, which bounds every drop by that.
     """
     sampled = sampled_preservation_check(code, ch, tol=tol)
     if not sampled:

@@ -508,6 +508,51 @@ def test_classical_maxcode_all(fixtures_dir, capsys):
     assert json.loads(out)["all_maximum_codes"] == [[0, 1], [2, 3]]
 
 
+@pytest.mark.parametrize("extra", [[], ["--all"]], ids=["code", "all"])
+def test_classical_maxcode_runs_the_branch_and_bound_once(fixtures_dir, capsys, monkeypatch,
+                                                          extra):
+    import ipstruct.classical
+
+    calls = []
+    original = ipstruct.classical._maximum_sets
+
+    def counted(g, every):
+        calls.append(every)
+        return original(g, every)
+
+    monkeypatch.setattr(ipstruct.classical, "_maximum_sets", counted)
+    code, out, _ = run_cli(
+        capsys, "classical-maxcode",
+        "--stochastic", str(fixtures_dir / "two_code_classical.json"), "--json", *extra,
+    )
+    assert code == 0
+    assert calls == [bool(extra)]
+    doc = json.loads(out)
+    assert doc["code"] == [0, 1] and doc["size"] == 2
+    assert doc.get("all_maximum_codes", [[0, 1], [2, 3]]) == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("n,message", [
+    (21, "enumeration is limited to 20 vertices (got 21)"),
+    (30, "enumeration is limited to 20 vertices (got 30)"),
+    (31, "exact solver is limited to 30 symbols (got 31)"),
+])
+def test_classical_maxcode_all_guards(tmp_path, capsys, monkeypatch, n, message):
+    # above 20 vertices --all is refused with the enumeration guard, and above
+    # 30 with the exact solver's, without a search in either case
+    import ipstruct.classical
+    from ipstruct import Graph, graph_to_channel
+    from ipstruct.serialization import stochastic_to_json
+
+    monkeypatch.setattr(ipstruct.classical, "_maximum_sets", None)
+    f = tmp_path / "big.json"
+    f.write_text(dumps(stochastic_to_json(graph_to_channel(Graph.from_edges(n, [])))))
+    code, out, err = run_cli(capsys, "classical-maxcode", "--stochastic", str(f), "--all")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classical_maxcode_rejects_channel_doc(fixtures_dir, capsys):
     code, _, err = run_cli(
         capsys, "classical-maxcode",

@@ -344,49 +344,81 @@ def sweep_calls(monkeypatch):
     return calls
 
 
-# a sweep of the 34 states of a four-state code on its full 4-dim range: one
-# norm per state, then one chunk of 561 pairs at the 9 interior priors
-_FULL_RANK_SWEEP = [(34, 4, 4), (561 * 9, 4, 4)]
-
-
-def test_noiseless_shares_one_before_side_sweep(sweep_calls):
-    # a noiseless code: the before side and the time average's after side
-    rep = is_noiseless(zoo.code_fixture("unitary_a_half"), zoo.fixture("depolarize_B"))
-    assert rep.verdict
-    assert sweep_calls == _FULL_RANK_SWEEP * 2
-
-
-def test_preserved_runs_three_pair_sweeps(sweep_calls):
-    # a passing code: one before side, shared by both stages, then the after
-    # sides of the channel and of the transpose composite's time average
+def test_noiseless_certifies_a_fixed_code_without_a_sweep(sweep_calls):
+    # the time average fixes the four states of the code: one certificate over
+    # the listed states decides, and the pair sweep is never built
     code = zoo.code_fixture("unitary_a_half")
-    rep = is_preserved(code, zoo.fixture("depolarize_B"))
-    assert rep.verdict
-    assert sweep_calls == _FULL_RANK_SWEEP * 3
+    rep = is_noiseless(code, zoo.fixture("depolarize_B"))
+    assert rep == PreservationReport(True, None, 0.0, 0.0)
+    assert sweep_calls == [(4, 4, 4)]
+    assert "_sweep" not in vars(code)
+
+
+def test_preserved_certifies_a_fixed_code_at_each_stage(sweep_calls):
+    # E and the transpose composite's time average both fix the code: one
+    # certificate per stage, on every call, and no sweep
+    code = zoo.code_fixture("unitary_a_half")
+    for _ in range(2):
+        sweep_calls.clear()
+        assert is_preserved(code, zoo.fixture("depolarize_B")).verdict
+        assert sweep_calls == [(4, 4, 4)] * 2
+    assert "_sweep" not in vars(code)
+
+
+# the E sweep of product_a_ground under measure_then_depolarize: its 34 states
+# lie on a 2-dim range, so 561 pairs at 9 interior priors run in chunks of
+# 455 pairs of 2 x 2; their images have full rank, so chunks of 113 pairs of 4 x 4
+_BEFORE_SIDE = [(34, 4, 4), (34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2)]
+_AFTER_SIDE = [(34, 4, 4)] + [(113 * 9, 4, 4)] * 4 + [(109 * 9, 4, 4)]
+
+
+def test_moved_code_sweeps_in_chunks_and_shares_its_before_side(sweep_calls):
+    # E moves the code, so its stage sweeps after the certificate; the
+    # composite's time average fixes it, so that stage stops at its certificate
+    code = zoo.code_fixture("product_a_ground")
+    ch = zoo.fixture("measure_then_depolarize")
+    assert sampled_preservation_check(code, ch).verdict
+    assert sweep_calls == [(4, 4, 4)] + _BEFORE_SIDE + _AFTER_SIDE
     # the before side is kept on the code: a second call sweeps after sides only
     sweep_calls.clear()
-    assert is_preserved(code, zoo.fixture("depolarize_B")).verdict
-    assert sweep_calls == _FULL_RANK_SWEEP * 2
+    assert is_preserved(code, ch).verdict
+    assert sweep_calls == [(4, 4, 4)] + _AFTER_SIDE + [(4, 4, 4)]
+    assert max(n * m * m for n, m, _ in sweep_calls) <= codes._SWEEP_CHUNK
 
 
 def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls):
-    # the 34 states of the logical code and their images under the transpose
-    # composite's time average lie on the 2-dim code space: a 32-dim
-    # certificate, then 2 x 2 stacks.  The channel's images have full rank.
-    rep = is_preserved(zoo.code_fixture("five_qubit_logical"),
-                       zoo.fixture("five_qubit_depolarize_one"))
+    # the channel moves the logical code, so E is swept: its 34 states lie on
+    # the 2-dim code space (a 32-dim certificate, then 2 x 2 stacks), and
+    # their images have full rank.  The transpose composite's time average
+    # fixes the code: one 32-dim certificate over the four listed states.
+    code = zoo.code_fixture("five_qubit_logical")
+    rep = is_preserved(code, zoo.fixture("five_qubit_depolarize_one"))
     assert rep.verdict
-    compressed = [(34, 32, 32), (34, 2, 2), (561 * 9, 2, 2)]
-    assert sweep_calls[:3] == compressed
-    assert sweep_calls[-3:] == compressed
-    assert all(shape[1:] == (32, 32) for shape in sweep_calls[3:-3])
+    assert sweep_calls[:5] == [(4, 32, 32), (34, 32, 32), (34, 2, 2),
+                               (455 * 9, 2, 2), (106 * 9, 2, 2)]
+    assert sweep_calls[-1] == (4, 32, 32)
+    assert all(shape[1:] == (32, 32) for shape in sweep_calls[5:])
+    assert "_sweep" in vars(code)
 
 
 def test_non_hermiticity_preserving_map_is_refused():
     a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sweep = codes._pair_sweep(zoo.code_fixture("cbit"), DEFAULT_TOL)
     with pytest.raises(ValidationError, match="not Hermitian"):
-        codes._compare(sweep, lambda x: a @ x, DEFAULT_TOL)
+        codes._compare(zoo.code_fixture("cbit"), lambda x: a @ x, DEFAULT_TOL)
+
+
+def test_non_hermitian_code_state_is_refused_where_its_image_is_hermitian():
+    # a 1e-10 anti-Hermitian part passes Code's own check; complete dephasing
+    # erases it from the image, so only the code-state check sees it
+    tilted = np.array([[0.5, 1e-10], [-1e-10, 0.5]], dtype=complex)
+    code = Code.from_states([tilted, np.diag([1.0, 0.0])])
+    dephase = channel_from_kraus([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    tight = DEFAULT_TOL.with_user_tolerance(1e-12)
+    for check in (sampled_preservation_check, is_noiseless, is_preserved):
+        with pytest.raises(ValidationError, match="code state is not Hermitian"):
+            check(code, dephase, tight)
+    # at the default tolerance the part is accepted, and dephasing fixes the rest
+    assert sampled_preservation_check(code, dephase).verdict is True
 
 
 def test_is_fixed_dimension_rules():
@@ -409,6 +441,11 @@ def test_trace_increasing_map_is_refused():
 # ---------------------------------------------------------------------------
 # the time average dominates every mixture of powers of the channel
 # ---------------------------------------------------------------------------
+
+def _swept_states(code: Code) -> np.ndarray:
+    """The listed states and their quarter-grid mixtures, in sweep order."""
+    return np.stack([s for _, s in _mixtures(code)])
+
 
 def _seeded_code(d: int, seed: int, inside: int | None = None) -> Code:
     """Three pure states on a random plane, within the first ``inside``
@@ -464,7 +501,7 @@ def test_time_average_dominates_the_deleted_maps(ch, code):
     drop a sweep distance by more than the time average P does, on the
     channel and on its transpose composite R o E."""
     composite = compose(transpose_channel(ch, code_support(code)), ch)
-    sweep = codes._pair_sweep(code, DEFAULT_TOL)
+    states = _swept_states(code)
     for f in (ch, composite):
         # the premise of the argument: sum K^dag K <= 1
         gram = sum(k.conj().T @ k for k in f.kraus)
@@ -473,7 +510,7 @@ def test_time_average_dominates_the_deleted_maps(ch, code):
         e = to_superoperator(f).matrix
 
         def after(m):
-            mapped = np.stack([unvec(m @ vec(s), d, d) for s in sweep.states])
+            mapped = np.stack([unvec(m @ vec(s), d, d) for s in states])
             return codes._weighted_norms(mapped)
 
         # drop_F - drop_P = ||P X||_1 - ||F X||_1 at every sweep point X
@@ -491,11 +528,11 @@ def test_sampled_stage_never_decides_is_preserved(ch, code):
     """The drop under E is at most the drop under the time average P of the
     transpose composite R o E at every sweep point, so the structural stage
     alone decides the verdict of ``is_preserved``."""
-    sweep = codes._pair_sweep(code, DEFAULT_TOL)
+    states = _swept_states(code)
     average = fixed_space(compose(transpose_channel(ch, code_support(code)), ch)).projector
 
     def after(apply):
-        mapped = np.stack([apply(s) for s in sweep.states])
+        mapped = np.stack([apply(s) for s in states])
         return codes._weighted_norms(mapped)
 
     # drop_E - drop_P = ||P X||_1 - ||E X||_1
@@ -525,7 +562,7 @@ def _ambient_norms(states: np.ndarray) -> np.ndarray:
 def _sweep_stacks(code: Code, ch):
     """The before side and the after sides of E, of its time average P and of
     the time average of the transpose composite R o E."""
-    states = codes._pair_sweep(code, DEFAULT_TOL).states
+    states = _swept_states(code)
     average = fixed_space(ch).projector
     composite = fixed_space(compose(transpose_channel(ch, code_support(code)), ch)).projector
     return {"before": states,
@@ -625,3 +662,107 @@ def test_five_qubit_sweep_stays_below_the_superoperator():
         tracemalloc.stop()
     assert report.verdict
     assert peak < 16 * 32**4
+
+
+# ---------------------------------------------------------------------------
+# a map that moves no listed state further than tol.subspace passes unswept
+# ---------------------------------------------------------------------------
+
+def _reference_report(code: Code, apply_map, tol) -> PreservationReport:
+    """The sweep with no certificate: map every swept state and measure both
+    sides with ``_weighted_norms``, witness chosen as in ``codes._compare``."""
+    labels = [lab for lab, _ in _mixtures(code)]
+    states = _swept_states(code)
+    before = codes._weighted_norms(states)
+    after = codes._weighted_norms(np.stack([apply_map(s) for s in states]))
+    drops = before - after
+    if drops.size == 0 or drops.max() <= tol.subspace:
+        return PreservationReport(True, None, 0.0, 0.0)
+    k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
+    ii, jj = np.triu_indices(len(labels), k=1)
+    return PreservationReport(False, (labels[ii[k]], labels[jj[k]], P_GRID[p_k]),
+                              float(before[k, p_k]), float(after[k, p_k]))
+
+
+def _zoo_pairs():
+    channels = {}
+    for name in zoo.fixture_names():
+        ch = zoo.fixture(name)
+        if not isinstance(ch, Code):
+            channels[name] = ch if hasattr(ch, "kraus") else embed_classical(ch)
+    codes_ = {name: zoo.code_fixture(name) for name in zoo.code_fixture_names()}
+    codes_["ns_vs_code"] = zoo.fixture("ns_vs_code")
+    return [(f"{cn}-{name}", ch, code) for name, ch in channels.items()
+            for cn, code in codes_.items() if code.dim == ch.dim_in]
+
+
+_ZOO_PAIRS = _zoo_pairs()
+
+
+@pytest.mark.parametrize("ch,code", [c[1:] for c in _ZOO_PAIRS], ids=[c[0] for c in _ZOO_PAIRS])
+def test_every_sweep_level_matches_the_uncertified_sweep(ch, code):
+    for tol in (DEFAULT_TOL, DEFAULT_TOL.with_user_tolerance(1e-12)):
+        composite = compose(transpose_channel(ch, code_support(code), tol=tol), ch, tol=tol)
+        want = {"E": _reference_report(code, lambda x: apply_channel(ch, x), tol),
+                "noiseless": _reference_report(code, fixed_space(ch, tol).project, tol),
+                "correctable": _reference_report(code, fixed_space(composite, tol).project, tol)}
+        want["preserved"] = want["E"] if not want["E"].verdict else want["correctable"]
+        got = {"E": sampled_preservation_check(code, ch, tol),
+               "noiseless": is_noiseless(code, ch, tol),
+               "correctable": is_correctable_via_transpose(code, ch, tol).noiseless,
+               "preserved": is_preserved(code, ch, tol)}
+        for level, rep in got.items():
+            assert (rep.verdict, rep.worst_pair) == (want[level].verdict, want[level].worst_pair)
+            assert abs(rep.distance_before - want[level].distance_before) <= 1e-12
+            assert abs(rep.distance_after - want[level].distance_after) <= 1e-12
+    # the suite reaches both routes: some pairs are fixed, some are swept
+    assert len(_ZOO_PAIRS) == 41
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("code_name,name,level", [
+    ("unitary_a_half", "depolarize_B", "E"), ("unitary_a_half", "depolarize_B", "noiseless"),
+    ("cbit", "dephasing_qubit", "E"), ("cbit", "dephasing_qubit", "noiseless"),
+])
+def test_sweep_runs_exactly_when_the_code_moves(code_name, name, level, factor, seed):
+    """Each listed state of a fixed code is moved toward a seeded state until
+    the map moves the code by r = factor * tol.subspace: the sweep runs exactly
+    when r > tol.subspace, and no sweep point drops further than r."""
+    ch = zoo.fixture(name)
+    ch = ch if hasattr(ch, "kraus") else embed_classical(ch)
+    apply_map = (lambda x: apply_channel(ch, x)) if level == "E" else fixed_space(ch).project
+    check = sampled_preservation_check if level == "E" else is_noiseless
+    fixed = zoo.code_fixture(code_name)
+    assert max(trace_norm(apply_map(s) - s) for s in fixed.states) <= 1e-14
+    rng = np.random.default_rng(seed)
+    sigmas = [zoo.random_density(fixed.dim, rng) for _ in fixed.states]
+    moved = max(trace_norm(apply_map(s) - s) for s in sigmas)
+    t = factor * DEFAULT_TOL.subspace / moved
+    code = Code.from_states([(1 - t) * s + t * g for s, g in zip(fixed.states, sigmas)])
+    r = max(trace_norm(apply_map(s) - s) for s in code.states)
+    assert abs(r - factor * DEFAULT_TOL.subspace) <= 1e-3 * r
+    rep = check(code, ch)
+    assert ("_sweep" in vars(code)) == (r > DEFAULT_TOL.subspace)
+    assert rep == _reference_report(code, apply_map, DEFAULT_TOL)
+    states = _swept_states(code)
+    drops = (codes._weighted_norms(states)
+             - codes._weighted_norms(np.stack([apply_map(s) for s in states])))
+    assert drops.max() <= r + 1e-12
+
+
+def test_non_square_map_is_always_swept(sweep_calls):
+    # F(rho) - rho is undefined when the output space differs, so no
+    # certificate: an isometric embedding keeps every distance and a
+    # measurement of the 1/0 basis into three outcomes loses the |+>/|-> one
+    iso = np.eye(3)[:, :2]
+    measure = [np.outer(np.eye(3)[:, k], np.eye(2)[k]) for k in range(2)]
+    for kraus, verdict in (([iso], True), (measure, False)):
+        code, ch = zoo.code_fixture("plus_minus"), channel_from_kraus(kraus)
+        sweep_calls.clear()
+        rep = sampled_preservation_check(code, ch)
+        assert rep == _reference_report(code, lambda x: apply_channel(ch, x), DEFAULT_TOL)
+        assert rep.verdict is verdict
+        assert "_sweep" in vars(code)
+        # no (2, d, d) certificate stack: the sweep's stacks hold 5 states or 90 points
+        assert all(shape[0] != len(code.states) for shape in sweep_calls)
