@@ -34,7 +34,6 @@ from .spectral import (
     SpectralSpace,
     fixed_space,
     rotating_space,
-    subspace_distance,
 )
 from .algebra import (
     AlgebraDecomposition,
@@ -100,7 +99,6 @@ __all__ = [
     "SpectralSpace",
     "fixed_space",
     "rotating_space",
-    "subspace_distance",
     "AlgebraDecomposition",
     "Sector",
     "canonical_decompose",

@@ -51,6 +51,10 @@ RANK_REL = 1e-10
 PROJECTOR = 1e-10  # entrywise Hermiticity and idempotency of an orthogonal projector
 PERIPHERAL = 1e-8  # |lambda - 1| (or ||lambda| - 1|) below this: fixed (or peripheral)
 SPECTRAL_GAP = 1e-6  # least gap between the unit circle and the interior spectrum
+INVERSE_SHIFT = 1e-12  # delta of the certified solve's M - (1 + delta) I: amplifies lambda = 1 by 1/delta
+INVERSE_CUT = 1e-3  # a direction it amplifies by more than this / delta joins the lambda = 1 cluster
+CERTIFIED_RESIDUAL = 1e-10  # ||MR - R||_F and ||M^T L - L||_F / ||L||_2 up to this: the cluster holds
+SQUARINGS = 8  # squarings of M - R L^T that may prove the rest of the spectrum inside the gap
 SELF_ADJOINT = 1e-12  # ||M - M^T||_F up to this: a symmetric eigensolve, off by at most this
 PAIRING_CONDITION = 1e12  # largest condition of the fixed-space right/left pairing
 CLUSTER_REL = 1e-7  # eigenvalue cluster width, relative to a generic element's spread

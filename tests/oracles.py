@@ -103,9 +103,9 @@ def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
-def schur_split(ch: QuantumChannel, select,
+def schur_split(ch: QuantumChannel | Superoperator, select,
                 tol: ToleranceConfig = DEFAULT_TOL) -> tuple[SpectralSpace, float, float]:
-    """The spectral split of a square channel by one ordered real Schur form,
+    """The spectral split of a square map by one ordered real Schur form,
     whatever the symmetry of its matrix; the reference for ``spectral._split``.
 
     In Hermitian coordinates ``M_r = Z T Z^T`` with the eigenvalues that
@@ -116,7 +116,8 @@ def schur_split(ch: QuantumChannel, select,
     is empty) and the pairing condition ``sqrt(1 + ||X||_2^2)``.
     """
     d = ch.dim_in
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, d, tol)
+    sup = ch if isinstance(ch, Superoperator) else to_superoperator(ch)
+    m_r = hermitian_coordinates(sup.matrix, d, tol)
     t, z, k = scipy.linalg.schur(m_r, output="real", sort=select)
     n = t.shape[0]
     x = np.zeros((k, n - k))
@@ -138,3 +139,24 @@ def schur_split(ch: QuantumChannel, select,
     interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
     gap = 1.0 - float(interior.max()) if interior.size else math.inf
     return space, gap, float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
+
+
+def subspace_distance(a: OperatorSpace | np.ndarray, b: OperatorSpace | np.ndarray) -> float:
+    """Operator-norm distance between orthogonal projectors onto two spans.
+
+    Accepts operator spaces or raw matrices whose columns span the spaces.
+    Returns 1.0-scale values for genuinely different spans and ~0 for equal
+    ones; spans of different dimension always differ.  For equal dimensions
+    the distance is ``||Q_b - Q_a Q_a^dag Q_b||``, the sine of the largest
+    principal angle, computed without forming either projector.
+    """
+    def orthonormal(x):
+        m = x.vec_matrix() if isinstance(x, OperatorSpace) else np.asarray(x, dtype=complex)
+        return np.linalg.qr(m)[0]
+
+    qa, qb = orthonormal(a), orthonormal(b)
+    if qa.shape[1] != qb.shape[1]:
+        return 1.0
+    if qa.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))

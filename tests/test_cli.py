@@ -120,6 +120,20 @@ def test_analyze_every_schur_failure_code_exits_3(info, reason, fixtures_dir, ca
     assert "ordered Schur form failed" in err and reason in err
 
 
+def test_analyze_schur_failure_after_the_certified_solve_exits_3(tmp_path, capsys, monkeypatch):
+    # the whole spectrum of a diagonal unitary channel at d = 8 is peripheral,
+    # which the certified solve cannot prove, so the ordered Schur form answers
+    path = tmp_path / "diagonal_unitary.json"
+    u = np.diag(np.exp(1j * np.sqrt(np.arange(8))))
+    path.write_text(dumps(channel_to_json(channel_from_kraus([u]))))
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", lambda select, a, **kwargs: (
+        a, 0, None, None, None, np.array([3.0 * len(a)]), 1))
+    code, _, err = run_cli(capsys, "analyze", "--channel", str(path),
+                           "--mode", "unitarily-noiseless")
+    assert code == 3
+    assert "ordered Schur form failed" in err and "QR iteration" in err
+
+
 def test_analyze_symmetric_eigensolve_failure_exits_3(fixtures_dir, capsys, monkeypatch):
     # depolarize_B is self-adjoint, so its split takes the symmetric eigensolve
     def failing_eigh(*args, **kwargs):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +22,17 @@ from ipstruct import (
     embed_classical,
     fixed_space,
     rotating_space,
-    subspace_distance,
     to_superoperator,
     vec,
     zoo,
 )
+from ipstruct import spectral
 from ipstruct.algebra import commutant
 from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
-from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT
-from oracles import is_unital, schur_split
+from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
+from oracles import is_unital, schur_split, subspace_distance
 
 
 def test_unitary_channel_spectrum():
@@ -328,6 +332,9 @@ def _unit_circle(re, im):
     return abs(math.hypot(re, im) - 1.0) < PERIPHERAL
 
 
+SELECT = {False: _fixed, True: _unit_circle}
+
+
 def _composite(ch):
     """R o E with R the input-blind recovery: E^dag N E for a self-adjoint N."""
     return compose(unconditional_recovery(ch), ch)
@@ -335,10 +342,12 @@ def _composite(ch):
 
 def _count_factorizations(monkeypatch):
     """Record each ordered Schur form (a ``dgees`` call that is not a workspace
-    query) as ``"schur"`` and each symmetric eigensolve as ``"eigh"``."""
+    query) as ``"schur"``, each symmetric eigensolve as ``"eigh"`` and each LU
+    factorization as ``"lu"``."""
     calls = []
     for module, name, label in ((scipy.linalg.lapack, "dgees", "schur"),
-                                (scipy.linalg, "eigh", "eigh")):
+                                (scipy.linalg, "eigh", "eigh"),
+                                (scipy.linalg.lapack, "dgetrf", "lu")):
         def counted(*args, _label=label, _original=getattr(module, name), **kwargs):
             if kwargs.get("lwork") != -1:
                 calls.append(_label)
@@ -366,13 +375,13 @@ SELF_ADJOINT_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("select", [_fixed, _unit_circle], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
 @pytest.mark.parametrize("build", SELF_ADJOINT_INPUTS.values(), ids=SELF_ADJOINT_INPUTS.keys())
-def test_symmetric_split_matches_ordered_schur(build, select, monkeypatch):
+def test_symmetric_split_matches_ordered_schur(build, peripheral, monkeypatch):
     ch = build()
-    ref, ref_gap, ref_cond = schur_split(ch, select)
+    ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
-    space, gap, cond = _split(ch, select, "nothing selected", DEFAULT_TOL)
+    space, gap, cond = _split(ch, peripheral, DEFAULT_TOL)
     assert calls == ["eigh"]
     assert space.size == ref.size
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
@@ -401,12 +410,15 @@ def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     # Bauer-Fike: the eigenvalues of M = S + K, S symmetric, lie within
     # ||K||_2 <= ||K||_F of S's, far below PERIPHERAL, so both sides of the
     # cut select the same eigenvalues; the composite's 64 rows span two
-    # blocks of the asymmetry sum, and the perturbation sits in the last
+    # blocks of the asymmetry sum, and the perturbation sits in the last.
+    # From the size floor on, the certified solve answers for the Schur form:
+    # two LU factorizations
     sup = _perturbed(ch, scale * SELF_ADJOINT)
     reference = fixed_space(ch)
     calls = _count_factorizations(monkeypatch)
     space = fixed_space(sup)
-    assert calls == [method]
+    general = ["lu", "lu"] if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR else ["schur"]
+    assert calls == (["eigh"] if method == "eigh" else general)
     assert space.size == reference.size
     assert subspace_distance(space, reference) <= DEFAULT_TOL.subspace
 
@@ -437,6 +449,183 @@ def test_symmetric_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
     conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
     assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
     assert rotated.size == space.size == 4
+
+
+# ---------------------------------------------------------------------------
+# any other map from the size floor on tries the certified solve of the
+# lambda = 1 cluster first; the ordered Schur form answers when it cannot prove
+# what that form would select
+# ---------------------------------------------------------------------------
+
+GENERAL_INPUTS = {
+    **{f"cptp-{d}-{s}": (lambda d=d, s=s: zoo.random_cptp(d, 3, s))
+       for d in (8, 16) for s in (1, 2)},
+    **{f"dfs-{d}-{s}": (lambda d=d, s=s: zoo.random_dfs_channel(d, d // 2, s))
+       for d in (8, 16) for s in (1, 2)},
+}
+
+
+def _asymmetry(ch):
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    return np.linalg.norm(m_r - m_r.T)
+
+
+GENERAL_FIXTURES = [n for n in SQUARE_FIXTURES if _asymmetry(_square_fixture(n)) > SELF_ADJOINT]
+
+
+def _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch):
+    ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
+    calls = _count_factorizations(monkeypatch)
+    space, gap, cond = _split(ch, peripheral, DEFAULT_TOL)
+    assert calls == ["lu", "lu"]  # the certified solve answered: no Schur form
+    assert space.size == ref.size
+    assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
+    assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
+    assert np.max(np.abs(space.projector.matrix - ref.projector.matrix)) <= 1e-10
+    assert abs(cond - ref_cond) <= 1e-10
+    # a proven lower bound on the gap, never above the dense value; the fixed
+    # split proves none
+    assert (SPECTRAL_GAP <= gap <= ref_gap + 1e-10) if peripheral else gap == -math.inf
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("build", GENERAL_INPUTS.values(), ids=GENERAL_INPUTS.keys())
+def test_certified_split_matches_ordered_schur(build, peripheral, monkeypatch):
+    _assert_certified_split_matches_ordered_schur(build(), peripheral, monkeypatch)
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("name", GENERAL_FIXTURES)
+def test_certified_split_matches_ordered_schur_on_fixtures(name, peripheral, monkeypatch):
+    # below the floor only to test it: each fixture whose selection is the
+    # lambda = 1 cluster alone is certified; unitary_A_depolarize_B also keeps
+    # the phases exp(+-1.4i) on the unit circle, so its peripheral split is dense
+    ch = _square_fixture(name)
+    monkeypatch.setattr(spectral, "_CERTIFIED_FLOOR", 0)
+    if schur_split(ch, _fixed)[0].size == schur_split(ch, SELECT[peripheral])[0].size:
+        _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch)
+    else:
+        calls = _count_factorizations(monkeypatch)
+        _assert_dense_split(ch, peripheral, monkeypatch)
+        assert calls == ["lu", "lu", "schur", "schur"]
+        assert (name, peripheral) == ("unitary_A_depolarize_B", True)
+
+
+def test_certified_solve_runs_from_the_size_floor(monkeypatch):
+    calls = _count_factorizations(monkeypatch)
+    fixed_space(zoo.random_cptp(7, 3, 1))  # 49 < 64
+    assert calls == ["schur"]
+    fixed_space(zoo.random_cptp(8, 3, 1))
+    assert calls == ["schur", "lu", "lu"]
+
+
+def _assert_dense_split(ch, peripheral, monkeypatch):
+    """The split, or its error, is the dense one: that of ``_split`` with the
+    certified solve out of reach, to the bit."""
+    def outcome():
+        try:
+            return _split(ch, peripheral, DEFAULT_TOL)
+        except NumericalError as exc:
+            return str(exc), exc.residuals
+
+    got = outcome()
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_CERTIFIED_FLOOR", math.inf)
+        m.setattr(spectral, "_certified", None)  # never called below the floor
+        dense = outcome()
+    if isinstance(dense[0], str):
+        assert got == dense
+        return dense
+    (space, gap, cond), (ref, ref_gap, ref_cond) = got, dense
+    for a, b in ((space.basis, ref.basis), (space.dual.basis, ref.dual.basis),
+                 (space.left, ref.left)):
+        assert np.array_equal(a, b)
+    assert (gap, cond) == (ref_gap, ref_cond)
+    return dense
+
+
+def _weak_dephasing_on_a_qubit_of(ch, eps=1e-7):
+    """The weak dephasing of the CLI's gap test on a qubit, beside ``ch``: its
+    eigenvalue 1 - eps is 1e-7 inside the unit circle."""
+    qubit = [np.sqrt(1 - eps) * np.eye(2), np.sqrt(eps) * np.diag([1.0, 0.0]),
+             np.sqrt(eps) * np.diag([0.0, 1.0])]
+    return channel_from_kraus([np.kron(q, k) for q in qubit for k in ch.kraus])
+
+
+def test_fallback_keeps_the_complex_peripheral_spectrum(monkeypatch):
+    # every eigenvalue of a diagonal unitary channel has modulus 1, so the
+    # squarings of M - R L^T cannot shrink: the ordered Schur form answers
+    ch = channel_from_kraus([np.diag(np.exp(1j * np.sqrt(np.arange(8))))])
+    calls = _count_factorizations(monkeypatch)
+    space, gap, _ = _assert_dense_split(ch, True, monkeypatch)
+    assert calls == ["lu", "lu", "schur", "schur"]
+    assert space.size == 64 and gap == math.inf
+    assert_allclose(space.projector.matrix, np.eye(64), atol=1e-10)
+    # its fixed points, the diagonal operators, are certified
+    calls.clear()
+    assert fixed_space(ch).size == 8 and calls == ["lu", "lu"]
+
+
+def test_fallback_keeps_the_gap_error(monkeypatch):
+    ch = _weak_dephasing_on_a_qubit_of(zoo.random_cptp(4, 2, 1))
+    calls = _count_factorizations(monkeypatch)
+    _, gap, _ = _assert_dense_split(ch, True, monkeypatch)
+    assert calls == ["lu", "lu", "schur", "schur"]
+    assert gap < SPECTRAL_GAP and abs(gap - schur_split(ch, _unit_circle)[1]) <= 1e-10
+    with pytest.raises(NumericalError, match="not separated") as err:
+        rotating_space(ch)
+    assert err.value.residuals == {"cluster_gap": gap}
+    # 1 - 1e-7 is outside the fixed points' disc, which the certificate proves
+    calls.clear()
+    assert fixed_space(ch).size == schur_split(ch, _fixed)[0].size and calls == ["lu", "lu"]
+
+
+@pytest.mark.parametrize("peripheral, message", [
+    (False, "no eigenvalue 1 found"), (True, "no unit-modulus eigenvalues found"),
+], ids=["fixed", "peripheral"])
+def test_fallback_keeps_the_empty_selection_error(peripheral, message, monkeypatch):
+    # a trace-decreasing map: no direction is amplified, and the dense split
+    # finds nothing to select
+    m = 0.9 * to_superoperator(zoo.random_cptp(8, 3, 1)).matrix
+    sup = Superoperator(dim_in=8, dim_out=8, matrix=m)
+    calls = _count_factorizations(monkeypatch)
+    assert message in _assert_dense_split(sup, peripheral, monkeypatch)[0]
+    assert calls == ["lu", "schur", "schur"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch):
+    ch = zoo.random_dfs_channel(8, 3, 1)
+    rng = np.random.default_rng(seed)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    u = unitary_group.rvs(ch.dim_in, random_state=rng)
+    mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
+    turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
+    calls = _count_factorizations(monkeypatch)
+    for split in (fixed_space, rotating_space):
+        calls.clear()
+        space, gauged, rotated = split(ch), split(mixed), split(turned)
+        assert calls == ["lu", "lu"] * 3
+        assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
+        conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
+        assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
+        assert rotated.size == gauged.size == space.size == 10
+
+
+def test_certified_split_under_two_blas_threads():
+    # LAPACK evr once failed under two OpenBLAS threads where one thread passed:
+    # the certified solve runs its agreement case in a child with two
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(p for p in (str(root / "src"),
+                                                     os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__)),
+         "-k", "test_certified_split_matches_ordered_schur and cptp-16-1"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

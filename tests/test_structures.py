@@ -206,7 +206,8 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
         if hasattr(module, "to_superoperator"):
             monkeypatch.setattr(module, "to_superoperator", counted)
     factorizations = []
-    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg, "eigh")):
+    for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg, "eigh"),
+                         (scipy.linalg.lapack, "dgetrf")):
         def counted_factorization(*args, _name=name, _original=getattr(module, name), **kwargs):
             a = args[1] if _name == "dgees" else args[0]  # dgees(select, a, ...)
             if kwargs.get("lwork") != -1:  # not the workspace query
@@ -216,10 +217,13 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
         monkeypatch.setattr(module, name, counted_factorization)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
-    # one real factorization, in Hermitian coordinates; the composite R o E of
-    # the unconditional analysis is self-adjoint, so it takes the symmetric one
-    method = "eigh" if analyze is unconditional_structure else "dgees"
-    assert factorizations == [(method, np.float64)]
+    # real factorizations, in Hermitian coordinates.  The composite R o E of the
+    # unconditional analysis is self-adjoint, so it takes the symmetric one; E
+    # is not, and the certified solve proves its split with two LU
+    # factorizations, without the ordered Schur form
+    expected = ([("eigh", np.float64)] if analyze is unconditional_structure
+                else [("dgetrf", np.float64)] * 2)
+    assert factorizations == expected
 
 
 @pytest.mark.parametrize("analyze", [
