@@ -5,11 +5,14 @@ direct sum of full matrix factors with multiplicity,
 
     A  ~=  sum_k  M_{d_k} (x) 1_{n_k} ,
 
-and this module recovers that shape numerically.  The decomposition strategy
-is randomized but seed-deterministic: two generic Hermitian elements of the
-span give its centre, a generic Hermitian element of the center splits the
-support into minimal central sectors, and a generic Hermitian element of each
-restricted factor pairs its eigenspaces into the tensor-product coordinates.
+and this module recovers that shape numerically by the eigenspace grouping
+of Murota, Kanno, Kojima and Kojima (Japan J. Indust. Appl. Math., 2010).
+The strategy is randomized but seed-deterministic.  A generic Hermitian
+element of the span reads ``sum_k h_k (x) 1_{n_k}``, so its eigenvalues fall
+into ``d_k`` clusters of ``n_k`` in each sector: the factor rows.  A generic
+element couples two clusters exactly when they lie in one sector, so the
+connected clusters are the sectors, and its coupling blocks transport the
+first row of a sector onto the others, fixing the tensor alignment.
 
 No separate closure check runs.  The span of the sector matrix units is a
 *-algebra by construction, so the decomposition certifies itself: a span that
@@ -25,9 +28,8 @@ import numpy as np
 
 from .errors import DecompositionError, NumericalError
 from .spectral import OperatorSpace, _is_orthonormal, operator_space_from_span
-from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL,
-                         INTEGER_GUARD, RANK_REL, TRANSPORT_FLOOR, TRANSPORT_REL,
-                         ToleranceConfig)
+from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL, RANK_REL,
+                         TRANSPORT_FLOOR, TRANSPORT_REL, ToleranceConfig)
 
 __all__ = [
     "Sector",
@@ -36,7 +38,7 @@ __all__ = [
     "verify_decomposition",
 ]
 
-# fresh draws of the centre and sector elements before a decomposition fails
+# fresh draws of the two generic elements before a decomposition fails
 DECOMPOSE_ATTEMPTS = 3
 
 
@@ -56,10 +58,11 @@ class Sector:
 
 @dataclass(frozen=True)
 class AlgebraDecomposition:
-    """Sectors of an algebra; ``residuals`` holds the :func:`verify_decomposition`
-    report and ``algebra_closure``, its ``reconstruction_distance``: the
-    distance from the input span to the span of the sector matrix units,
-    which is closed by construction."""
+    """The sectors of an algebra, larger factors first, and the projector onto
+    their joint support.  ``residuals`` holds the :func:`verify_decomposition`
+    report and ``algebra_closure``, its ``reconstruction_distance``: how far
+    the input span lies outside the span of the sector matrix units, which
+    is closed by construction."""
 
     ambient_dim: int
     sectors: tuple[Sector, ...]
@@ -177,32 +180,13 @@ def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    k = len(ops)
-    coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    z = np.tensordot(coeff, ops, axes=1)
+    z = _random_element_in(ops, rng)
     return (z + z.conj().T) / 2.0
 
 
-def _centre(space: OperatorSpace, rng: np.random.Generator,
-            tol: ToleranceConfig) -> np.ndarray:
-    """An orthonormal ``(n, dim, dim)`` stack spanning the centre of a span.
-
-    Two generic Hermitian elements ``a_1, a_2`` generate a finite-dimensional
-    *-algebra, so whatever commutes with both is central.  The centre is the
-    null space of the ``k x k`` Gram matrix of ``c -> [sum_j c_j b_j, a_i]``,
-    which costs ``k r^3 + k^2 r^2`` flops.  A non-generic draw only makes the
-    null space too large.
-    """
-    basis = space.basis
-    k, r = basis.shape[:2]
-    gram = np.zeros((k, k), dtype=complex)
-    for _ in range(2):
-        a = _random_hermitian_in(basis, rng)
-        comm = (basis @ a - a @ basis).reshape(k, r * r)
-        gram += comm.conj() @ comm.T
-    w, c = np.linalg.eigh(gram)
-    cut = max(tol.subspace ** 2, RANK_REL * w[-1])
-    return np.tensordot(c[:, w <= cut].T, basis, axes=1)
+def _random_element_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    k = len(ops)
+    return np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), ops, axes=1)
 
 
 def _sector_key(s: Sector) -> tuple:
@@ -217,16 +201,6 @@ def _sector_key(s: Sector) -> tuple:
     return (-s.d, -s.n, *entries.round(6).tolist())
 
 
-def _near_integer(value: float, what: str) -> int:
-    nearest = int(round(value))
-    if abs(value - nearest) > INTEGER_GUARD:
-        raise DecompositionError(
-            f"{what} = {value:.6f} is not close to an integer",
-            residuals={"integer_distance": abs(value - nearest)},
-        )
-    return nearest
-
-
 def canonical_decompose(
     space: OperatorSpace,
     seed: int = 0,
@@ -237,54 +211,52 @@ def canonical_decompose(
     The input span must be closed under products and adjoints and contain
     its own support projector (the algebra unit).  Closure is not checked
     apart: a span that is not a *-algebra fails the verification of the
-    rebuilt matrix units, or a count before it, on every attempt.
+    rebuilt matrix units, or a count before it, on every attempt.  A span
+    whose support is the whole space is used as it is; any other is first
+    compressed onto its support.
 
     The sector list is sorted descending by factor dimension, then by
     multiplicity, then by the sector projector, so the order does not depend
     on ``seed``; the isometries are deterministic for a fixed ``seed``.
 
     Raises:
-        DecompositionError: when eigenvalue clustering stays ambiguous after
-            resampling, recovered dimensions fail the integer guard, or the
-            span is not a *-algebra.
+        DecompositionError: for the zero span, and when every attempt fails:
+            the eigenvalue clusters of one sector differ in size, a transport
+            between them is rank deficient, the sector dimensions do not add
+            up to the span's, or the verification fails.  A span that is not
+            a *-algebra fails one of these on every attempt.
     """
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
 
     v_supp = space.support()
-    r = v_supp.shape[1]
-    comp_space = space.compressed(v_supp)
-    if comp_space.size != space.size:
-        raise DecompositionError(
-            "span dimension changed under support compression",
-            residuals={"before": float(space.size), "after": float(comp_space.size)},
-        )
+    comp_space = space
+    if v_supp.shape[1] < space.dim:
+        comp_space = space.compressed(v_supp)
+        if comp_space.size != space.size:
+            raise DecompositionError(
+                "span dimension changed under support compression",
+                residuals={"before": float(space.size), "after": float(comp_space.size)},
+            )
 
-    # a non-generic draw of the centre, or a span that is no *-algebra, fails
-    # a count or the verification below; every attempt draws afresh
+    # a non-generic draw, or a span that is no *-algebra, fails a count or
+    # the verification below; every attempt draws afresh
     rng = np.random.default_rng(seed)
     last_error: DecompositionError | None = None
     for _ in range(DECOMPOSE_ATTEMPTS):
         try:
-            centre = _centre(comp_space, rng, tol)
-            if len(centre) == 0:
-                raise DecompositionError("algebra has an empty center; is the unit present?")
-            sectors = _decompose_once(comp_space, centre, rng)
+            sectors = _decompose_once(comp_space, rng)
+            if comp_space is not space:
+                sectors = [replace(s, isometry=v_supp @ s.isometry) for s in sectors]
             dec = AlgebraDecomposition(
                 ambient_dim=space.dim,
-                sectors=tuple(sorted(
-                    (Sector(d=s.d, n=s.n, isometry=v_supp @ s.isometry) for s in sectors),
-                    key=_sector_key)),
+                sectors=tuple(sorted(sectors, key=_sector_key)),
                 support_projector=v_supp @ v_supp.conj().T,
             )
             if dec.algebra_dim != space.size:
                 raise DecompositionError(
                     f"sector dimensions sum to {dec.algebra_dim}, span has {space.size}",
                     residuals={"algebra_dim": float(dec.algebra_dim)},
-                )
-            if dec.support_rank() != r:
-                raise DecompositionError(
-                    f"sector sizes sum to {dec.support_rank()}, support has rank {r}"
                 )
             report = verify_decomposition(space, dec)
             if report["max_residual"] > tol.subspace:
@@ -298,68 +270,50 @@ def canonical_decompose(
     raise last_error or DecompositionError("algebra decomposition failed")
 
 
-def _decompose_once(comp_space, centre, rng):
-    # 1. split the support with a generic Hermitian central element
-    v, clusters = _eigen_clusters(_random_hermitian_in(centre, rng))
-    if len(clusters) != len(centre):
-        raise DecompositionError(
-            f"central element produced {len(clusters)} clusters, expected {len(centre)}",
-            residuals={"clusters": float(len(clusters))},
-        )
+def _decompose_once(space: OperatorSpace, rng: np.random.Generator) -> list[Sector]:
+    """The sectors of a span with full support, from one generic Hermitian
+    element ``a`` and one generic element ``g``.
+
+    Each sector ``M_d (x) 1_n`` holds ``d`` eigenvalue clusters of ``a``, all
+    of size ``n``; the clusters partition the support.  Two clusters share a
+    sector when the block of ``g`` between them, in ``a``'s eigenbasis,
+    exceeds ``TRANSPORT_REL`` times ``||g||_F``.  The polar factor of the
+    block from a sector's first cluster to another carries the first
+    cluster's basis onto that factor row.
+    """
+    v, clusters = _eigen_clusters(_random_hermitian_in(space.basis, rng))
+    g = v.conj().T @ _random_element_in(space.basis, rng) @ v
+    starts = [c[0] for c in clusters]
+    weight = np.add.reduceat(np.add.reduceat(np.abs(g) ** 2, starts, axis=0), starts, axis=1)
+    linked = weight > (TRANSPORT_REL * np.linalg.norm(g)) ** 2
+    linked |= linked.T
 
     sectors = []
-    for cluster in clusters:
-        q = v[:, cluster]  # r x m_k
-        m_k = q.shape[1]
-        local_space = comp_space.compressed(q)
-        d_k = _near_integer(np.sqrt(local_space.size), "sqrt(sector algebra dimension)")
-        if d_k == 0:
-            raise DecompositionError("sector carries the zero algebra")
-        n_k = _near_integer(m_k / d_k, "sector multiplicity")
-        iso_local = _sector_isometry(local_space, d_k, n_k, rng)
-        sectors.append(Sector(d=d_k, n=n_k, isometry=q @ iso_local))
-    return sectors
-
-
-def _sector_isometry(local_space: OperatorSpace, d: int, n: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Coordinates in which a single-factor algebra reads ``M_d (x) 1_n``.
-
-    A generic Hermitian algebra element has ``d`` eigenvalues of multiplicity
-    ``n``; its eigenspaces are the factor "rows".  Partial isometries taken
-    from the algebra transport an orthonormal basis of the first eigenspace
-    to all the others, fixing the tensor alignment.
-    """
-    m = d * n
-    if d == 1:
-        # abelian factor: any orthonormal basis of the sector works
-        return np.eye(m, dtype=complex)
-    ops = local_space.basis
-    h = _random_hermitian_in(ops, rng)
-    v, clusters = _eigen_clusters(h)
-    if len(clusters) != d or any(len(c) != n for c in clusters):
-        raise DecompositionError(
-            "sector element eigenvalues did not split into equal multiplets",
-            residuals={"clusters": float(len(clusters))},
-        )
-    eig_blocks = [v[:, c] for c in clusters]
-
-    coeff = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
-    t = np.tensordot(coeff, ops, axes=1)
-
-    w1 = eig_blocks[0]
-    columns = [w1]
-    for a in range(1, d):
-        pa = eig_blocks[a] @ eig_blocks[a].conj().T
-        x = pa @ t @ w1
-        u, s, vh = np.linalg.svd(x, full_matrices=False)
-        if s.size < n or s[-1] < TRANSPORT_REL * max(s[0], TRANSPORT_FLOOR):
+    free = np.ones(len(clusters), dtype=bool)
+    while free.any():
+        # the clusters connected to the first free one, in ascending order
+        member = np.arange(len(clusters)) == np.argmax(free)
+        while not np.array_equal(grown := member | linked[member].any(axis=0), member):
+            member = grown
+        free &= ~member
+        rows = [clusters[i] for i in np.flatnonzero(member)]
+        n = len(rows[0])
+        if any(len(c) != n for c in rows):
             raise DecompositionError(
-                "algebra transport between eigenspaces is rank deficient",
-                residuals={"min_singular": float(s[-1]) if s.size else 0.0},
+                "eigenvalue clusters of one sector differ in size",
+                residuals={"clusters": float(len(rows))},
             )
-        columns.append(u @ vh)
-    return np.column_stack(columns)
+        columns = [v[:, rows[0]]]
+        for c in rows[1:]:
+            u, s, vh = np.linalg.svd(g[np.ix_(c, rows[0])])
+            if s[-1] < TRANSPORT_REL * max(s[0], TRANSPORT_FLOOR):
+                raise DecompositionError(
+                    "algebra transport between eigenspaces is rank deficient",
+                    residuals={"min_singular": float(s[-1])},
+                )
+            columns.append(v[:, c] @ (u @ vh))
+        sectors.append(Sector(d=len(rows), n=n, isometry=np.column_stack(columns)))
+    return sectors
 
 
 def _matrix_units(sector: Sector) -> np.ndarray:
@@ -373,32 +327,49 @@ def _matrix_units(sector: Sector) -> np.ndarray:
 def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dict[str, float]:
     """Residuals certifying a decomposition against the original span.
 
-    Checks isometry orthonormality, mutual sector orthogonality, and that the
-    span rebuilt from matrix units equals the input span: ``||B - (B A^dag) A||_2``
-    for the basis ``B`` and the units ``A`` scaled by ``1/sqrt(n)``, orthonormal to
-    within the first two residuals, is the sine of the largest principal angle.
+    In the coordinates of the concatenated sector isometries ``V``, the
+    diagonal sector blocks of ``V^dag V - 1`` give ``isometry_residual`` and
+    the blocks between sectors ``sector_orthogonality``.
+    ``reconstruction_distance`` is the Frobenius norm, over the basis
+    ``B_l``, of ``B_l - V Pi(V^dag B_l V) V^dag``, where ``Pi`` replaces each
+    sector block by its partial trace over the cofactor times ``1_n / n`` and
+    zeroes the blocks between sectors: the part of the span outside the span
+    of the sector matrix units.  To within the first two residuals it bounds
+    the sine of the largest principal angle between the two spans from
+    above; spans of different dimension read 1.
 
     Raises:
         NumericalError: if the basis of ``space`` is not orthonormal.
     """
     if not _is_orthonormal(space.basis):
         raise NumericalError("operator space basis is not orthonormal")
-    iso_res = 0.0
-    orth_res = 0.0
-    for i, s in enumerate(dec.sectors):
-        v = s.isometry
-        iso_res = max(iso_res, float(np.max(np.abs(v.conj().T @ v - np.eye(s.d * s.n)))))
-        for other in dec.sectors[i + 1:]:
-            orth_res = max(orth_res, float(np.max(np.abs(v.conj().T @ other.isometry))))
+    v = np.concatenate([s.isometry for s in dec.sectors], axis=1)
+    edges = np.cumsum([0] + [s.d * s.n for s in dec.sectors])
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    gram = np.abs(v.conj().T @ v - np.eye(v.shape[1]))
+    on_block = np.zeros(gram.shape, dtype=bool)
+    for b in blocks:
+        on_block[b, b] = True
 
-    a = np.concatenate([_matrix_units(s) / np.sqrt(s.n) for s in dec.sectors])
-    a = a.reshape(len(a), -1)
-    b = space.basis.reshape(-1, space.dim ** 2)
-    recon = 1.0 if len(a) != len(b) else float(np.linalg.norm(b - (b @ a.conj().T) @ a, 2))
+    recon = 1.0
+    if dec.algebra_dim == space.size:
+        # chunks of the basis, so that the temporaries stay below one basis
+        step = -(-space.size // 8)
+        squared = 0.0
+        for lo in range(0, space.size, step):
+            chunk = space.basis[lo:lo + step]
+            m = v.conj().T @ chunk @ v
+            kept = np.zeros_like(m)
+            for s, b in zip(dec.sectors, blocks):
+                factor = np.einsum("xaibi->xab", m[:, b, b].reshape(-1, s.d, s.n, s.d, s.n))
+                kept[:, b, b] = np.einsum("xab,ij->xaibj", factor / s.n, np.eye(s.n)).reshape(
+                    len(m), s.d * s.n, s.d * s.n)
+            squared += float(np.linalg.norm(chunk - v @ kept @ v.conj().T) ** 2)
+        recon = float(np.sqrt(squared))
 
     report = {
-        "isometry_residual": iso_res,
-        "sector_orthogonality": orth_res,
+        "isometry_residual": float(np.max(gram[on_block], initial=0.0)),
+        "sector_orthogonality": float(np.max(gram[~on_block], initial=0.0)),
         "reconstruction_distance": recon,
     }
     report["max_residual"] = max(report.values())

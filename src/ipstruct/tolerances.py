@@ -6,9 +6,9 @@ take an optional ``tol`` argument and fall back to :data:`DEFAULT_TOL`; on
 the command line ``--tol`` replaces both, and every report records them.
 
 Every other cut is a module constant below, the same for every call, with a
-line on what it decides.  These cut ranks, eigenvalue clusters, integer
-dimensions and input validation: they decide which structure is found, not
-how strictly a verdict is judged.
+line on what it decides.  These cut ranks, eigenvalue clusters, couplings
+and input validation: they decide which structure is found, not how
+strictly a verdict is judged.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ DEFAULT_TOL = ToleranceConfig()
 # numerical rank: values below this times the largest are zero.  One routine,
 # channels._psd_support, cuts every PSD operator; the other users are
 # spectral.operator_space_from_span on a span's singular values and the null
-# spaces of algebra.commutant and algebra._centre, beside a tol.subspace floor
+# space of algebra.commutant, beside a tol.subspace floor
 RANK_REL = 1e-10
 PROJECTOR = 1e-10  # entrywise Hermiticity and idempotency of an orthogonal projector
 PERIPHERAL = 1e-8  # |lambda - 1| (or ||lambda| - 1|) below this: fixed (or peripheral)
@@ -59,9 +59,8 @@ SELF_ADJOINT = 1e-12  # ||M - M^T||_F up to this: a symmetric eigensolve, off by
 PAIRING_CONDITION = 1e12  # largest condition of the fixed-space right/left pairing
 CLUSTER_REL = 1e-7  # eigenvalue cluster width, relative to a generic element's spread
 CLUSTER_FLOOR = 1e-12  # absolute floor of that width, for an element of tiny spread
-INTEGER_GUARD = 1e-2  # a dimension read from a rank ratio is this close to an integer
 BASIS_ORTHONORMAL = 1e-8  # entrywise orthonormality of an operator-space basis
-TRANSPORT_REL = 1e-8  # factor-row transport: least singular value over the largest
+TRANSPORT_REL = 1e-8  # row transport: least singular value over the largest; cluster link: block over ||g||_F
 TRANSPORT_FLOOR = 1e-30  # floor of that largest value, so a zero block is deficient
 TAU_TRACE = 1e-6  # a distortion state read through the projector has trace 1 to this
 TAU_MIN_EIG = -1e-9  # and no eigenvalue below this

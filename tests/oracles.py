@@ -12,9 +12,10 @@ import math
 import numpy as np
 import scipy.linalg
 
-from ipstruct import (DEFAULT_TOL, Graph, QuantumChannel, StochasticChannel, Superoperator,
-                      ToleranceConfig, ValidationError, channel_from_kraus, to_superoperator,
-                      trace_norm)
+from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
+                      StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
+                      channel_from_kraus, to_superoperator, trace_norm)
+from ipstruct.algebra import _matrix_units
 from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
 from ipstruct.tolerances import OVERLAP_EPS
@@ -160,3 +161,20 @@ def subspace_distance(a: OperatorSpace | np.ndarray, b: OperatorSpace | np.ndarr
     if qa.shape[1] == 0:
         return 0.0
     return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
+
+
+def unit_span_distance(space: OperatorSpace, dec: AlgebraDecomposition) -> float:
+    """``||B - (B A^dag) A||_2`` for the basis ``B`` of a span and the matrix
+    units ``A`` of a decomposition scaled by ``1/sqrt(n)``; 1.0 when their
+    counts differ.
+
+    With orthonormal units this is the sine of the largest principal angle
+    between the two spans; ``verify_decomposition``'s Frobenius distance
+    bounds it from above.
+    """
+    a = np.concatenate([_matrix_units(s) / np.sqrt(s.n) for s in dec.sectors])
+    a = a.reshape(len(a), -1)
+    b = space.basis.reshape(space.size, -1)
+    if len(a) != len(b):
+        return 1.0
+    return float(np.linalg.norm(b - (b @ a.conj().T) @ a, 2))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ipstruct import (
+    AlgebraDecomposition,
     DecompositionError,
     NumericalError,
     OperatorSpace,
@@ -10,9 +11,10 @@ from ipstruct import (
     verify_decomposition,
 )
 import ipstruct.algebra
-from ipstruct.algebra import _centre, commutant, is_algebra
+from ipstruct.algebra import Sector, commutant, is_algebra
 from ipstruct.spectral import operator_space_from_span
-from ipstruct.tolerances import DEFAULT_TOL
+
+from oracles import unit_span_distance
 
 SECTOR_LAYOUTS = [
     [(1, 1), (1, 1)],
@@ -20,6 +22,8 @@ SECTOR_LAYOUTS = [
     [(2, 2), (1, 3)],
     [(3, 1), (1, 2)],
     [(2, 1), (2, 1)],
+    [(2, 2), (2, 2), (1, 1)],
+    [(3, 2), (2, 3)],
 ]
 
 
@@ -134,8 +138,11 @@ def test_canonical_decompose_known_shape():
     for t in (1e-9, 1e-5, 0.3):
         turned = space.basis.copy()
         turned[0] = np.cos(t) * turned[0] + np.sin(t) * outside
-        dist = verify_decomposition(OperatorSpace(dim=8, basis=turned), dec)
+        turned_space = OperatorSpace(dim=8, basis=turned)
+        dist = verify_decomposition(turned_space, dec)
         assert abs(dist["reconstruction_distance"] - np.sin(t)) <= 1e-12, t
+        # a Frobenius norm, never below the 2-norm reference (to rounding)
+        assert dist["reconstruction_distance"] >= unit_span_distance(turned_space, dec) - 1e-15
     # a hand-built basis that is not orthonormal is refused
     with pytest.raises(NumericalError, match="not orthonormal"):
         verify_decomposition(OperatorSpace(dim=8, basis=2.0 * space.basis), dec)
@@ -180,28 +187,35 @@ def test_commutant_and_centre_of_sector_layouts(sectors):
     assert commutant(space).size == sum(n * n for _, n in sectors) + pad ** 2
 
     assert is_algebra(space)
-    centre = _centre(space, np.random.default_rng(0), DEFAULT_TOL)
-    assert len(centre) == len(sectors)
+    # the sector projectors span the centre: each lies in the span and
+    # commutes with every basis element
+    dec = canonical_decompose(space)
+    assert len(dec.sectors) == len(sectors)
     v = space.vec_matrix()
-    for z in centre:
+    for s in dec.sectors:
+        z = s.isometry @ s.isometry.conj().T
         x = z.reshape(-1, order="F")
         assert np.linalg.norm(v @ (v.conj().T @ x) - x) < 1e-10
         for b in space.basis:
             assert np.linalg.norm(z @ b - b @ z) < 1e-10
 
 
-def test_seed_invariance_of_decomposition():
+@pytest.mark.parametrize("sectors, seeds", [(layout, 20) for layout in SECTOR_LAYOUTS]
+                         + [([(2, 2), (1, 1)], 100)])
+def test_seed_invariance_of_decomposition(sectors, seeds):
     """The randomized interior steps must not leak into the answer.
 
-    100 seeds on M_2 (x) 1_2  (+)  M_1: identical shapes, identical support,
-    and identical sector projectors (the isometries themselves are only
-    canonical up to basis rotations, the projectors are unique).
+    Every layout over 20 seeds, and M_2 (x) 1_2  (+)  M_1 over 100: identical
+    shapes, identical support, and identical sector projectors (the
+    isometries themselves are only canonical up to basis rotations, the
+    projectors are unique).
     """
+    total = sum(d * n for d, n in sectors)
     rng = np.random.default_rng(23)
-    u = haar_unitary(5, rng)
-    space = space_of(5, [(2, 2), (1, 1)], u)
+    u = haar_unitary(total, rng)
+    space = space_of(total, sectors, u)
     reference = None
-    for seed in range(100):
+    for seed in range(seeds):
         dec = canonical_decompose(space, seed=seed)
         projs = [s.isometry @ s.isometry.conj().T for s in dec.sectors]
         if reference is None:
@@ -239,23 +253,35 @@ def test_non_closed_spans_fail_decomposition(ops):
     assert not is_algebra(space)
     with pytest.raises(DecompositionError):
         canonical_decompose(space)
+    # against decompositions with one, two or dim^2 units, the Frobenius
+    # distance never reads below the 2-norm reference (to rounding)
+    u = haar_unitary(dim, np.random.default_rng(1))
+    for layout in ([(1, 1)], [(1, dim)], [(1, 1), (1, 1)], [(dim, 1)]):
+        columns = np.cumsum([0] + [d * n for d, n in layout])
+        dec = AlgebraDecomposition(
+            ambient_dim=dim, support_projector=np.eye(dim),
+            sectors=tuple(Sector(d=d, n=n, isometry=u[:, lo:hi])
+                          for (d, n), lo, hi in zip(layout, columns[:-1], columns[1:])))
+        reference = unit_span_distance(space, dec)
+        assert 0.1 < reference <= 1.0 + 1e-12
+        assert verify_decomposition(space, dec)["reconstruction_distance"] >= reference - 1e-15
 
 
 def test_degenerate_centre_draw_is_retried(monkeypatch):
-    # a first draw that calls the whole span central splits M_2 (x) 1_2 (+) M_1
-    # into too few clusters; the next attempt draws afresh and succeeds
+    # a scalar first draw puts the whole support of M_2 (x) 1_2 (+) M_1 in
+    # one cluster, one sector too few; the next attempt draws afresh and succeeds
     space = space_of(5, [(2, 2), (1, 1)], haar_unitary(5, np.random.default_rng(5)))
     expected = canonical_decompose(space)
-    original = ipstruct.algebra._centre
+    original = ipstruct.algebra._random_hermitian_in
     calls = []
 
-    def degenerate_first(comp_space, rng, tol):
+    def degenerate_first(ops, rng):
         calls.append(rng)
         if len(calls) == 1:
-            return comp_space.basis
-        return original(comp_space, rng, tol)
+            return np.eye(ops.shape[1], dtype=complex)
+        return original(ops, rng)
 
-    monkeypatch.setattr(ipstruct.algebra, "_centre", degenerate_first)
+    monkeypatch.setattr(ipstruct.algebra, "_random_hermitian_in", degenerate_first)
     dec = canonical_decompose(space)
     assert len(calls) == 2
     assert (dec.shape, dec.cofactors) == (expected.shape, expected.cofactors)

@@ -236,7 +236,7 @@ def test_no_closure_check_and_one_centre_per_attempt(analyze, monkeypatch):
     for module in (ipstruct, ipstruct.algebra, ipstruct.structures, ipstruct.codes):
         if hasattr(module, "is_algebra"):
             monkeypatch.setattr(module, "is_algebra", refuse)
-    calls = {"_centre": 0, "_decompose_once": 0}
+    calls = {"_eigen_clusters": 0, "_decompose_once": 0}
     for name in calls:
         original = getattr(ipstruct.algebra, name)
 
@@ -246,12 +246,13 @@ def test_no_closure_check_and_one_centre_per_attempt(analyze, monkeypatch):
 
         monkeypatch.setattr(ipstruct.algebra, name, counted)
     analyze(zoo.random_cptp(8, 3, 1))
-    assert calls["_centre"] == calls["_decompose_once"] >= 1
+    # one eigensolve of one generic element per attempt, whatever the sectors
+    assert calls["_eigen_clusters"] == calls["_decompose_once"] >= 1
 
 
 def test_large_algebras_decompose_in_seconds():
     # with a closure check of k^3 r^2 flops these took 17.6 s and 2.3 s
-    # (one BLAS thread); now about 0.8 s and 0.6 s
+    # (one BLAS thread); now about 0.12 s and 0.2 s
     channels = [channel_from_kraus([np.eye(20)]), zoo.random_dfs_channel(24, 12, 1)]
     start = time.perf_counter()
     shapes = [noiseless_structure(ch).shape for ch in channels]
@@ -275,6 +276,20 @@ def test_large_algebras_stay_small_in_memory(build, shape, cofactors):
         tracemalloc.stop()
     assert (s.shape, s.cofactors) == (shape, cofactors)
     assert peak < 32 * 2**20
+
+
+def test_identity_d32_decomposes_below_100_mb():
+    # a full matrix algebra of k = r^2 = 1024 elements, so each span is a
+    # 16 MB stack; the commutator Gram of the centre once peaked at 112 MB
+    ch = channel_from_kraus([np.eye(32)])
+    tracemalloc.start()
+    try:
+        s = noiseless_structure(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.shape, s.cofactors) == ((32,), (1,))
+    assert peak < 100 * 2**20
 
 
 @pytest.mark.parametrize("analyze", [
