@@ -316,11 +316,12 @@ def _decompose_once(space: OperatorSpace, rng: np.random.Generator) -> list[Sect
     return sectors
 
 
-def _matrix_units(sector: Sector) -> np.ndarray:
-    """The ``(d^2, dim, dim)`` stack ``V (E_ab (x) 1_n) V^dag = V_a V_b^dag``,
-    ``a`` major, where ``V_a`` holds the ``n`` columns of factor row ``a``."""
+def _matrix_units(sector: Sector, cofactor: np.ndarray) -> np.ndarray:
+    """The ``(d^2, dim, dim)`` stack ``V (E_ab (x) c) V^dag = V_a c V_b^dag`` for
+    an ``n x n`` cofactor operator ``c``, ``a`` major, where ``V_a`` holds the
+    ``n`` columns of factor row ``a``; ``c = 1_n`` gives the algebra's units."""
     v = sector.isometry.reshape(-1, sector.d, sector.n)
-    units = np.einsum("xai,ybi->abxy", v, v.conj())
+    units = np.einsum("xai,ybi->abxy", v @ cofactor, v.conj())
     return units.reshape(sector.d ** 2, *units.shape[2:])
 
 

@@ -294,11 +294,11 @@ def to_superoperator(ch: QuantumChannel) -> Superoperator:
 
 
 def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
-    """Apply ``sum_i K_i X K_i^dag`` to an operator."""
+    """Apply ``sum_i K_i X K_i^dag`` to an operator or an ``(m, d, d)`` stack of them."""
     x = np.asarray(x, dtype=complex)
-    if x.shape != (ch.dim_in, ch.dim_in):
-        raise ValidationError(f"operand shape {x.shape} != ({ch.dim_in}, {ch.dim_in})")
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
+    if x.shape[-2:] != (ch.dim_in, ch.dim_in) or x.ndim not in (2, 3):
+        raise ValidationError(f"operand shape {x.shape} != ([m,] {ch.dim_in}, {ch.dim_in})")
+    out = np.zeros(x.shape[:-2] + (ch.dim_out, ch.dim_out), dtype=complex)
     for k in ch.kraus:
         out += k @ x @ k.conj().T
     return out

@@ -41,8 +41,8 @@ from .channels import (
     projector_onto_support,
 )
 from .errors import NumericalError, ValidationError
-from .spectral import _joint_support, fixed_space
-from .structures import _partial_trace_factor, noiseless_structure, transpose_channel
+from .spectral import SpectralSpace, _joint_support, fixed_space
+from .structures import _partial_trace_factor, _structure_from_space, transpose_channel
 from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
                          RECOVERY_RESIDUAL, SWEEP_COMPRESSION, ToleranceConfig)
 
@@ -270,12 +270,13 @@ def _displacement(code: Code, images: np.ndarray) -> float:
 def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
              tol: ToleranceConfig) -> PreservationReport:
     """Report the pair whose distance drops most under the linear map
-    ``apply_map``, if that drop exceeds ``tol.subspace``, or pass unswept a
-    code that it moves no further (module docstring).  A code state or mapped
+    ``apply_map`` (given the stack of code states), if that drop exceeds
+    ``tol.subspace``, or pass unswept a code that it moves no further (module
+    docstring).  A code state or mapped
     state with an anti-Hermitian part above ``tol.equality`` raises
     :class:`ValidationError`."""
     _hermitian_stack(code.states, "code state", tol)
-    images = _hermitian_stack([apply_map(s) for s in code.states], "mapped state", tol)
+    images = _hermitian_stack(apply_map(np.stack(code.states)), "mapped state", tol)
     if images.shape[-1] != code.dim or _displacement(code, images) > tol.subspace:
         sweep = code._sweep
         after = _weighted_norms(np.tensordot(sweep.weights, images, axes=1))
@@ -315,7 +316,7 @@ def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL)
         raise ValidationError("code dimension does not match channel input")
     if not ch.is_square:
         return False
-    images = np.stack([apply_channel(ch, s) for s in code.states])
+    images = apply_channel(ch, np.stack(code.states))
     _hermitian_stack(images - code.states, "fixed-point residual", tol)
     return _displacement(code, images) <= tol.equality
 
@@ -337,12 +338,17 @@ def is_noiseless(code: Code, ch: QuantumChannel,
         raise ValidationError("noiseless check requires a square channel")
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
+    return _compare(code, _time_average(ch, tol).project, tol)
+
+
+def _time_average(ch: QuantumChannel, tol: ToleranceConfig) -> SpectralSpace:
+    """The guard of :func:`is_noiseless`, then the fixed space, whose ``project`` is P."""
     gain = float(np.linalg.eigvalsh(sum(k.conj().T @ k for k in ch.kraus))[-1])
     rounding = len(ch.kraus) * ch.dim_in * np.finfo(float).eps
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
                               f"(sum K^dag K has eigenvalue {gain:.12g})")
-    return _compare(code, fixed_space(ch, tol).project, tol)
+    return fixed_space(ch, tol)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
@@ -353,10 +359,8 @@ def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
     recovery map, so a negative verdict here is a genuine counterexample."""
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
-    p = code_support(code)
-    recovery = transpose_channel(ch, p, tol=tol)
-    composite = compose(recovery, ch, tol=tol)
-    report = is_noiseless(code, composite, tol=tol)
+    recovery = transpose_channel(ch, code_support(code), tol=tol)
+    report = is_noiseless(code, compose(recovery, ch, tol=tol), tol=tol)
     return CorrectabilityReport(verdict=report.verdict, recovery=recovery, noiseless=report)
 
 
@@ -412,30 +416,29 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         NumericalError: if the assembled recovery misses the ``RECOVERY_RESIDUAL``
             contract (indicating the code lacked common cofactor states).
     """
-    corr = is_correctable_via_transpose(code, ch, tol=tol)
-    if not corr:
+    # as is_correctable_via_transpose, but one split of R o E serves the check
+    # and the structure
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
+    transpose = transpose_channel(ch, code_support(code), tol=tol)
+    composite = compose(transpose, ch, tol=tol)
+    space = _time_average(composite, tol)
+    if not _compare(code, space.project, tol):
         raise ValidationError("code is not preserved; no fixing recovery exists")
-    composite = compose(corr.recovery, ch, tol=tol)
-    structure = noiseless_structure(composite, tol=tol)
+    structure = _structure_from_space(space, composite, "noiseless", 0, tol)
 
     # read the cofactor state each sector carries in the code
     mus = []
     for sector, tau in zip(structure.algebra.sectors, structure.distortion_states):
-        mu = None
-        for state in code.states:
-            reduced = _partial_trace_factor(sector, state)
-            weight = float(np.real(np.trace(reduced)))
-            if weight < COFACTOR_WEIGHT:
-                continue
-            mu = (reduced + reduced.conj().T) / (2.0 * weight)
-            break
-        mus.append(mu if mu is not None else tau)
+        reduced = _partial_trace_factor(sector, np.stack(code.states))
+        weights = np.real(np.trace(reduced, axis1=1, axis2=2))
+        i = int(np.argmax(weights >= COFACTOR_WEIGHT))  # the first state that uses the sector
+        mus.append((reduced[i] + reduced[i].conj().T) / (2.0 * weights[i])
+                   if weights[i] >= COFACTOR_WEIGHT else tau)
 
     # per sector: trace out the cofactor and install mu
-    kraus: list[np.ndarray] = []
-    for sector, mu in zip(structure.algebra.sectors, mus):
-        kraus.extend(_embed(sector.isometry, np.eye(sector.d), k)
-                     for k in _preparation_kraus(mu, np.eye(sector.n)))
+    kraus = [_embed(s.isometry, np.eye(s.d), k) for s, mu in zip(structure.algebra.sectors, mus)
+             for k in _preparation_kraus(mu, np.eye(s.n))]
 
     # route anything outside the support to a fixed default state so the
     # reset map is trace preserving on the whole space (never exercised by
@@ -448,11 +451,11 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         kraus.extend(_preparation_kraus(default, outside))
 
     reset = channel_from_kraus(kraus, tol=tol)
-    recovery = compose(reset, corr.recovery, tol=tol)
+    recovery = compose(reset, transpose, tol=tol)
 
-    residuals = _hermitian_stack(
-        [apply_channel(recovery, apply_channel(ch, s)) - s for s in code.states],
-        "recovery residual", tol)
+    states = np.stack(code.states)
+    residuals = _hermitian_stack(apply_channel(recovery, apply_channel(ch, states)) - states,
+                                 "recovery residual", tol)
     worst = float(_batched_trace_norm(residuals).max())
     if worst > RECOVERY_RESIDUAL:
         raise NumericalError(

@@ -15,14 +15,18 @@ This module computes that structure for three notions of preservation:
   is the recovery built from the channel applied to the identity, the
   unique structure that survives without initialization control.
 
-It also builds transpose-channel recovery maps for arbitrary support
-projectors and checks the leak-in condition for initialization-free use.
+Each structure is certified against the analyzed map over an orthonormal
+basis of the span of its states, with no random draw (README, structure
+step).  The module also builds transpose-channel recovery maps for arbitrary
+support projectors and checks the leak-in condition for initialization-free
+use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -87,19 +91,15 @@ class FixedPointStructure:
 
     def sample_state(self, blocks, weights=None) -> np.ndarray:
         """Assemble ``sum_k p_k V_k (blocks[k] (x) tau_k) V_k^dag``."""
-        return _structure_state(self.algebra.sectors, self.distortion_states, blocks, weights)
-
-
-def _structure_state(sectors, taus, blocks, weights=None) -> np.ndarray:
-    if weights is None:
-        weights = [1.0 / len(sectors)] * len(sectors)
-    return sum(w * _embed(s.isometry, m, tau)
-               for w, s, m, tau in zip(weights, sectors, blocks, taus))
+        sectors = self.algebra.sectors
+        weights = [1.0 / len(sectors)] * len(sectors) if weights is None else weights
+        return sum(w * _embed(s.isometry, m, tau)
+                   for w, s, m, tau in zip(weights, sectors, blocks, self.distortion_states))
 
 
 @dataclass(frozen=True)
 class InitializationFreeReport:
-    """Per-Kraus leak-in residuals ``|P_k K_i (1 - P0)|`` for one sector."""
+    """Per-Kraus leak-in residuals ``||P_k K_i (1 - P0)||_F`` for one sector."""
 
     initialization_free: bool
     kraus_residuals: tuple[float, ...]
@@ -166,18 +166,24 @@ def unconditional_recovery(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TO
 # ---------------------------------------------------------------------------
 
 def _partial_trace_factor(sector: Sector, x: np.ndarray) -> np.ndarray:
-    """Trace out the factor of ``V^dag x V``, leaving the ``n x n`` cofactor part."""
+    """Trace out the factor of ``V^dag x V`` (``x`` may be a stack), leaving the cofactor part."""
     m = sector.isometry.conj().T @ x @ sector.isometry
-    return np.einsum("aiaj->ij", m.reshape(sector.d, sector.n, sector.d, sector.n))
+    d, n = sector.d, sector.n
+    return np.einsum("...aiaj->...ij", m.reshape(*x.shape[:-2], d, n, d, n))
 
 
 def _structure_from_space(
     space: SpectralSpace,
-    fixedness_map: Callable[[np.ndarray], np.ndarray],
+    ch: QuantumChannel,
     kind: str,
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
+    """Decompose the algebra of ``space.dual``, read each ``tau_k`` through
+    ``space.project`` and certify the structure against the analyzed map
+    ``ch`` over the whole span of its states.  No random draw enters:
+    ``seed`` reaches only :func:`canonical_decompose`.
+    """
     vs = space.support()
     p0 = vs @ vs.conj().T
 
@@ -190,41 +196,35 @@ def _structure_from_space(
         )
 
     dec_local = canonical_decompose(alg_space, seed=seed, tol=tol)
+    del alg_space  # a basis-sized stack that the certificate below does not need
     # ties are broken in the input space, not in the arbitrary support basis
     sectors = tuple(sorted(
         (Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors),
         key=_sector_key))
     dec = replace(dec_local, ambient_dim=space.dim, sectors=sectors, support_projector=p0)
 
-    # distortion states: average a seeded pure state on each factor and trace
-    # the factor out; cross-check independence from the probe state
-    rng = np.random.default_rng(seed + 1)
-    taus = []
-    tau_cross = 0.0
-    for sector in sectors:
-        samples = []
-        for _ in range(2):
-            psi = rng.standard_normal(sector.d) + 1j * rng.standard_normal(sector.d)
-            psi /= np.linalg.norm(psi)
-            probe = _embed(sector.isometry, np.outer(psi, psi.conj()),
-                           np.eye(sector.n) / sector.n)
-            image = space.project(probe)
-            tau = _partial_trace_factor(sector, image)
-            tau = (tau + tau.conj().T) / 2.0
-            tr = float(np.real(np.trace(tau)))
-            if abs(tr - 1.0) > TAU_TRACE:
-                raise NumericalError(
-                    f"distortion state trace {tr:.6f} is far from 1",
-                    residuals={"tau_trace": tr},
-                )
-            samples.append(tau / tr)
-        tau_cross = max(tau_cross, float(np.max(np.abs(samples[0] - samples[1]))))
+    # tau_k: the cofactor states that the d_k diagonal units V_k (E_aa (x) 1/n) V_k^dag
+    # leave under the projector, all sent in one call; tau_cross_check is their spread
+    images = space.project(np.concatenate(
+        [_matrix_units(s, np.eye(s.n) / s.n)[::s.d + 1] for s in sectors]))
+    taus, tau_cross = [], 0.0
+    for sector, lo in zip(sectors, np.cumsum([0] + [s.d for s in sectors])):
+        reduced = _partial_trace_factor(sector, images[lo:lo + sector.d])
+        trs = np.real(np.trace(reduced, axis1=1, axis2=2))
+        tr = float(trs[np.argmax(np.abs(trs - 1.0))])
+        if abs(tr - 1.0) > TAU_TRACE:
+            raise NumericalError(
+                f"distortion state trace {tr:.6f} is far from 1",
+                residuals={"tau_trace": tr},
+            )
+        reduced = (reduced + reduced.conj().transpose(0, 2, 1)) / (2.0 * trs[:, None, None])
+        tau_cross = max(tau_cross, float(np.max(np.abs(reduced - reduced[:, None]))))
         if tau_cross > tol.subspace:
             raise NumericalError(
                 "distortion state depends on the probe state",
                 residuals={"tau_cross": tau_cross},
             )
-        tau = samples[0]
+        tau = reduced.mean(axis=0)
         w = np.linalg.eigvalsh(tau)
         if w.min() < TAU_MIN_EIG:
             raise NumericalError(
@@ -233,30 +233,34 @@ def _structure_from_space(
             )
         taus.append(tau)
 
-    # fixedness of assembled structure states under the analyzed map
-    fix_res = 0.0
-    for trial in range(2):
-        blocks = []
-        for sector in sectors:
-            g = rng.standard_normal((sector.d, sector.d)) \
-                + 1j * rng.standard_normal((sector.d, sector.d))
-            rho = g @ g.conj().T
-            blocks.append(rho / np.trace(rho))
-        weights = rng.random(len(sectors)) + 0.1
-        weights /= weights.sum()
-        state = _structure_state(sectors, taus, blocks, weights)
-        image = fixedness_map(state)
-        fix_res = max(fix_res, float(np.max(np.abs(image - state))))
-    if fix_res > FIXED_STATE_RESIDUAL:
-        raise DecompositionError(
-            "assembled structure states are not fixed by the analyzed map",
-            residuals={"fixed_state_residual": fix_res},
-        )
+    # the map over the orthonormal basis V_k (E_ab (x) tau_k) V_k^dag / ||tau_k||_F of
+    # the structure states, in chunks of d^2 / 8 elements: an eighth of the superoperator
+    units = np.concatenate([_matrix_units(s, t / np.linalg.norm(t))
+                            for s, t in zip(sectors, taus)])
+    flat, step = units.reshape(len(units), -1), -(-space.dim ** 2 // 8)
+    chunks = ((c, apply_channel(ch, units[c]).reshape(flat[c].shape))
+              for c in (slice(lo, lo + step) for lo in range(0, len(units), step)))
+    if kind != "unitarily-noiseless":
+        certificate = {"fixed_state_residual": math.sqrt(
+            sum(np.linalg.norm(image - flat[c]) ** 2 for c, image in chunks))}
+    else:  # E rotates the states: it must keep their span and act on it unitarily
+        scale = np.repeat([np.linalg.norm(t) for t in taus], [s.d ** 2 for s in sectors])
+        leak, gram = 0.0, np.zeros((len(units), len(units)), dtype=complex)
+        for c, image in chunks:
+            coeff = (image.conj() @ flat.T).conj()  # <u_j, E(u_i)>
+            leak += np.linalg.norm(image - coeff @ flat) ** 2
+            coeff *= scale[c, None] / scale  # E on the units V_k (E_ab (x) tau_k) V_k^dag
+            gram += coeff.conj().T @ coeff
+        gram[np.diag_indices(len(units))] -= 1.0
+        certificate = {"span_leak": math.sqrt(leak), "gram_change": float(np.linalg.norm(gram))}
+    if max(certificate.values()) > FIXED_STATE_RESIDUAL:
+        raise DecompositionError("the analyzed map does not preserve the structure states",
+                                 residuals=certificate)
 
     return FixedPointStructure(
         kind=kind, support_projector=p0, algebra=dec, distortion_states=tuple(taus),
         residuals={"algebra_closure": dec.residuals["algebra_closure"],
-                   "tau_cross_check": tau_cross, "fixed_state_residual": fix_res},
+                   "tau_cross_check": tau_cross, **certificate},
     )
 
 
@@ -271,12 +275,11 @@ def noiseless_structure(ch: QuantumChannel, seed: int = 0,
 
     Pipeline: fixed spaces of the map and its adjoint, support projector,
     compression of the adjoint side, canonical algebra decomposition,
-    distortion-state extraction through the time-averaged channel.
+    distortion-state extraction through the time-averaged channel, and
+    ``fixed_state_residual``: ``E - id`` over the whole structure span.
     """
     _require_square(ch)
-    return _structure_from_space(
-        fixed_space(ch, tol), lambda x: apply_channel(ch, x), "noiseless", seed, tol,
-    )
+    return _structure_from_space(fixed_space(ch, tol), ch, "noiseless", seed, tol)
 
 
 def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
@@ -284,13 +287,12 @@ def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
     """Structure preserved up to a recurring unitary: built from the span of
     unit-modulus eigenoperators instead of the strictly fixed ones.
 
-    Structure states here are fixed by the peripheral spectral projector
-    (the channel merely rotates them within the structure), so that map is
-    used for both distortion extraction and the fixedness certificate.
+    The peripheral projector reads the distortion states.  ``E`` rotates the
+    structure states, so its certificate reads how far ``E`` moves their span
+    (``span_leak``) and is from unitary on it (``gram_change``).
     """
     _require_square(ch)
-    space = rotating_space(ch, tol)
-    return _structure_from_space(space, space.project, "unitarily-noiseless", seed, tol)
+    return _structure_from_space(rotating_space(ch, tol), ch, "unitarily-noiseless", seed, tol)
 
 
 def unconditional_structure(ch: QuantumChannel, seed: int = 0,
@@ -303,9 +305,7 @@ def unconditional_structure(ch: QuantumChannel, seed: int = 0,
     has full support.
     """
     comp = compose(unconditional_recovery(ch, tol), ch, tol=tol)
-    return _structure_from_space(
-        fixed_space(comp, tol), lambda x: apply_channel(comp, x), "unconditional", seed, tol,
-    )
+    return _structure_from_space(fixed_space(comp, tol), comp, "unconditional", seed, tol)
 
 
 def fixed_point_structure(ch: QuantumChannel, seed: int = 0,
@@ -315,24 +315,19 @@ def fixed_point_structure(ch: QuantumChannel, seed: int = 0,
     In a basis adapted to the support ``P0``, every Kraus operator must be
     block upper triangular -- the support is invariant, so no amplitude
     flows from it into the complement -- and its restriction to ``P0`` must
-    commute with the recovered algebra.  Both residuals are recorded in
-    ``residuals``.
+    commute with the recovered algebra.  Both residuals, recorded in
+    ``residuals``, are root-sum-squares over the Kraus operators, which a
+    unitary mixing of the Kraus set leaves unchanged (README, structure step).
     """
     structure = noiseless_structure(ch, seed=seed, tol=tol)
     p0 = structure.support_projector
-    comp = np.eye(ch.dim_in) - p0
-
-    invariance = 0.0
-    for k in ch.kraus:
-        invariance = max(invariance, float(np.linalg.norm(comp @ k @ p0)))
+    invariance = float(np.linalg.norm((np.eye(ch.dim_in) - p0) @ np.stack(ch.kraus) @ p0))
 
     # the units live on P0, so ||[P0 K P0, U]|| is the norm compressed to P0
-    units = np.concatenate([_matrix_units(s) for s in structure.algebra.sectors])
-    commutation = 0.0
-    for k in ch.kraus:
-        k_r = p0 @ k @ p0
-        comm = (k_r @ units - units @ k_r).reshape(len(units), -1)
-        commutation = max(commutation, float(np.max(np.linalg.norm(comm, axis=1))))
+    units = np.concatenate([_matrix_units(s, np.eye(s.n)) for s in structure.algebra.sectors])
+    squares = sum(np.linalg.norm((k_r @ units - units @ k_r).reshape(len(units), -1), axis=1) ** 2
+                  for k_r in p0 @ np.stack(ch.kraus) @ p0)
+    commutation = float(np.sqrt(np.max(squares)))
 
     return replace(structure, residuals={**structure.residuals, "kraus_invariance": invariance,
                                          "kraus_commutation": commutation})
@@ -345,16 +340,15 @@ def initialization_free_check(ch: QuantumChannel, structure: FixedPointStructure
 
     A sector survives arbitrary input preparations exactly when no Kraus
     operator carries amplitude from the support complement into the sector:
-    ``P_k K_i (1 - P0) = 0`` for all ``i``.
+    ``P_k K_i (1 - P0) = 0`` for all ``i``.  The verdict reads the norms'
+    root-sum-square, which a unitary mixing of the Kraus set leaves unchanged.
     """
     _require_square(ch)
     sector = structure.algebra.sectors[sector_index]
     p_k = sector.isometry @ sector.isometry.conj().T
     comp = np.eye(ch.dim_in) - structure.support_projector
-    residuals = tuple(
-        float(np.linalg.norm(p_k @ k @ comp)) for k in ch.kraus
-    )
+    residuals = tuple(map(float, np.linalg.norm(p_k @ np.stack(ch.kraus) @ comp, axis=(1, 2))))
     return InitializationFreeReport(
-        initialization_free=max(residuals) < tol.equality,
+        initialization_free=math.hypot(*residuals) < tol.equality,
         kraus_residuals=residuals,
     )

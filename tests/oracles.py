@@ -172,7 +172,7 @@ def unit_span_distance(space: OperatorSpace, dec: AlgebraDecomposition) -> float
     between the two spans; ``verify_decomposition``'s Frobenius distance
     bounds it from above.
     """
-    a = np.concatenate([_matrix_units(s) / np.sqrt(s.n) for s in dec.sectors])
+    a = np.concatenate([_matrix_units(s, np.eye(s.n)) / np.sqrt(s.n) for s in dec.sectors])
     a = a.reshape(len(a), -1)
     b = space.basis.reshape(space.size, -1)
     if len(a) != len(b):

@@ -295,11 +295,13 @@ def test_matrix_units_follow_the_factor_major_layout():
     rng = np.random.default_rng(9)
     iso = haar_unitary(6, rng)[:, :4]
     sector = ipstruct.algebra.Sector(d=2, n=2, isometry=iso)
-    units = ipstruct.algebra._matrix_units(sector)
-    for (a, b), unit in zip(np.ndindex(2, 2), units):
-        e = np.zeros((2, 2))
-        e[a, b] = 1.0
-        assert_allclose(unit, iso @ np.kron(e, np.eye(2)) @ iso.conj().T, atol=1e-12)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    for cofactor in (np.eye(2), g @ g.conj().T):
+        units = ipstruct.algebra._matrix_units(sector, cofactor)
+        for (a, b), unit in zip(np.ndindex(2, 2), units):
+            e = np.zeros((2, 2))
+            e[a, b] = 1.0
+            assert_allclose(unit, iso @ np.kron(e, cofactor) @ iso.conj().T, atol=1e-12)
 
 
 def test_empty_span_rejected():

@@ -266,6 +266,23 @@ def test_build_fixing_recovery_in_a_turned_basis(code_name, fixture_name):
                            channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus]))
 
 
+def test_build_fixing_recovery_splits_one_composite(monkeypatch):
+    # R o E is built once, and its one spectral split serves both the noiseless
+    # check and the structure whose cofactors the reset reinstalls
+    import ipstruct.spectral
+
+    calls = []
+    original = ipstruct.spectral.to_superoperator
+
+    def counted(ch):
+        calls.append(ch)
+        return original(ch)
+
+    monkeypatch.setattr(ipstruct.spectral, "to_superoperator", counted)
+    _assert_recovery_fixes(zoo.code_fixture("ucp_sub"), zoo.fixture("ucp_d3"))
+    assert len(calls) == 1
+
+
 def test_build_fixing_recovery_rejects_unpreserved():
     with pytest.raises(ValidationError):
         build_fixing_recovery(zoo.code_fixture("plus_minus"),

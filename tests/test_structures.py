@@ -10,7 +10,9 @@ from scipy.stats import unitary_group
 import ipstruct
 import ipstruct.algebra
 from ipstruct import (
+    DecompositionError,
     NumericalError,
+    StochasticChannel,
     ValidationError,
     apply_channel,
     channel_from_kraus,
@@ -21,6 +23,7 @@ from ipstruct import (
     initialization_free_check,
     is_cptp,
     noiseless_structure,
+    rotating_space,
     to_superoperator,
     transpose_channel,
     unconditional_recovery,
@@ -28,6 +31,7 @@ from ipstruct import (
     unitarily_noiseless_structure,
     zoo,
 )
+from ipstruct.tolerances import DEFAULT_TOL, FIXED_STATE_RESIDUAL
 from oracles import adjoint
 
 
@@ -278,13 +282,17 @@ def test_large_algebras_stay_small_in_memory(build, shape, cofactors):
     assert peak < 32 * 2**20
 
 
-def test_identity_d32_decomposes_below_100_mb():
+@pytest.mark.parametrize("analyze", [
+    noiseless_structure, unitarily_noiseless_structure, unconditional_structure,
+])
+def test_identity_d32_decomposes_below_100_mb(analyze):
     # a full matrix algebra of k = r^2 = 1024 elements, so each span is a
-    # 16 MB stack; the commutator Gram of the centre once peaked at 112 MB
+    # 16 MB stack; the commutator Gram of the centre once peaked at 112 MB.
+    # The certificate maps the k-element structure basis in chunks of 32^2 / 8
     ch = channel_from_kraus([np.eye(32)])
     tracemalloc.start()
     try:
-        s = noiseless_structure(ch)
+        s = analyze(ch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,7 +328,10 @@ def test_structures_invariant_under_gauge_conjugation_and_seed(d, dfs, seed):
     turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
 
     def verdict(s):
-        return s.shape, s.cofactors, s.support_rank
+        # the certificates draw nothing: the same residual keys, each within its bound
+        for key, value in s.residuals.items():
+            assert value <= RESIDUAL_BOUNDS[key], (key, value)
+        return s.shape, s.cofactors, s.support_rank, sorted(s.residuals)
 
     for analyze in (noiseless_structure, fixed_point_structure,
                     unitarily_noiseless_structure, unconditional_structure):
@@ -328,6 +339,72 @@ def test_structures_invariant_under_gauge_conjugation_and_seed(d, dfs, seed):
         assert verdict(analyze(mixed)) == expected
         assert verdict(analyze(turned)) == expected
         assert verdict(analyze(ch, seed=seed + 5)) == expected
+
+
+# the bound each residual is held to: the decomposition's, the probe spread's
+# and the structure certificate's; the Kraus certificates are reported, and
+# read below 1e-8 on these channels
+RESIDUAL_BOUNDS = {"algebra_closure": DEFAULT_TOL.subspace,
+                   "tau_cross_check": DEFAULT_TOL.subspace,
+                   "fixed_state_residual": FIXED_STATE_RESIDUAL,
+                   "span_leak": FIXED_STATE_RESIDUAL, "gram_change": FIXED_STATE_RESIDUAL,
+                   "kraus_invariance": 1e-8, "kraus_commutation": 1e-8}
+
+
+def _dephase_a():
+    # dephases the first qubit of two: keeps the span of x (x) 1/2 but not unitarily
+    return channel_from_kraus([np.kron(np.diag(e), np.eye(2)) for e in np.eye(2)])
+
+
+def _damp_b():
+    # resets the second qubit of two: moves x (x) 1/2 out of that span
+    return channel_from_kraus([np.kron(np.eye(2), np.outer(np.eye(2)[0], e)) for e in np.eye(2)])
+
+
+@pytest.mark.parametrize("space, other, kind, key", [
+    (lambda: fixed_space(zoo.fixture("depolarize_B")), zoo.fixture("unitary_A_depolarize_B"),
+     "noiseless", "fixed_state_residual"),
+    (lambda: rotating_space(zoo.fixture("unitary_A_depolarize_B")), _dephase_a(),
+     "unitarily-noiseless", "gram_change"),
+    (lambda: rotating_space(zoo.fixture("unitary_A_depolarize_B")), _damp_b(),
+     "unitarily-noiseless", "span_leak"),
+], ids=["fixed-by-another-map", "not-unitary-on-the-span", "leaving-the-span"])
+def test_structure_checked_against_a_map_that_does_not_preserve_it(space, other, kind, key):
+    with pytest.raises(DecompositionError) as info:
+        ipstruct.structures._structure_from_space(space(), other, kind, 0, DEFAULT_TOL)
+    assert info.value.residuals[key] > FIXED_STATE_RESIDUAL
+
+
+def test_unitarily_noiseless_certificate_reads_the_channel(monkeypatch):
+    ch = zoo.fixture("unitary_A_depolarize_B")
+    applied = []
+    original = ipstruct.structures.apply_channel
+
+    def spy(channel, x):
+        applied.append((channel, np.shape(x)))
+        return original(channel, x)
+
+    monkeypatch.setattr(ipstruct.structures, "apply_channel", spy)
+    s = unitarily_noiseless_structure(ch)
+    # E itself, on stacks that hold the algebra_dim = 4 basis elements
+    assert all(c is ch and len(shape) == 3 for c, shape in applied)
+    assert sum(shape[0] for _, shape in applied) == 4
+    assert sorted(s.residuals) == ["algebra_closure", "gram_change", "span_leak",
+                                   "tau_cross_check"]
+    assert max(s.residuals.values()) < 1e-12
+    # E rotates the structure states, so a fixedness residual could not certify it
+    x = s.sample_state([np.diag([1.0, 0.0])])
+    assert np.linalg.norm(apply_channel(ch, x) - x) > 0.1
+
+
+def test_unitarily_noiseless_sectors_of_unequal_distortion_swap():
+    # the map swaps |0> with the mixed plane of |1>, |2>: one classical bit that
+    # flips each step.  E preserves the structure's coordinates but not the
+    # Hilbert-Schmidt norms of its states (||tau|| is 1 and 1/sqrt(2))
+    ch = embed_classical(StochasticChannel(np.array([[0, 1, 1], [0.5, 0, 0], [0.5, 0, 0]])))
+    s = unitarily_noiseless_structure(ch)
+    assert (s.shape, s.cofactors) == ((1, 1), (2, 1))
+    assert s.residuals["span_leak"] < 1e-12 and s.residuals["gram_change"] < 1e-12
 
 
 def test_near_degenerate_spectrum_verdicts():

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import tokenize
@@ -48,3 +49,20 @@ def test_rank_cut_lives_in_few_modules():
                 if tok.type == tokenize.NAME and tok.string == "RANK_REL":
                     users.add(path.name)
     assert users == {"tolerances.py", "channels.py", "spectral.py", "algebra.py"}
+
+
+def test_every_constant_is_read_by_another_module():
+    # a threshold that no module reads is dead: one home for every threshold
+    # also means no orphans there
+    tree = ast.parse((PACKAGE / "tolerances.py").read_text())
+    constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name) and t.id.isupper()}
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        with path.open("rb") as f:
+            read |= {tok.string for tok in tokenize.tokenize(f.readline)
+                     if tok.type == tokenize.NAME}
+    assert len(constants) > 20
+    assert sorted(constants - read) == []
