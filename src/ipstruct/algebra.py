@@ -60,9 +60,9 @@ class Sector:
 class AlgebraDecomposition:
     """The sectors of an algebra, larger factors first, and the projector onto
     their joint support.  ``residuals`` holds the :func:`verify_decomposition`
-    report and ``algebra_closure``, its ``reconstruction_distance``: how far
-    the input span lies outside the span of the sector matrix units, which
-    is closed by construction."""
+    report, read on the span compressed onto that support, and
+    ``algebra_closure``, its ``reconstruction_distance``: how far the span lies
+    outside the span of the sector matrix units, closed by construction."""
 
     ambient_dim: int
     sectors: tuple[Sector, ...]
@@ -192,10 +192,9 @@ def _random_element_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _sector_key(s: Sector) -> tuple:
     """Larger factors first; ties are broken by the sector projector alone
     (its diagonal, then its entries, rounded), never by the random element
-    that found the sectors.  The projector is read in the coordinates of the
-    isometry's rows, so a caller that lifts sectors into a larger space
-    sorts them again there, where the order no longer depends on the basis
-    chosen for the support."""
+    that found the sectors.  :func:`_decompose_on` sorts once, on the lifted
+    sectors, so the order does not depend on the basis chosen for the
+    support."""
     p = s.isometry @ s.isometry.conj().T
     entries = (-np.concatenate([p.diagonal(), p.ravel()])).view(float)
     return (-s.d, -s.n, *entries.round(6).tolist())
@@ -211,15 +210,16 @@ def canonical_decompose(
     The input span must be closed under products and adjoints and contain
     its own support projector (the algebra unit).  Closure is not checked
     apart: a span that is not a *-algebra fails the verification of the
-    rebuilt matrix units, or a count before it, on every attempt.  A span
-    whose support is the whole space is used as it is; any other is first
-    compressed onto its support.
+    rebuilt matrix units, or a count before it, on every attempt.  Every
+    structure analysis shares the routine: the span is compressed onto its
+    support, unless that is the whole space, and verified there.
 
     The sector list is sorted descending by factor dimension, then by
     multiplicity, then by the sector projector, so the order does not depend
     on ``seed``; the isometries are deterministic for a fixed ``seed``.
 
     Raises:
+        NumericalError: if the basis of ``space`` is not orthonormal.
         DecompositionError: for the zero span, and when every attempt fails:
             the eigenvalue clusters of one sector differ in size, a transport
             between them is rank deficient, the sector dimensions do not add
@@ -228,16 +228,22 @@ def canonical_decompose(
     """
     if space.size == 0:
         raise DecompositionError("cannot decompose the zero algebra")
+    if not _is_orthonormal(space.basis):
+        raise NumericalError("operator space basis is not orthonormal")
+    return _decompose_on(space, space.support(), seed, tol)
 
-    v_supp = space.support()
-    comp_space = space
-    if v_supp.shape[1] < space.dim:
-        comp_space = space.compressed(v_supp)
-        if comp_space.size != space.size:
-            raise DecompositionError(
-                "span dimension changed under support compression",
-                residuals={"before": float(space.size), "after": float(comp_space.size)},
-            )
+
+def _decompose_on(span: OperatorSpace, v: np.ndarray, seed: int,
+                  tol: ToleranceConfig) -> AlgebraDecomposition:
+    """The algebra of ``v^dag B v`` over the orthonormal basis ``B`` of ``span``,
+    for an isometry ``v`` onto its support (a square ``v`` leaves the span as it
+    is), with ``support_projector = v v^dag``.  Each attempt sorts its sectors
+    once, lifted by ``v``, and verifies them in that order in support
+    coordinates, on the compressed span, whose basis is not checked again."""
+    local = span if v.shape[0] == v.shape[1] else span.compressed(v)
+    if local.size != span.size:
+        raise DecompositionError("span dimension changed under support compression",
+                                 residuals={"before": float(span.size), "after": float(local.size)})
 
     # a non-generic draw, or a span that is no *-algebra, fails a count or
     # the verification below; every attempt draws afresh
@@ -245,28 +251,26 @@ def canonical_decompose(
     last_error: DecompositionError | None = None
     for _ in range(DECOMPOSE_ATTEMPTS):
         try:
-            sectors = _decompose_once(comp_space, rng)
-            if comp_space is not space:
-                sectors = [replace(s, isometry=v_supp @ s.isometry) for s in sectors]
-            dec = AlgebraDecomposition(
-                ambient_dim=space.dim,
-                sectors=tuple(sorted(sectors, key=_sector_key)),
-                support_projector=v_supp @ v_supp.conj().T,
-            )
-            if dec.algebra_dim != space.size:
+            found = _decompose_once(local, rng)
+            algebra_dim = sum(s.d * s.d for s in found)
+            if algebra_dim != span.size:
                 raise DecompositionError(
-                    f"sector dimensions sum to {dec.algebra_dim}, span has {space.size}",
-                    residuals={"algebra_dim": float(dec.algebra_dim)},
+                    f"sector dimensions sum to {algebra_dim}, span has {span.size}",
+                    residuals={"algebra_dim": float(algebra_dim)},
                 )
-            report = verify_decomposition(space, dec)
+            pairs = sorted(((s, s if local is span else replace(s, isometry=v @ s.isometry))
+                            for s in found), key=lambda pair: _sector_key(pair[1]))
+            report = _residuals(local, [s for s, _ in pairs])
             if report["max_residual"] > tol.subspace:
                 raise DecompositionError("decomposition failed verification", residuals=report)
         except DecompositionError as exc:
             last_error = exc
             continue
         # the span of the sector matrix units is closed, so equality certifies closure
-        return replace(dec, residuals={"algebra_closure": report["reconstruction_distance"],
-                                       **report})
+        return AlgebraDecomposition(
+            ambient_dim=span.dim, sectors=tuple(lifted for _, lifted in pairs),
+            support_projector=v @ v.conj().T,
+            residuals={"algebra_closure": report["reconstruction_distance"], **report})
     raise last_error or DecompositionError("algebra decomposition failed")
 
 
@@ -344,8 +348,13 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
     """
     if not _is_orthonormal(space.basis):
         raise NumericalError("operator space basis is not orthonormal")
-    v = np.concatenate([s.isometry for s in dec.sectors], axis=1)
-    edges = np.cumsum([0] + [s.d * s.n for s in dec.sectors])
+    return _residuals(space, dec.sectors)
+
+
+def _residuals(space: OperatorSpace, sectors) -> dict[str, float]:
+    """The :func:`verify_decomposition` report, for a basis known to be orthonormal."""
+    v = np.concatenate([s.isometry for s in sectors], axis=1)
+    edges = np.cumsum([0] + [s.d * s.n for s in sectors])
     blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     gram = np.abs(v.conj().T @ v - np.eye(v.shape[1]))
     on_block = np.zeros(gram.shape, dtype=bool)
@@ -353,7 +362,7 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
         on_block[b, b] = True
 
     recon = 1.0
-    if dec.algebra_dim == space.size:
+    if sum(s.d * s.d for s in sectors) == space.size:
         # chunks of the basis, so that the temporaries stay below one basis
         step = -(-space.size // 8)
         squared = 0.0
@@ -361,7 +370,7 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
             chunk = space.basis[lo:lo + step]
             m = v.conj().T @ chunk @ v
             kept = np.zeros_like(m)
-            for s, b in zip(dec.sectors, blocks):
+            for s, b in zip(sectors, blocks):
                 factor = np.einsum("xaibi->xab", m[:, b, b].reshape(-1, s.d, s.n, s.d, s.n))
                 kept[:, b, b] = np.einsum("xab,ij->xaibj", factor / s.n, np.eye(s.n)).reshape(
                     len(m), s.d * s.n, s.d * s.n)

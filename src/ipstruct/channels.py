@@ -273,6 +273,8 @@ def channel_from_kraus(
     d_out, d_in = ks[0].shape
     if any(k.shape != (d_out, d_in) for k in ks):
         raise ValidationError("Kraus operators have inconsistent shapes")
+    if 0 in (d_out, d_in):
+        raise ValidationError(f"Kraus operators of shape {(d_out, d_in)} have no entries")
     if not all(np.all(np.isfinite(k)) for k in ks):
         raise ValidationError("Kraus operators have non-finite entries")
     acc = sum(k.conj().T @ k for k in ks)

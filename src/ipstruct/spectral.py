@@ -128,7 +128,8 @@ class SpectralSpace(OperatorSpace):
     def project(self, x: np.ndarray) -> np.ndarray:
         """``P(x) = sum_i <L_i, x> B_i`` for one operator or a stack of them."""
         x = np.asarray(x)
-        coeff = x.reshape(-1, self.dim * self.dim) @ self.left.reshape(self.size, -1).conj().T
+        # <L_i, x> read as conj(conj(x) L^T): the conjugate is taken on the small side
+        coeff = (x.reshape(-1, self.dim ** 2).conj() @ self.left.reshape(self.size, -1).T).conj()
         return (coeff @ self.basis.reshape(self.size, -1)).reshape(x.shape)
 
     @property

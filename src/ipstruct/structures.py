@@ -30,8 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import (AlgebraDecomposition, Sector, _embed, _matrix_units, _sector_key,
-                      canonical_decompose)
+from .algebra import AlgebraDecomposition, Sector, _decompose_on, _embed, _matrix_units
 from .channels import (
     QuantumChannel,
     _psd_support,
@@ -65,17 +64,20 @@ __all__ = [
 class FixedPointStructure:
     """A distorted-algebra structure ``sum_k M_{d_k} (x) tau_k``.
 
-    ``support_projector`` lives on the analyzed (input) space; sector
-    isometries are carried by ``algebra``; ``distortion_states`` aligns with
-    ``algebra.sectors``.  ``kind`` is one of ``"noiseless"``,
+    ``support_projector`` lives on the analyzed (input) space; it and the
+    sector isometries are carried by ``algebra``; ``distortion_states``
+    aligns with ``algebra.sectors``.  ``kind`` is one of ``"noiseless"``,
     ``"unitarily-noiseless"``, ``"unconditional"``.
     """
 
     kind: str
-    support_projector: np.ndarray
     algebra: AlgebraDecomposition
     distortion_states: tuple[np.ndarray, ...]
     residuals: Mapping[str, float]
+
+    @property
+    def support_projector(self) -> np.ndarray:
+        return self.algebra.support_projector
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -179,29 +181,12 @@ def _structure_from_space(
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
-    """Decompose the algebra of ``space.dual``, read each ``tau_k`` through
-    ``space.project`` and certify the structure against the analyzed map
-    ``ch`` over the whole span of its states.  No random draw enters:
-    ``seed`` reaches only :func:`canonical_decompose`.
-    """
-    vs = space.support()
-    p0 = vs @ vs.conj().T
-
-    # compress the adjoint-side span onto the support; this is the algebra
-    alg_space = space.dual.compressed(vs)
-    if alg_space.size != space.size:
-        raise NumericalError(
-            "projected adjoint fixed space lost dimensions "
-            f"({alg_space.size} vs {space.size})"
-        )
-
-    dec_local = canonical_decompose(alg_space, seed=seed, tol=tol)
-    del alg_space  # a basis-sized stack that the certificate below does not need
-    # ties are broken in the input space, not in the arbitrary support basis
-    sectors = tuple(sorted(
-        (Sector(d=s.d, n=s.n, isometry=vs @ s.isometry) for s in dec_local.sectors),
-        key=_sector_key))
-    dec = replace(dec_local, ambient_dim=space.dim, sectors=sectors, support_projector=p0)
+    """Decompose the algebra of ``space.dual`` on the support of ``space``, which
+    gives P0, read each ``tau_k`` through ``space.project`` and certify the
+    structure against the analyzed map ``ch`` over the whole span of its
+    states.  No random draw enters: ``seed`` reaches only the decomposition."""
+    dec = _decompose_on(space.dual, space.support(), seed, tol)
+    sectors = dec.sectors
 
     # tau_k: the cofactor states that the d_k diagonal units V_k (E_aa (x) 1/n) V_k^dag
     # leave under the projector, all sent in one call; tau_cross_check is their spread
@@ -258,7 +243,7 @@ def _structure_from_space(
                                  residuals=certificate)
 
     return FixedPointStructure(
-        kind=kind, support_projector=p0, algebra=dec, distortion_states=tuple(taus),
+        kind=kind, algebra=dec, distortion_states=tuple(taus),
         residuals={"algebra_closure": dec.residuals["algebra_closure"],
                    "tau_cross_check": tau_cross, **certificate},
     )

@@ -125,7 +125,18 @@ def test_canonical_decompose_known_shape():
     assert dec.support_rank() == 7
     res = verify_decomposition(space, dec)
     assert res["max_residual"] < 1e-8
-    assert dec.residuals == {"algebra_closure": dec.residuals["algebra_closure"], **res}
+    # the decomposition verifies itself on the span compressed onto its
+    # support; the ambient report agrees to rounding
+    assert dec.residuals.keys() == {"algebra_closure", *res}
+    assert dec.residuals["algebra_closure"] == dec.residuals["reconstruction_distance"]
+    for key, value in res.items():
+        assert abs(dec.residuals[key] - value) <= 1e-14, key
+    # with full support both read the same coordinates, bit for bit
+    full = space_of(7, [(2, 3), (1, 1)], haar_unitary(7, rng))
+    full_dec = canonical_decompose(full)
+    full_res = verify_decomposition(full, full_dec)
+    assert full_dec.residuals == {"algebra_closure": full_res["reconstruction_distance"],
+                                  **full_res}
     assert dec.residuals["algebra_closure"] < 1e-8
     # the span is exactly an algebra, so the distance is rounding alone
     assert res["reconstruction_distance"] <= 1e-13

@@ -190,6 +190,9 @@ def test_channel_from_kraus_validation():
         channel_from_kraus([np.eye(2), np.eye(3)])
     with pytest.raises(ValidationError, match="non-finite"):
         channel_from_kraus([np.diag([1.0, np.nan])])
+    for shape in ((1, 0), (0, 2)):
+        with pytest.raises(ValidationError, match="no entries"):
+            channel_from_kraus([np.zeros(shape)])
     with pytest.raises(ValidationError, match="non-finite"):
         Superoperator(dim_in=2, dim_out=2, matrix=np.diag([1.0, np.inf, 1.0, 1.0]))
 

@@ -588,6 +588,21 @@ def test_empty_stochastic_matrix_exits_2(tmp_path, capsys, verb):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", [
+    ["analyze", "--mode", "noiseless"],
+    ["verify-code", "--code", "code_cbit.json", "--level", "fixed"],
+    ["transpose", "--full"],
+], ids=["analyze", "verify-code", "transpose"])
+def test_kraus_operators_without_columns_exit_2(tmp_path, capsys, fixtures_dir, verb):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"dim_in": 0, "dim_out": 1, "kraus": [[[]]]}))
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a for a in verb]
+    code, out, err = run_cli(capsys, *argv, "--channel", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classical_maxcode_guard_exits_2(tmp_path, capsys):
     from ipstruct import Graph, graph_to_channel
     from ipstruct.serialization import stochastic_to_json
