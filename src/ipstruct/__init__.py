@@ -19,14 +19,12 @@ from .channels import (
     StochasticChannel,
     Superoperator,
     apply_channel,
-    apply_superoperator,
     channel_from_kraus,
     choi_matrix,
     compose,
     embed_classical,
     is_cptp,
     to_superoperator,
-    unvec,
     vec,
 )
 from .spectral import (
@@ -62,7 +60,6 @@ from .codes import (
     is_noiseless,
     is_preserved,
     sampled_preservation_check,
-    trace_norm,
 )
 from .classical import (
     Graph,
@@ -86,11 +83,9 @@ __all__ = [
     "Superoperator",
     "CptpReport",
     "vec",
-    "unvec",
     "channel_from_kraus",
     "to_superoperator",
     "apply_channel",
-    "apply_superoperator",
     "compose",
     "choi_matrix",
     "is_cptp",
@@ -115,7 +110,6 @@ __all__ = [
     "Code",
     "PreservationReport",
     "CorrectabilityReport",
-    "trace_norm",
     "sampled_preservation_check",
     "is_fixed",
     "is_preserved",

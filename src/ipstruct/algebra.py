@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DecompositionError, NumericalError
 from .spectral import OperatorSpace, _is_orthonormal, operator_space_from_span
-from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL, RANK_REL,
+from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL, RANK_REL, SECTOR_TIE_DIGITS,
                          TRANSPORT_FLOOR, TRANSPORT_REL, ToleranceConfig)
 
 __all__ = [
@@ -197,7 +197,7 @@ def _sector_key(s: Sector) -> tuple:
     support."""
     p = s.isometry @ s.isometry.conj().T
     entries = (-np.concatenate([p.diagonal(), p.ravel()])).view(float)
-    return (-s.d, -s.n, *entries.round(6).tolist())
+    return (-s.d, -s.n, *entries.round(SECTOR_TIE_DIGITS).tolist())
 
 
 def canonical_decompose(

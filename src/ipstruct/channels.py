@@ -14,8 +14,8 @@ Operators are vectorized by **column stacking** (Fortran order), so that
 
 and the superoperator of ``X -> sum_i K_i X K_i^dag`` is
 ``sum_i conj(K_i) kron K_i``.  The convention lives entirely in :func:`vec`,
-:func:`unvec`, :func:`to_superoperator` and the Hermitian coordinates below;
-no other module builds vectorized indices by hand.
+:func:`to_superoperator` and the Hermitian coordinates below; no other module
+builds vectorized indices by hand.
 
 Hermitian coordinates use the orthonormal basis ``E_ii``,
 ``(E_ij + E_ji)/sqrt(2)`` and ``i(E_ij - E_ji)/sqrt(2)`` (``i < j``), labelled
@@ -43,13 +43,11 @@ __all__ = [
     "StochasticChannel",
     "CptpReport",
     "vec",
-    "unvec",
     "hermitian_coordinates",
     "from_hermitian_coordinates",
     "channel_from_kraus",
     "to_superoperator",
     "apply_channel",
-    "apply_superoperator",
     "compose",
     "is_cptp",
     "choi_matrix",
@@ -66,11 +64,6 @@ __all__ = [
 def vec(x: np.ndarray) -> np.ndarray:
     """Column-stack an operator into a vector."""
     return np.asarray(x).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``rows x cols`` operator."""
-    return np.asarray(v).reshape((rows, cols), order="F")
 
 
 @lru_cache(maxsize=16)
@@ -304,10 +297,6 @@ def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
     for k in ch.kraus:
         out += k @ x @ k.conj().T
     return out
-
-
-def apply_superoperator(s: Superoperator, x: np.ndarray) -> np.ndarray:
-    return unvec(s.matrix @ vec(x), s.dim_out, s.dim_out)
 
 
 def compose(after: QuantumChannel, before: QuantumChannel,

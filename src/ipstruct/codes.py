@@ -44,14 +44,14 @@ from .errors import NumericalError, ValidationError
 from .spectral import SpectralSpace, _joint_support, fixed_space
 from .structures import _partial_trace_factor, _structure_from_space, transpose_channel
 from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
-                         RECOVERY_RESIDUAL, SWEEP_COMPRESSION, ToleranceConfig)
+                         RECOVERY_RESIDUAL, SWEEP_COMPRESSION, WITNESS_TIE_DIGITS,
+                         ToleranceConfig)
 
 __all__ = [
     "Code",
     "MixtureLabel",
     "PreservationReport",
     "CorrectabilityReport",
-    "trace_norm",
     "code_support",
     "is_fixed",
     "sampled_preservation_check",
@@ -63,7 +63,7 @@ __all__ = [
 
 # p grid for weighted-distance sampling: endpoints plus a decade of interior
 # weights
-P_GRID = tuple([0.0] + [round(0.1 * k, 1) for k in range(1, 10)] + [1.0])
+P_GRID = tuple(k / 10 for k in range(11))
 # mixtures of two and of three listed states: every weight tuple from the
 # quarter grid {1/4, 1/2, 3/4} that sums to one, in lexicographic order
 _MIXTURE_WEIGHTS = {2: ((0.25, 0.75), (0.5, 0.5), (0.75, 0.25)),
@@ -143,11 +143,6 @@ class CorrectabilityReport:
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
-
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values (nuclear norm)."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), "nuc"))
-
 
 def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
     """Trace norms of a stack of Hermitian matrices in one LAPACK sweep.
@@ -284,7 +279,7 @@ def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
         if drops.size and drops.max() > tol.subspace:
             # the witness is the first pair in sweep order among those whose drops
             # tie with the largest up to rounding; the verdict used the exact maximum
-            k, p_k = np.unravel_index(int(np.argmax(np.round(drops, 12))), drops.shape)
+            k, p_k = np.unravel_index(np.argmax(np.round(drops, WITNESS_TIE_DIGITS)), drops.shape)
             ii, jj = np.triu_indices(len(sweep.labels), k=1)
             return PreservationReport(
                 verdict=False,

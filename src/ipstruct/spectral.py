@@ -26,8 +26,8 @@ semisimple.  One of three solvers gives ``R`` and ``L``:
   within ``SELF_ADJOINT`` of the solver's, far inside ``PERIPHERAL``.
 * Any other map with ``d^2 >= _CERTIFIED_FLOOR`` first tries a certified solve
   of the ``lambda = 1`` cluster.  Block inverse iteration with the LU factors
-  of ``M_r - (1 + INVERSE_SHIFT) I``, then one application of ``M_r`` and
-  ``M_r^T``, gives ``R`` and ``L``.  They stand only if three certificates hold:
+  of ``A = M_r - (1 + INVERSE_SHIFT) I`` gives ``R``; two solves with ``A^T`` on
+  ``R`` give ``L``.  They stand only if three certificates hold:
   the residuals ``||M R - R||_F`` and ``||M^T L - L||_F / ||L||_2`` are at most
   ``CERTIFIED_RESIDUAL``; ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``, which
   bounds the least singular value and so every eigenvalue of ``M - 1`` off the
@@ -218,9 +218,9 @@ def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray
     return t, k, z
 
 
-def _amplified(lu: np.ndarray, piv: np.ndarray, trans: int) -> np.ndarray:
+def _amplified(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning what solves with the factored ``A = M - (1 + delta) I``
-    (``trans`` 1: with ``A^T``) amplify by more than ``INVERSE_CUT / delta``.
+    amplify by more than ``INVERSE_CUT / delta``.
 
     Block inverse iteration from a fixed-seed block, grown to twice the count of
     amplified columns (``k`` singular values of ``Y = A^-1 X`` above the cut), then
@@ -232,10 +232,10 @@ def _amplified(lu: np.ndarray, piv: np.ndarray, trans: int) -> np.ndarray:
     rng, y, k = np.random.default_rng(0), np.empty((n, 0)), 1
     while 2 * k > y.shape[1] and y.shape[1] < n:
         x = rng.standard_normal((n, min(2 * k, n) - y.shape[1])) / math.sqrt(n)
-        y = np.hstack([y, getrs(lu, piv, x, trans=trans)[0]])
+        y = np.hstack([y, getrs(lu, piv, x)[0]])
         w, v = np.linalg.eigh(y.T @ y)  # ascending
         k = int(np.count_nonzero(INVERSE_SHIFT ** 2 * w > INVERSE_CUT ** 2))
-    return np.linalg.qr(getrs(lu, piv, y @ v[:, len(w) - k:], trans=trans)[0])[0]
+    return np.linalg.qr(getrs(lu, piv, y @ v[:, len(w) - k:])[0])[0]
 
 
 def _certified(m_r: np.ndarray,
@@ -253,12 +253,12 @@ def _certified(m_r: np.ndarray,
     buf = m_r.copy(order="F")  # LAPACK and BLAS overwrite a Fortran-order buffer in place
     buf[diagonal, diagonal] -= 1.0 + INVERSE_SHIFT
     lu, piv, info = lapack.dgetrf(buf, overwrite_a=True)
-    if info != 0:
+    if info != 0 or (r := _amplified(lu, piv)).shape[1] == 0:
         return None
-    r, l = _amplified(lu, piv, 0), _amplified(lu, piv, 1)
-    if r.shape[1] == 0 or l.shape != r.shape:
-        return None
-    r, l = np.linalg.qr(m_r @ r)[0], m_r.T @ l  # one application of M polishes both
+    # A^-T = sum_i (lambda_i - 1 - delta)^-1 l_i r_i^T amplifies the left cluster by 1/delta;
+    # R meets it through the nonsingular Gram matrix of the right cluster, and two solves
+    # leave (delta / gap)^2 of the rest
+    l = lapack.dgetrs(lu, piv, lapack.dgetrs(lu, piv, r, trans=1)[0], trans=1)[0]
     try:
         l = l @ np.linalg.inv(r.T @ l)
     except np.linalg.LinAlgError:
@@ -368,12 +368,12 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
     if z1.shape[1] == 0:
         raise NumericalError("no unit-modulus eigenvalues found" if peripheral
                              else "no eigenvalue 1 found; is the map trace preserving?")
-    right = from_hermitian_coordinates(z1, d)
-    dual = right if symmetric else from_hermitian_coordinates(np.linalg.qr(left)[0], d)
-    left = right if symmetric else from_hermitian_coordinates(left, d)
-    space = SpectralSpace(dim=d, basis=_operators(right, d),
-                          dual=OperatorSpace(dim=d, basis=_operators(dual, d)),
-                          left=_operators(left, d))
+    def stack(z):  # built once per distinct stack, C-contiguous: project reads it in place
+        return np.ascontiguousarray(_operators(from_hermitian_coordinates(z, d), d))
+
+    right = stack(z1)
+    dual, left = (right, right) if symmetric else (stack(np.linalg.qr(left)[0]), stack(left))
+    space = SpectralSpace(dim=d, basis=right, dual=OperatorSpace(dim=d, basis=dual), left=left)
     return space, gap, cond
 
 

@@ -59,6 +59,7 @@ SELF_ADJOINT = 1e-12  # ||M - M^T||_F up to this: a symmetric eigensolve, off by
 PAIRING_CONDITION = 1e12  # largest condition of the fixed-space right/left pairing
 CLUSTER_REL = 1e-7  # eigenvalue cluster width, relative to a generic element's spread
 CLUSTER_FLOOR = 1e-12  # absolute floor of that width, for an element of tiny spread
+SECTOR_TIE_DIGITS = 6  # decimals of the projector entries that order sectors of one shape
 BASIS_ORTHONORMAL = 1e-8  # entrywise orthonormality of an operator-space basis
 TRANSPORT_REL = 1e-8  # row transport: least singular value over the largest; cluster link: block over ||g||_F
 TRANSPORT_FLOOR = 1e-30  # floor of that largest value, so a zero block is deficient
@@ -70,5 +71,6 @@ CODE_MIN_EIG = -1e-10  # and no eigenvalue below this
 COFACTOR_WEIGHT = 1e-6  # a lighter cofactor part of a code state is rounding, not a state
 RECOVERY_RESIDUAL = 1e-7  # a fixing recovery restores each code state to this trace distance
 SWEEP_COMPRESSION = 1e-12  # a sweep runs on its states' joint range if that moves none further
+WITNESS_TIE_DIGITS = 12  # decimals at which sweep drops tie: the first tied pair is the witness
 STOCHASTIC = 1e-12  # a stochastic matrix: no entry below minus this, column sums 1 to this
 OVERLAP_EPS = 1e-12  # inputs are confusable when both reach an output above this

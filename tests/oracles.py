@@ -14,11 +14,26 @@ import scipy.linalg
 
 from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
-                      channel_from_kraus, to_superoperator, trace_norm)
+                      channel_from_kraus, to_superoperator, vec)
 from ipstruct.algebra import _matrix_units
 from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
 from ipstruct.tolerances import OVERLAP_EPS
+
+
+def trace_norm(a: np.ndarray) -> float:
+    """Sum of singular values (nuclear norm)."""
+    return float(np.linalg.norm(np.asarray(a, dtype=complex), "nuc"))
+
+
+def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Inverse of ``vec`` for a ``rows x cols`` operator."""
+    return np.asarray(v).reshape((rows, cols), order="F")
+
+
+def apply_superoperator(s: Superoperator, x: np.ndarray) -> np.ndarray:
+    """``S vec(x)`` read back as an operator: the dense action of a superoperator."""
+    return unvec(s.matrix @ vec(x), s.dim_out, s.dim_out)
 
 
 def is_hermitian(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

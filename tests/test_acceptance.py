@@ -32,7 +32,6 @@ from ipstruct import (
     rotating_space,
     sampled_preservation_check,
     to_superoperator,
-    trace_norm,
     transpose_channel,
     unconditional_recovery,
     unconditional_structure,
@@ -45,7 +44,7 @@ from ipstruct.cli import main
 from ipstruct.codes import P_GRID
 from ipstruct.spectral import operator_space_from_span
 from ipstruct.tolerances import DEFAULT_TOL
-from oracles import orthonormal_range_basis
+from oracles import orthonormal_range_basis, trace_norm
 
 
 def timed(fn, *args, **kwargs):

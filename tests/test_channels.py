@@ -10,14 +10,12 @@ from ipstruct import (
     Superoperator,
     ValidationError,
     apply_channel,
-    apply_superoperator,
     channel_from_kraus,
     choi_matrix,
     compose,
     embed_classical,
     is_cptp,
     to_superoperator,
-    unvec,
     vec,
 )
 from ipstruct.channels import (
@@ -32,11 +30,13 @@ from ipstruct.spectral import _joint_support
 from ipstruct.tolerances import RANK_REL
 from oracles import (
     adjoint,
+    apply_superoperator,
     is_hermitian,
     is_positive_semidefinite,
     is_unital,
     orthonormal_range_basis,
     restrict_to_subspace,
+    unvec,
 )
 
 

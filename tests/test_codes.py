@@ -20,16 +20,15 @@ from ipstruct import (
     is_noiseless,
     is_preserved,
     sampled_preservation_check,
-    trace_norm,
     zoo,
 )
 from ipstruct import codes
-from ipstruct.channels import apply_superoperator, compose, to_superoperator, unvec, vec
+from ipstruct.channels import compose, to_superoperator, vec
 from ipstruct.codes import P_GRID, _mixtures, code_support
 from ipstruct.spectral import _joint_support, fixed_space
 from ipstruct.structures import transpose_channel
 from ipstruct.tolerances import DEFAULT_TOL
-from oracles import helstrom_probability
+from oracles import apply_superoperator, helstrom_probability, trace_norm, unvec
 
 
 def test_trace_norm_known_values():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from ipstruct import (
     StochasticChannel,
     Superoperator,
     ValidationError,
-    apply_superoperator,
     channel_from_kraus,
     compose,
     embed_classical,
@@ -32,7 +32,7 @@ from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
-from oracles import is_unital, schur_split, subspace_distance
+from oracles import apply_superoperator, is_unital, schur_split, subspace_distance
 
 
 def test_unitary_channel_spectrum():
@@ -519,6 +519,36 @@ def test_certified_solve_runs_from_the_size_floor(monkeypatch):
     assert calls == ["schur", "lu", "lu"]
 
 
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("build, k", [(lambda: zoo.random_cptp(8, 3, 1), 1),
+                                      (lambda: zoo.random_dfs_channel(8, 4, 1), 17)],
+                         ids=["cptp-8", "dfs-8"])
+def test_certified_solve_draws_once_and_solves_the_left_side_from_the_right(
+        build, k, peripheral, monkeypatch):
+    # the growth loop runs for A = M - (1 + delta) I only; L is A^-T A^-T R, two
+    # transposed solves with the LU factors already held, each on the k columns of R
+    ch = build()
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    generators, left_solves = [], []
+    default_rng, dgetrs = np.random.default_rng, scipy.linalg.lapack.dgetrs
+
+    def counted_rng(*args, **kwargs):
+        generators.append(args)
+        return default_rng(*args, **kwargs)
+
+    def counted_getrs(lu, piv, b, *args, **kwargs):
+        if kwargs.get("trans", 0) == 1:
+            left_solves.append(b.shape[1])
+        return dgetrs(lu, piv, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", counted_getrs)
+    r, l, _, _ = spectral._certified(m_r, peripheral)
+    assert r.shape == l.shape == (64, k)
+    assert len(generators) == 1
+    assert left_solves == [k, k]
+
+
 def _assert_dense_split(ch, peripheral, monkeypatch):
     """The split, or its error, is the dense one: that of ``_split`` with the
     certified solve out of reach, to the bit."""
@@ -645,6 +675,26 @@ def test_project_matches_the_dense_projector(name, split):
     expected = np.stack([apply_superoperator(dense, x) for x in stack])
     assert space.project(stack).shape == stack.shape
     assert np.max(np.abs(space.project(stack) - expected)) <= 1e-12
+
+
+def test_project_reads_its_stacks_in_place():
+    # the split builds each stack once, C-contiguous, and the symmetric split
+    # shares one among basis, dual.basis and left: one call on 32 operators of
+    # the d = 32 identity's 1024-element space copies none of the 16 MiB stacks
+    space = fixed_space(channel_from_kraus([np.eye(32)]))
+    assert space.size == 1024
+    assert np.shares_memory(space.basis, space.left)
+    assert np.shares_memory(space.basis, space.dual.basis)
+    rng = np.random.default_rng(0)
+    stack = rng.standard_normal((32, 32, 32)) + 1j * rng.standard_normal((32, 32, 32))
+    tracemalloc.start()
+    try:
+        projected = space.project(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
+    assert_allclose(projected, stack, atol=1e-12)  # the identity fixes every operator
 
 
 def test_hand_built_superoperator_is_only_read():

@@ -187,6 +187,39 @@ def test_unconditional_structures():
     assert noiseless_structure(zoo.fixture("ucp_d3")).shape == (2,)
 
 
+def _square_channel(name):
+    """The fixture as a square quantum channel (a classical map embedded), or None."""
+    obj = zoo.fixture(name)
+    if isinstance(obj, StochasticChannel) and obj.n_in == obj.n_out:
+        return embed_classical(obj)
+    return obj if getattr(obj, "is_square", False) else None
+
+
+NESTING_INPUTS = {
+    **{n: (lambda n=n: _square_channel(n)) for n in zoo.fixture_names()
+       if _square_channel(n) is not None},
+    **{f"cptp-{d}": (lambda d=d: zoo.random_cptp(d, 3, 1)) for d in (4, 8, 16)},
+    **{f"dfs-{d}": (lambda d=d: zoo.random_dfs_channel(d, d // 2, 1)) for d in (4, 8, 16)},
+}
+
+
+@pytest.mark.parametrize("build", NESTING_INPUTS.values(), ids=NESTING_INPUTS.keys())
+def test_noiseless_algebra_lies_in_the_unitarily_noiseless_algebra(build):
+    # a fixed point is a unit-modulus eigenoperator, so the noiseless algebra is a
+    # subalgebra of the unitarily-noiseless one; from d = 8 on the two sides come
+    # from the two certified splits of one channel.  The unconditional structure
+    # analyzes another map, so it is not compared
+    def units(structure):  # orthonormal matrix units of the algebra, one per row
+        a = np.concatenate([ipstruct.algebra._matrix_units(s, np.eye(s.n)) / np.sqrt(s.n)
+                            for s in structure.algebra.sectors])
+        return a.reshape(len(a), -1)
+
+    ch = build()
+    inner, outer = units(noiseless_structure(ch)), units(unitarily_noiseless_structure(ch))
+    assert len(inner) <= len(outer)
+    assert np.linalg.norm(inner - (inner @ outer.conj().T) @ outer, 2) <= DEFAULT_TOL.subspace
+
+
 @pytest.mark.parametrize("name", ["unitary_A_depolarize_B", "depolarize_B"])
 def test_unital_adjoint_composite_matches_unconditional(name):
     # for a unital channel the input-blind recovery is the adjoint, so the

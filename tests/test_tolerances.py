@@ -36,6 +36,14 @@ def test_thresholds_live_in_tolerances_module():
                 text = tok.string.lower()
                 if tok.type == tokenize.NUMBER and "e" in text and not text.startswith("0x"):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+        # so is an integer literal given as the digits of round, np.round or .round:
+        # rounding decides a tie
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "round" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+                found += [f"{path.name}:{a.lineno}: round digits {a.value}"
+                          for a in node.args + [k.value for k in node.keywords]
+                          if isinstance(a, ast.Constant) and type(a.value) is int]
     assert found == []
 
 
