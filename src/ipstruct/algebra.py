@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DecompositionError, NumericalError
+from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import OperatorSpace, _is_orthonormal, operator_space_from_span
 from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL, RANK_REL, SECTOR_TIE_DIGITS,
                          TRANSPORT_FLOOR, TRANSPORT_REL, ToleranceConfig)
@@ -219,6 +219,7 @@ def canonical_decompose(
     on ``seed``; the isometries are deterministic for a fixed ``seed``.
 
     Raises:
+        ValidationError: if ``seed`` is not a non-negative integer.
         NumericalError: if the basis of ``space`` is not orthonormal.
         DecompositionError: for the zero span, and when every attempt fails:
             the eigenvalue clusters of one sector differ in size, a transport
@@ -245,6 +246,8 @@ def _decompose_on(span: OperatorSpace, v: np.ndarray, seed: int,
         raise DecompositionError("span dimension changed under support compression",
                                  residuals={"before": float(span.size), "after": float(local.size)})
 
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     # a non-generic draw, or a span that is no *-algebra, fails a count or
     # the verification below; every attempt draws afresh
     rng = np.random.default_rng(seed)
@@ -335,13 +338,10 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
     In the coordinates of the concatenated sector isometries ``V``, the
     diagonal sector blocks of ``V^dag V - 1`` give ``isometry_residual`` and
     the blocks between sectors ``sector_orthogonality``.
-    ``reconstruction_distance`` is the Frobenius norm, over the basis
-    ``B_l``, of ``B_l - V Pi(V^dag B_l V) V^dag``, where ``Pi`` replaces each
-    sector block by its partial trace over the cofactor times ``1_n / n`` and
-    zeroes the blocks between sectors: the part of the span outside the span
-    of the sector matrix units.  To within the first two residuals it bounds
-    the sine of the largest principal angle between the two spans from
-    above; spans of different dimension read 1.
+    ``reconstruction_distance`` is the root-sum-square over the basis of its
+    :func:`_in_sectors` distances from the span of the matrix units over
+    ``sqrt(n)``.  To within the first two residuals it bounds the sine of the
+    largest principal angle between the spans; spans of different dimension read 1.
 
     Raises:
         NumericalError: if the basis of ``space`` is not orthonormal.
@@ -351,31 +351,33 @@ def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dic
     return _residuals(space, dec.sectors)
 
 
-def _residuals(space: OperatorSpace, sectors) -> dict[str, float]:
-    """The :func:`verify_decomposition` report, for a basis known to be orthonormal."""
-    v = np.concatenate([s.isometry for s in sectors], axis=1)
-    edges = np.cumsum([0] + [s.d * s.n for s in sectors])
-    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    gram = np.abs(v.conj().T @ v - np.eye(v.shape[1]))
-    on_block = np.zeros(gram.shape, dtype=bool)
-    for b in blocks:
-        on_block[b, b] = True
+def _in_sectors(sectors, cofactors, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``<u_j, x_l>`` on the units ``u_j = V_k (E_ab (x) c_k) V_k^dag`` of
+    :func:`_matrix_units`, ``||c_k||_F = 1``, from the blocks of ``W^dag x W`` (``W = [V_1 ...
+    V_m]``), and each ``||x_l - sum_j <u_j, x_l> u_j||_F``, never ``||x_l||^2 - ||coords||^2``."""
+    m = (w := np.concatenate([s.isometry for s in sectors], axis=1)).conj().T @ x @ w
+    kept, coords, lo = np.zeros_like(m), [], 0
+    for s, c in zip(sectors, cofactors):
+        b, lo = slice(lo, lo + s.d * s.n), lo + s.d * s.n
+        blocks = m[:, b, b].reshape(-1, s.d, s.n, s.d, s.n).transpose(0, 1, 3, 2, 4)
+        coords.append(blocks.reshape(len(m), s.d ** 2, -1) @ c.conj().ravel())
+        kept[:, b, b] = (coords[-1].reshape(-1, s.d, s.d, 1, 1) * c).transpose(
+            0, 1, 3, 2, 4).reshape(len(m), b.stop - b.start, -1)
+    distance = np.linalg.norm((x - w @ kept @ w.conj().T).reshape(len(x), -1), axis=1)
+    return np.concatenate(coords, axis=1), distance
 
-    recon = 1.0
-    if sum(s.d * s.d for s in sectors) == space.size:
-        # chunks of the basis, so that the temporaries stay below one basis
-        step = -(-space.size // 8)
-        squared = 0.0
-        for lo in range(0, space.size, step):
-            chunk = space.basis[lo:lo + step]
-            m = v.conj().T @ chunk @ v
-            kept = np.zeros_like(m)
-            for s, b in zip(sectors, blocks):
-                factor = np.einsum("xaibi->xab", m[:, b, b].reshape(-1, s.d, s.n, s.d, s.n))
-                kept[:, b, b] = np.einsum("xab,ij->xaibj", factor / s.n, np.eye(s.n)).reshape(
-                    len(m), s.d * s.n, s.d * s.n)
-            squared += float(np.linalg.norm(chunk - v @ kept @ v.conj().T) ** 2)
-        recon = float(np.sqrt(squared))
+
+def _residuals(space: OperatorSpace, sectors) -> dict[str, float]:
+    """The :func:`verify_decomposition` report for an orthonormal basis, via :func:`_in_sectors`."""
+    v = np.concatenate([s.isometry for s in sectors], axis=1)
+    labels = np.repeat(np.arange(len(sectors)), [s.d * s.n for s in sectors])
+    gram, on_block = np.abs(v.conj().T @ v - np.eye(v.shape[1])), labels[:, None] == labels
+
+    # chunks of the basis, so that the temporaries stay below one basis
+    step, cofactors = -(-space.size // 8), [np.eye(s.n) / np.sqrt(s.n) for s in sectors]
+    recon = 1.0 if sum(s.d * s.d for s in sectors) != space.size else float(np.linalg.norm(
+        np.concatenate([_in_sectors(sectors, cofactors, space.basis[lo:lo + step])[1]
+                        for lo in range(0, space.size, step)])))
 
     report = {
         "isometry_residual": float(np.max(gram[on_block], initial=0.0)),

@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, Sector, _decompose_on, _embed, _matrix_units
+from .algebra import AlgebraDecomposition, Sector, _decompose_on, _embed, _in_sectors, _matrix_units
 from .channels import (
     QuantumChannel,
     _psd_support,
@@ -181,10 +181,9 @@ def _structure_from_space(
     seed: int,
     tol: ToleranceConfig,
 ) -> FixedPointStructure:
-    """Decompose the algebra of ``space.dual`` on the support of ``space``, which
-    gives P0, read each ``tau_k`` through ``space.project`` and certify the
-    structure against the analyzed map ``ch`` over the whole span of its
-    states.  No random draw enters: ``seed`` reaches only the decomposition."""
+    """Decompose the algebra of ``space.dual`` on the support P0 of ``space``, read each ``tau_k``
+    through ``space.project`` and certify the structure against ``ch`` over the whole span of its
+    states (a rotation read by :func:`_in_sectors`); only the decomposition draws from ``seed``."""
     dec = _decompose_on(space.dual, space.support(), seed, tol)
     sectors = dec.sectors
 
@@ -220,20 +219,19 @@ def _structure_from_space(
 
     # the map over the orthonormal basis V_k (E_ab (x) tau_k) V_k^dag / ||tau_k||_F of
     # the structure states, in chunks of d^2 / 8 elements: an eighth of the superoperator
-    units = np.concatenate([_matrix_units(s, t / np.linalg.norm(t))
-                            for s, t in zip(sectors, taus)])
-    flat, step = units.reshape(len(units), -1), -(-space.dim ** 2 // 8)
-    chunks = ((c, apply_channel(ch, units[c]).reshape(flat[c].shape))
+    cofactors, step = [t / np.linalg.norm(t) for t in taus], -(-space.dim ** 2 // 8)
+    units = np.concatenate([_matrix_units(s, c) for s, c in zip(sectors, cofactors)])
+    chunks = ((c, apply_channel(ch, units[c]))
               for c in (slice(lo, lo + step) for lo in range(0, len(units), step)))
     if kind != "unitarily-noiseless":
         certificate = {"fixed_state_residual": math.sqrt(
-            sum(np.linalg.norm(image - flat[c]) ** 2 for c, image in chunks))}
+            sum(np.linalg.norm(image - units[c]) ** 2 for c, image in chunks))}
     else:  # E rotates the states: it must keep their span and act on it unitarily
         scale = np.repeat([np.linalg.norm(t) for t in taus], [s.d ** 2 for s in sectors])
         leak, gram = 0.0, np.zeros((len(units), len(units)), dtype=complex)
         for c, image in chunks:
-            coeff = (image.conj() @ flat.T).conj()  # <u_j, E(u_i)>
-            leak += np.linalg.norm(image - coeff @ flat) ** 2
+            coeff, distance = _in_sectors(sectors, cofactors, image)  # <u_j, E(u_i)>
+            leak += float(distance @ distance)
             coeff *= scale[c, None] / scale  # E on the units V_k (E_ab (x) tau_k) V_k^dag
             gram += coeff.conj().T @ coeff
         gram[np.diag_indices(len(units))] -= 1.0

@@ -14,7 +14,7 @@ import scipy.linalg
 
 from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
-                      channel_from_kraus, to_superoperator, vec)
+                      apply_channel, channel_from_kraus, to_superoperator, vec)
 from ipstruct.algebra import _matrix_units
 from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
@@ -193,3 +193,25 @@ def unit_span_distance(space: OperatorSpace, dec: AlgebraDecomposition) -> float
     if len(a) != len(b):
         return 1.0
     return float(np.linalg.norm(b - (b @ a.conj().T) @ a, 2))
+
+
+def dense_rotation_certificate(structure, ch: QuantumChannel) -> dict[str, float]:
+    """The unitarily-noiseless certificate of a structure under ``ch``, by dense
+    products over the flattened orthonormal units ``u_i = V_k (E_ab (x) tau_k)
+    V_k^dag / ||tau_k||_F``.
+
+    ``span_leak`` is ``(sum_i ||E(u_i) - sum_j <u_j, E(u_i)> u_j||_F^2)^(1/2)`` and
+    ``gram_change`` is ``||C^dag C - 1||_F`` for the matrix ``C`` of ``E`` on the
+    unscaled units ``V_k (E_ab (x) tau_k) V_k^dag``.  The package reads both in
+    sector coordinates instead, without the ``k^2 d^2`` products.
+    """
+    sectors, taus = structure.algebra.sectors, structure.distortion_states
+    units = np.concatenate([_matrix_units(s, t / np.linalg.norm(t))
+                            for s, t in zip(sectors, taus)])
+    flat = units.reshape(len(units), -1)
+    image = apply_channel(ch, units).reshape(flat.shape)
+    coeff = (image.conj() @ flat.T).conj()  # <u_j, E(u_i)>
+    scale = np.repeat([np.linalg.norm(t) for t in taus], [s.d ** 2 for s in sectors])
+    c = coeff * (scale[:, None] / scale)
+    return {"span_leak": float(np.linalg.norm(image - coeff @ flat)),
+            "gram_change": float(np.linalg.norm(c.conj().T @ c - np.eye(len(units))))}

@@ -7,6 +7,7 @@ from ipstruct import (
     DecompositionError,
     NumericalError,
     OperatorSpace,
+    ValidationError,
     canonical_decompose,
     verify_decomposition,
 )
@@ -313,6 +314,42 @@ def test_matrix_units_follow_the_factor_major_layout():
             e = np.zeros((2, 2))
             e[a, b] = 1.0
             assert_allclose(unit, iso @ np.kron(e, cofactor) @ iso.conj().T, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout, ambient", [
+    ([(2, 2), (2, 3)], 12), ([(3, 2)], 8), ([(2, 3), (3, 2), (1, 1)], 14),
+], ids=["two-sectors", "one-sector", "three-sectors"])
+def test_in_sectors_matches_the_flattened_units(layout, ambient):
+    # sectors on part of the space, unit-norm Hermitian cofactors and a
+    # non-Hermitian stack, read against the dense unit stack
+    rng = np.random.default_rng(ambient)
+    columns, sectors, cofactors = haar_unitary(ambient, rng), [], []
+    for d, n in layout:
+        sectors.append(Sector(d=d, n=n, isometry=columns[:, :d * n]))
+        columns = columns[:, d * n:]
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cofactors.append((g + g.conj().T) / np.linalg.norm(g + g.conj().T))
+    assert columns.shape[1] > 0
+    parts = rng.standard_normal((2, 5, ambient, ambient))
+    x = parts[0] + 1j * parts[1]
+    units = np.concatenate([ipstruct.algebra._matrix_units(s, c)
+                            for s, c in zip(sectors, cofactors)])
+    flat = units.reshape(len(units), -1)
+    assert_allclose(flat.conj() @ flat.T, np.eye(len(flat)), atol=1e-13)
+    expected = x.reshape(len(x), -1) @ flat.conj().T  # <u_j, x_l>
+
+    coords, distance = ipstruct.algebra._in_sectors(sectors, cofactors, x)
+    assert_allclose(coords, expected, rtol=0, atol=1e-13)
+    assert_allclose(distance, np.linalg.norm(x.reshape(len(x), -1) - expected @ flat, axis=1),
+                    rtol=0, atol=1e-13)
+    # a part off the support counts in full
+    assert np.all(distance > 1.0)
+
+
+def test_negative_seed_rejected():
+    space = space_of(3, [(1, 1), (1, 2)], np.eye(3))
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        canonical_decompose(space, seed=-1)
 
 
 def test_empty_span_rejected():

@@ -184,6 +184,19 @@ def test_analyze_infinite_tol_exits_2(fixtures_dir, capsys):
     assert "error: tolerance must be positive and finite" in err
 
 
+@pytest.mark.parametrize("mode", ["noiseless", "unitarily-noiseless", "unconditional",
+                                  "fixed-structure"])
+def test_analyze_negative_seed_exits_2(fixtures_dir, capsys, mode):
+    # exit 1 is a negative verdict, so a bad seed must not surface as a traceback
+    code, out, err = run_cli(
+        capsys, "analyze", "--channel", str(fixtures_dir / "dephasing_qubit.json"),
+        "--mode", mode, "--seed", "-1",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in err
+
+
 def test_analyze_tol_is_recorded(fixtures_dir, capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--channel", str(fixtures_dir / "dephasing_qubit.json"),

@@ -35,7 +35,7 @@ from ipstruct import (
     zoo,
 )
 from ipstruct.tolerances import DEFAULT_TOL, FIXED_STATE_RESIDUAL
-from oracles import adjoint
+from oracles import adjoint, dense_rotation_certificate
 
 
 def random_state(d, rng):
@@ -488,6 +488,45 @@ def test_unitarily_noiseless_sectors_of_unequal_distortion_swap():
     s = unitarily_noiseless_structure(ch)
     assert (s.shape, s.cofactors) == ((1, 1), (2, 1))
     assert s.residuals["span_leak"] < 1e-12 and s.residuals["gram_change"] < 1e-12
+
+
+DENSE_CERTIFICATE_INPUTS = {
+    **{n: (lambda n=n: _square_channel(n)) for n in zoo.fixture_names()
+       if _square_channel(n) is not None},
+    **{f"cptp-{d}-{s}": (lambda d=d, s=s: zoo.random_cptp(d, 3, s))
+       for d in (4, 8, 16) for s in (1, 2)},
+    **{f"dfs-{d}-{s}-leak-{leak}": (lambda d=d, s=s, leak=leak:
+                                    zoo.random_dfs_channel(d, d // 2, s, leak=leak))
+       for d in (4, 8, 16) for s in (1, 2) for leak in (0.0, 0.1)},
+    "unequal-distortion-swap": lambda: embed_classical(
+        StochasticChannel(np.array([[0, 1, 1], [0.5, 0, 0], [0.5, 0, 0]]))),
+}
+
+
+@pytest.mark.parametrize("build", DENSE_CERTIFICATE_INPUTS.values(),
+                         ids=DENSE_CERTIFICATE_INPUTS.keys())
+def test_unitarily_noiseless_certificate_matches_the_dense_reference(build):
+    ch = build()
+    s = unitarily_noiseless_structure(ch)
+    expected = dense_rotation_certificate(s, ch)
+    for key, value in expected.items():
+        assert abs(s.residuals[key] - value) <= 1e-13, (key, s.residuals[key], value)
+
+
+@pytest.mark.parametrize("other, key", [(_dephase_a, "gram_change"), (_damp_b, "span_leak")],
+                         ids=["not-unitary-on-the-span", "leaving-the-span"])
+def test_refuted_rotation_matches_the_dense_reference(other, key):
+    # the decomposition is the analyzed channel's, so its structure carries the
+    # sectors and distortion states that the refuted certificate read
+    ch = zoo.fixture("unitary_A_depolarize_B")
+    with pytest.raises(DecompositionError) as info:
+        ipstruct.structures._structure_from_space(rotating_space(ch), other(),
+                                                  "unitarily-noiseless", 0, DEFAULT_TOL)
+    expected = dense_rotation_certificate(unitarily_noiseless_structure(ch), other())
+    assert info.value.residuals.keys() == expected.keys()
+    for k, value in expected.items():
+        assert abs(info.value.residuals[k] - value) <= 1e-13, (k, info.value.residuals[k], value)
+    assert min(info.value.residuals[key], expected[key]) > FIXED_STATE_RESIDUAL
 
 
 def test_near_degenerate_spectrum_verdicts():
