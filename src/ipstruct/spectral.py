@@ -23,15 +23,16 @@ semisimple.  One of three solvers gives ``R`` and ``L``:
 
 * ``||M_r - M_r^T||_F <= SELF_ADJOINT``: one symmetric eigensolve.  Its Schur
   form is diagonal, so ``L = R``; by Bauer-Fike each eigenvalue of ``M_r`` is
-  within ``SELF_ADJOINT`` of the solver's, far inside ``PERIPHERAL``.
+  within ``SELF_ADJOINT`` of the solver's, far inside ``PERIPHERAL``.  ``evx``
+  gives the fixed points' value window around 1, ``evd`` every eigenpair.
 * Any other map with ``d^2 >= _CERTIFIED_FLOOR`` first tries a certified solve
   of the ``lambda = 1`` cluster.  Block inverse iteration with the LU factors
   of ``A = M_r - (1 + INVERSE_SHIFT) I`` gives ``R``; two solves with ``A^T`` on
-  ``R`` give ``L``.  They stand only if three certificates hold:
-  the residuals ``||M R - R||_F`` and ``||M^T L - L||_F / ||L||_2`` are at most
-  ``CERTIFIED_RESIDUAL``; ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``, which
-  bounds the least singular value and so every eigenvalue of ``M - 1`` off the
-  cluster; and, for ``rotating_space`` only,
+  ``R`` give ``L``.  They stand only if ``||M R - R||_F`` and
+  ``||M^T L - L||_F / ||L||_2`` are at most ``CERTIFIED_RESIDUAL`` and every
+  eigenvalue off the cluster is proven outside the ``PERIPHERAL`` disc around 1:
+  for the fixed points by ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``, which
+  bounds the least singular value; for ``rotating_space`` by
   ``||(M - R L^T)^p||_F^(1/p) <= 1 - SPECTRAL_GAP`` for some ``p = 2^j``,
   ``j <= SQUARINGS``, which puts the rest of the spectrum inside the circle.
   The gap it reports is that proven lower bound, never above the dense value.
@@ -45,10 +46,10 @@ semisimple.  One of three solvers gives ``R`` and ``L``:
 
 Memory: the split holds the complex superoperator ``S``, read and never copied,
 its real form ``M_r`` (half of ``S``) and blocks of rows (``S / 64`` from
-``d = 16`` on).  A factorization of the first or third kind overwrites
-``M_r``.  The certified solve only reads it and fills one more buffer of its
-size in place, with a second one while it squares; a superoperator built here
-is freed before.  Only the selected columns outlive the split.
+``d = 16`` on).  The eigensolve and the Schur form overwrite ``M_r``; the window
+fills one more buffer of its size, ``evd`` two.  The certified solve only reads
+it and fills one in place, with a second while it squares; a superoperator
+built here is freed before.  Only the selected columns outlive the split.
 """
 
 from __future__ import annotations
@@ -245,8 +246,8 @@ def _certified(m_r: np.ndarray,
     (``-inf`` unless ``peripheral``) and ``||L||_2``; ``None`` when a certificate fails.
 
     ``m_r`` is only read.  One more ``n x n`` buffer holds ``M - (1 + delta) I``
-    and its LU factors, then ``M - 1 + R L^T`` and its inverse; ``peripheral``
-    adds a second for the squarings of ``M - R L^T``.
+    and its LU factors, then, for the fixed points, ``M - 1 + R L^T`` and its
+    inverse, or, if ``peripheral``, the squarings of ``M - R L^T`` beside a second.
     """
     lapack, dgemm, n = scipy.linalg.lapack, scipy.linalg.blas.dgemm, len(m_r)
     diagonal = np.arange(n)
@@ -267,24 +268,21 @@ def _certified(m_r: np.ndarray,
     residual = max(np.linalg.norm(m_r @ r - r), np.linalg.norm(m_r.T @ l - l) / cond)
     if not residual <= CERTIFIED_RESIDUAL:
         return None
-    # every eigenvalue of M - 1 + R L^T, those of M - 1 off the cluster among them,
-    # is at least its least singular value, at least 1 / ||(M - 1 + R L^T)^-1||_F
     np.copyto(buf, m_r)
-    buf[diagonal, diagonal] -= 1.0
-    lu, piv, info = lapack.dgetrf(dgemm(1.0, r, l, beta=1.0, c=buf, trans_b=True,
-                                        overwrite_c=True), overwrite_a=True)
-    if info == 0:
-        # the blocked inverse: 3.4x faster than the default workspace at n = 1024,
-        # one BLAS thread
-        lwork = int(lapack.dgetri_lwork(n)[0])
-        buf, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
-    if info != 0 or not 1.0 / np.linalg.norm(buf) > PERIPHERAL:
-        return None
     if not peripheral:
+        # every eigenvalue of M - 1 + R L^T, those of M - 1 off the cluster among them,
+        # is at least its least singular value, at least 1 / ||(M - 1 + R L^T)^-1||_F
+        buf[diagonal, diagonal] -= 1.0
+        lu, piv, info = lapack.dgetrf(dgemm(1.0, r, l, beta=1.0, c=buf, trans_b=True,
+                                            overwrite_c=True), overwrite_a=True)
+        if info == 0:  # the blocked inverse: 3.4x the default workspace's speed, n = 1024
+            lwork = int(lapack.dgetri_lwork(n)[0])
+            buf, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+        if info != 0 or not 1.0 / np.linalg.norm(buf) > PERIPHERAL:
+            return None
         return r, l, -math.inf, cond
-    # rho(M - R L^T) <= ||(M - R L^T)^p||_F^(1/p) for p = 2^j: the rest of the
-    # spectrum is off the unit circle by the gap this proves
-    np.copyto(buf, m_r)
+    # rho(M - R L^T) <= ||(M - R L^T)^p||_F^(1/p), p = 2^j: the rest of the spectrum is off
+    # the unit circle, and from 1, by the gap this proves, > PERIPHERAL as the inverse would
     buf = dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)
     spare, log_norm = np.empty_like(buf), -math.inf  # log ||(M - R L^T)^p||_F
     for j in range(SQUARINGS + 1):
@@ -326,8 +324,8 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
     Returns the selected space, a lower bound on the gap ``1 - |lambda|`` to the
     largest unselected eigenvalue and the pairing condition
     ``||L||_2 = sqrt(1 + ||X||_2^2)``.  The gap is ``inf`` if nothing is left and
-    equal to it up to rounding, unless the certified solve answered: then it is
-    the bound its squarings proved, or ``-inf`` for the fixed points.
+    equal to it up to rounding, or the bound the certified squarings proved.  A
+    fixed split that the window or the certified solve answers proves none: ``-inf``.
     """
     select = _peripheral if peripheral else _fixed
     m, d = _superop_matrix(ch)
@@ -340,13 +338,15 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
     symmetric = math.sqrt(squares) <= SELF_ADJOINT
     certified = None if symmetric or n < _CERTIFIED_FLOOR else _certified(m_r, peripheral)
     if symmetric:  # the Schur form is diagonal: X = 0 and the left space is the right one
+        solver = {"driver": "evd"} if peripheral else {  # all the fixed points need, cut by select
+            "driver": "evx", "subset_by_value": (1.0 - PERIPHERAL, 1.0 + PERIPHERAL)}
         try:
-            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, driver="evd")
+            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, **solver)
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
-        keep = np.fromiter(map(select, w, np.zeros(n)), dtype=bool, count=n)
+        keep = np.fromiter(map(select, w, np.zeros(len(w))), dtype=bool, count=len(w))
         z1, cond = z[:, keep], 1.0
-        gap = 1.0 - float(np.max(np.abs(w[~keep]), initial=-math.inf))
+        gap = 1.0 - float(np.max(np.abs(w[~keep]), initial=-math.inf)) if peripheral else -math.inf
         del z
     elif certified:
         z1, left, gap, cond = certified

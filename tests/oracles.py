@@ -215,3 +215,20 @@ def dense_rotation_certificate(structure, ch: QuantumChannel) -> dict[str, float
     c = coeff * (scale[:, None] / scale)
     return {"span_leak": float(np.linalg.norm(image - coeff @ flat)),
             "gram_change": float(np.linalg.norm(c.conj().T @ c - np.eye(len(units))))}
+
+
+def inverse_certificate(m_r: np.ndarray, r: np.ndarray, l: np.ndarray) -> float:
+    """``1 / ||(M - 1 + R L^T)^-1||_F`` for bases ``R``, ``L`` of the right and left
+    ``lambda = 1`` cluster of a real matrix ``M`` with ``L^T R = 1``; 0 when the
+    matrix is singular.
+
+    It bounds the least singular value of ``M - 1 + R L^T`` from below, and with
+    it the distance from 1 of every eigenvalue of ``M`` off the cluster.  The
+    package computes it for the fixed points only: for the peripheral split the
+    squarings of ``M - R L^T`` prove that distance at least ``SPECTRAL_GAP``.
+    """
+    try:
+        inverse = np.linalg.inv(m_r - np.eye(len(m_r)) + r @ l.T)
+    except np.linalg.LinAlgError:
+        return 0.0
+    return 1.0 / float(np.linalg.norm(inverse))

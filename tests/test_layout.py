@@ -1,4 +1,5 @@
 import ast
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,3 +27,17 @@ def test_no_package_module_imports_the_tests_or_the_benchmark():
                 continue
             for name in names:
                 assert name.partition(".")[0] not in outside, (path.name, name)
+
+
+def test_no_package_module_uses_the_mrrr_eigensolver():
+    # the LAPACK driver evr (syevr, heevr) failed with "Internal Error" under two
+    # OpenBLAS threads: no package module names it as a driver or calls it
+    found = []
+    for path in sorted((ROOT / "src" / "ipstruct").glob("*.py")):
+        with path.open("rb") as f:
+            for tok in tokenize.tokenize(f.readline):
+                if (tok.type == tokenize.STRING and tok.string.strip("\"'") == "evr"
+                        or tok.type == tokenize.NAME and tok.string.lower().endswith(("syevr",
+                                                                                      "heevr"))):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []

@@ -32,7 +32,8 @@ from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
-from oracles import apply_superoperator, is_unital, schur_split, subspace_distance
+from oracles import (apply_superoperator, inverse_certificate, is_unital, schur_split,
+                     subspace_distance)
 
 
 def test_unitary_channel_spectrum():
@@ -372,7 +373,25 @@ SELF_ADJOINT_INPUTS = {
     **{f"composite-{n}": (lambda n=n: _composite(_square_fixture(n))) for n in SQUARE_FIXTURES},
     **{f"composite-cptp-{d}-{s}": (lambda d=d, s=s: _composite(zoo.random_cptp(d, 3, s)))
        for d in (4, 8, 16) for s in (1, 2)},
+    # large lambda = 1 clusters whose eigenvectors are no coordinate vectors:
+    # k = 17 and 65, and k = 16 for the rotated depolarizer
+    **{f"composite-dfs-{d}-{s}": (lambda d=d, s=s: _composite(zoo.random_dfs_channel(d, d // 2, s)))
+       for d in (8, 16) for s in (1, 2)},
+    "rotated-depolarizer": lambda: _rotated_pauli_depolarizer(0.6, seed=4),
 }
+
+
+def _rotated_pauli_depolarizer(p, seed):
+    """Pauli depolarizing noise of strength ``p`` on the first 2 of 4 qubits, conjugated
+    by a random unitary on all four: self-adjoint, with the 16 fixed points
+    ``U (1_4 (x) M_4) U^dag`` and every other eigenvalue ``1 - 16 p / 15``."""
+    paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1.0, -1.0])]
+    u = unitary_group.rvs(16, random_state=np.random.default_rng(seed))
+    kraus = [np.sqrt(1 - p) * np.eye(16)] + [
+        np.sqrt(p / 15) * u @ np.kron(np.kron(a, b), np.eye(4)) @ u.conj().T
+        for i, a in enumerate(paulis) for j, b in enumerate(paulis) if i or j]
+    return channel_from_kraus(kraus)
 
 
 @pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
@@ -387,8 +406,9 @@ def test_symmetric_split_matches_ordered_schur(build, peripheral, monkeypatch):
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
     assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
     assert np.max(np.abs(space.projector.matrix - ref.projector.matrix)) <= 1e-10
-    assert gap == ref_gap or abs(gap - ref_gap) <= 1e-10
     assert abs(cond - ref_cond) <= 1e-10 and cond == 1.0
+    # the fixed points' value window proves no gap
+    assert (gap == ref_gap or abs(gap - ref_gap) <= 1e-10) if peripheral else gap == -math.inf
 
 
 def _perturbed(ch, asymmetry):
@@ -477,7 +497,9 @@ def _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch):
     ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
     space, gap, cond = _split(ch, peripheral, DEFAULT_TOL)
-    assert calls == ["lu", "lu"]  # the certified solve answered: no Schur form
+    # the certified solve answered: no Schur form, and the peripheral split's
+    # squarings prove what the fixed split's inverse does
+    assert calls == (["lu"] if peripheral else ["lu", "lu"])
     assert space.size == ref.size
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
     assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
@@ -507,8 +529,26 @@ def test_certified_split_matches_ordered_schur_on_fixtures(name, peripheral, mon
     else:
         calls = _count_factorizations(monkeypatch)
         _assert_dense_split(ch, peripheral, monkeypatch)
-        assert calls == ["lu", "lu", "schur", "schur"]
+        assert calls == ["lu", "schur", "schur"]
         assert (name, peripheral) == ("unitary_A_depolarize_B", True)
+
+
+@pytest.mark.parametrize("build", [*GENERAL_INPUTS.values(),
+                                   *(lambda n=n: _square_fixture(n) for n in GENERAL_FIXTURES)],
+                         ids=[*GENERAL_INPUTS.keys(), *GENERAL_FIXTURES])
+def test_squarings_imply_the_inverse_certificate(build):
+    # the peripheral certified solve skips 1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL;
+    # wherever its squarings answer, from any size (the floor only guards _split),
+    # the dense inverse of the fixed split's certificate must pass too
+    ch = build()
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    certified = spectral._certified(m_r, True)
+    if certified is None:  # a peripheral phase other than 1: the Schur form answers
+        assert schur_split(ch, _fixed)[0].size < schur_split(ch, _unit_circle)[0].size
+        return
+    r, l, gap, _ = certified
+    assert gap >= SPECTRAL_GAP
+    assert inverse_certificate(m_r, r, l) > PERIPHERAL
 
 
 def test_certified_solve_runs_from_the_size_floor(monkeypatch):
@@ -588,7 +628,7 @@ def test_fallback_keeps_the_complex_peripheral_spectrum(monkeypatch):
     ch = channel_from_kraus([np.diag(np.exp(1j * np.sqrt(np.arange(8))))])
     calls = _count_factorizations(monkeypatch)
     space, gap, _ = _assert_dense_split(ch, True, monkeypatch)
-    assert calls == ["lu", "lu", "schur", "schur"]
+    assert calls == ["lu", "schur", "schur"]
     assert space.size == 64 and gap == math.inf
     assert_allclose(space.projector.matrix, np.eye(64), atol=1e-10)
     # its fixed points, the diagonal operators, are certified
@@ -600,7 +640,7 @@ def test_fallback_keeps_the_gap_error(monkeypatch):
     ch = _weak_dephasing_on_a_qubit_of(zoo.random_cptp(4, 2, 1))
     calls = _count_factorizations(monkeypatch)
     _, gap, _ = _assert_dense_split(ch, True, monkeypatch)
-    assert calls == ["lu", "lu", "schur", "schur"]
+    assert calls == ["lu", "schur", "schur"]
     assert gap < SPECTRAL_GAP and abs(gap - schur_split(ch, _unit_circle)[1]) <= 1e-10
     with pytest.raises(NumericalError, match="not separated") as err:
         rotating_space(ch)
@@ -632,10 +672,10 @@ def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
     mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
     turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
     calls = _count_factorizations(monkeypatch)
-    for split in (fixed_space, rotating_space):
+    for split, lu in ((fixed_space, ["lu", "lu"]), (rotating_space, ["lu"])):
         calls.clear()
         space, gauged, rotated = split(ch), split(mixed), split(turned)
-        assert calls == ["lu", "lu"] * 3
+        assert calls == lu * 3
         assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
         conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
         assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
@@ -644,18 +684,20 @@ def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
 
 def test_certified_split_under_two_blas_threads():
     # LAPACK evr once failed under two OpenBLAS threads where one thread passed:
-    # the certified solve runs its agreement case in a child with two
+    # the certified solve and the symmetric eigensolves, the fixed points' value
+    # window among them, run their agreement cases in a child with two
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(p for p in (str(root / "src"),
                                                      os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__)),
-         "-k", "test_certified_split_matches_ordered_schur and cptp-16-1"],
+         "-k", "(test_certified_split_matches_ordered_schur and cptp-16-1) or "
+               "(test_symmetric_split_matches_ordered_schur and composite-cptp-16-1)"],
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 passed" in proc.stdout
+    assert "4 passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

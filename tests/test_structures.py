@@ -259,10 +259,11 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
     assert len(calls) == 1
     # real factorizations, in Hermitian coordinates.  The composite R o E of the
     # unconditional analysis is self-adjoint, so it takes the symmetric one; E
-    # is not, and the certified solve proves its split with two LU
-    # factorizations, without the ordered Schur form
-    expected = ([("eigh", np.float64)] if analyze is unconditional_structure
-                else [("dgetrf", np.float64)] * 2)
+    # is not, and the certified solve proves its split without the ordered Schur
+    # form: two LU factorizations for the fixed points, one for the rotating space
+    expected = {unconditional_structure: [("eigh", np.float64)],
+                noiseless_structure: [("dgetrf", np.float64)] * 2,
+                unitarily_noiseless_structure: [("dgetrf", np.float64)]}[analyze]
     assert factorizations == expected
 
 
