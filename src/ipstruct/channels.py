@@ -2,9 +2,9 @@
 
 Operators are plain complex ``numpy`` arrays.  A channel is a list of Kraus
 operators ``K_i`` acting as ``X -> sum_i K_i X K_i^dag``; complete positivity
-is automatic in this representation and trace preservation is a checkable
-flag rather than an assumption, so trace-decreasing intermediates (restrictions
-to subspaces, adjoints of non-unital maps) share the same type.
+is automatic in this representation.  Trace preservation is not assumed:
+:func:`is_cptp` reports it, so trace-decreasing maps (a transpose recovery on
+part of the space) share the same type.
 
 Vectorization convention
 ------------------------
@@ -23,7 +23,9 @@ by the vectorized index of ``(i, i)``, ``(i, j)`` and ``(j, i)``.  Column ``c``
 of this unitary ``U`` is ``alpha_c e_c + conj(alpha_c) e_swap(c)``, with
 ``swap(c)`` the index of the transposed entry, so a change of basis is index
 arithmetic.  A Hermiticity-preserving map (``E(X)^dag = E(X^dag)``, as is
-every map in Kraus form) has a real matrix ``U^dag M U`` there.
+every map in Kraus form) has a real matrix ``U^dag M U`` there.  Its
+superoperator satisfies ``M = Pi conj(M) Pi`` with ``Pi`` the permutation
+``swap``, which lets :func:`hermitian_coordinates` read each row of ``M`` once.
 """
 
 from __future__ import annotations
@@ -79,40 +81,27 @@ def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
     return alpha, swap
 
 
-def hermitian_coordinates(m: np.ndarray, d: int,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The real matrix ``U^dag M U`` of a complex superoperator matrix ``m`` on
-    ``d x d`` operators, in Fortran order so that LAPACK can overwrite it in
-    place.  ``m`` is only read: the change of basis runs on blocks of rows,
-    so no temporary comes near the size of ``m``.
+def hermitian_coordinates(m: np.ndarray, d: int) -> np.ndarray:
+    """The real matrix ``U^dag M U`` of the superoperator matrix ``m`` of a map
+    in Kraus form on ``d x d`` operators, in Fortran order so that LAPACK can
+    overwrite it in place.  ``m`` is only read: the change of basis runs on
+    blocks of rows, so no temporary comes near the size of ``m``.
 
-    Raises:
-        ValidationError: if the map is not Hermiticity preserving, i.e. the
-            matrix has an imaginary part above ``tol.equality``.
+    ``M = Pi conj(M) Pi`` gives ``(U^dag M U)[r] = 2 Re(conj(alpha_r) A_r)``
+    with ``A_r = alpha * M[r] + conj(alpha) * M[r, swap]``: one gather of
+    columns per block of rows, and no imaginary part to discard.
     """
     alpha, swap = _hermitian_basis(d)
     m, n, conj = np.asarray(m, dtype=complex), d * d, alpha.conj()  # no copy if complex
     out = np.empty((n, n), order="F")
-    leak = 0.0
     step = max(4, n // 64)  # 64 row blocks: a few temporaries of n^2 / 64 entries each
     for start in range(0, n, step):
         r = slice(start, start + step)
-        # rows: (U^dag M)[r] = conj(alpha_r) M[r] + alpha_r M[swap(r)]
-        block = m.take(swap[r], axis=0)
-        block *= alpha[r, None]
-        block += conj[r, None] * m[r]
-        # columns of V = U^dag M: (V U)[:, c] = alpha_c V[:, c] + conj(alpha_c) V[:, swap(c)]
-        pair = block.take(swap, axis=1)
-        pair *= conj
-        block *= alpha
-        block += pair
-        leak = max(leak, np.abs(block.imag).max())
+        block = m[r].take(swap, axis=1)
+        block *= conj
+        block += alpha * m[r]
+        block *= 2.0 * conj[r, None]
         out[r] = block.real
-    if leak > tol.equality:
-        raise ValidationError(
-            f"map is not Hermiticity preserving (imaginary part {leak:.3e} "
-            "in Hermitian coordinates)"
-        )
     return out
 
 
@@ -130,15 +119,14 @@ def from_hermitian_coordinates(z: np.ndarray, d: int) -> np.ndarray:
 class QuantumChannel:
     """A completely positive map given by Kraus operators.
 
-    ``trace_preserving`` records whether ``sum K_i^dag K_i = 1`` held at
-    construction time; a trace non-increasing map, such as a transpose
-    recovery, may legitimately carry ``False``.
+    It need not be trace preserving: a transpose recovery on part of the
+    space is trace decreasing.  :func:`is_cptp` reports how far
+    ``sum K_i^dag K_i`` is from the identity.
     """
 
     kraus: tuple[np.ndarray, ...]
     dim_in: int
     dim_out: int
-    trace_preserving: bool = True
 
     def __post_init__(self):
         if not self.kraus:
@@ -253,11 +241,8 @@ def projector_onto_support(a: np.ndarray) -> np.ndarray:
 # construction and representation changes
 # ---------------------------------------------------------------------------
 
-def channel_from_kraus(
-    kraus: Sequence[np.ndarray] | Iterable[np.ndarray],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> QuantumChannel:
-    """Build a channel from Kraus operators, recording trace preservation."""
+def channel_from_kraus(kraus: Sequence[np.ndarray] | Iterable[np.ndarray]) -> QuantumChannel:
+    """Build a channel from Kraus operators of one shape with finite entries."""
     ks = tuple(np.asarray(k, dtype=complex) for k in kraus)
     if not ks:
         raise ValidationError("empty Kraus list")
@@ -270,9 +255,7 @@ def channel_from_kraus(
         raise ValidationError(f"Kraus operators of shape {(d_out, d_in)} have no entries")
     if not all(np.all(np.isfinite(k)) for k in ks):
         raise ValidationError("Kraus operators have non-finite entries")
-    acc = sum(k.conj().T @ k for k in ks)
-    tp = bool(np.max(np.abs(acc - np.eye(d_in))) <= tol.equality)
-    return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out, trace_preserving=tp)
+    return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out)
 
 
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
@@ -299,15 +282,14 @@ def apply_channel(ch: QuantumChannel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def compose(after: QuantumChannel, before: QuantumChannel,
-            tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
+def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
     """Composition ``after o before`` with Kraus products ``A_i B_j``."""
     if after.dim_in != before.dim_out:
         raise ValidationError(
             f"cannot compose: after.dim_in={after.dim_in} != before.dim_out={before.dim_out}"
         )
     ks = [a @ b for a in after.kraus for b in before.kraus]
-    return channel_from_kraus(ks, tol=tol)
+    return channel_from_kraus(ks)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:

@@ -258,7 +258,7 @@ def _cmd_transpose(args) -> int:
     rep = is_cptp(recovery, tol=tol)
     # a zero projector has already failed in transpose_channel (exit 3)
     rank = float(np.real(np.trace(proj)))
-    back = apply_channel(compose(recovery, ch, tol=tol), proj / rank)
+    back = apply_channel(compose(recovery, ch), proj / rank)
     restored = float(np.linalg.norm(back - proj / rank))
     print(
         "self-check: "

@@ -343,7 +343,7 @@ def _time_average(ch: QuantumChannel, tol: ToleranceConfig) -> SpectralSpace:
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
                               f"(sum K^dag K has eigenvalue {gain:.12g})")
-    return fixed_space(ch, tol)
+    return fixed_space(ch)
 
 
 def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
@@ -355,7 +355,7 @@ def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
     recovery = transpose_channel(ch, code_support(code), tol=tol)
-    report = is_noiseless(code, compose(recovery, ch, tol=tol), tol=tol)
+    report = is_noiseless(code, compose(recovery, ch), tol=tol)
     return CorrectabilityReport(verdict=report.verdict, recovery=recovery, noiseless=report)
 
 
@@ -416,7 +416,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     if ch.dim_in != code.dim:
         raise ValidationError("code dimension does not match channel input")
     transpose = transpose_channel(ch, code_support(code), tol=tol)
-    composite = compose(transpose, ch, tol=tol)
+    composite = compose(transpose, ch)
     space = _time_average(composite, tol)
     if not _compare(code, space.project, tol):
         raise ValidationError("code is not preserved; no fixing recovery exists")
@@ -445,8 +445,8 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         outside = _psd_support(np.eye(ch.dim_in) - structure.support_projector)[1]
         kraus.extend(_preparation_kraus(default, outside))
 
-    reset = channel_from_kraus(kraus, tol=tol)
-    recovery = compose(reset, transpose, tol=tol)
+    reset = channel_from_kraus(kraus)
+    recovery = compose(reset, transpose)
 
     states = np.stack(code.states)
     residuals = _hermitian_stack(apply_channel(recovery, apply_channel(ch, states)) - states,

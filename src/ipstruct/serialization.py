@@ -1,4 +1,4 @@
-"""JSON (de)serialization for channels, stochastic maps, codes, graphs, shapes.
+"""JSON (de)serialization for channels, stochastic maps and codes; graphs are only written.
 
 Formats
 -------
@@ -6,7 +6,6 @@ channel:    {"dim_in": n, "dim_out": m, "kraus": [matrix, ...]}
 stochastic: {"n_in": n, "n_out": m, "matrix": [[p, ...], ...]}
 code:       {"states": [matrix, ...]}
 graph:      {"n": n, "edges": [[i, j], ...]}        (i < j, sorted)
-shape:      {"sectors": [{"d": d, "n": n}, ...]}    (descending by d, then n)
 projector:  {"matrix": matrix}
 
 Complex matrices are encoded row-major with each entry as a ``[re, im]``
@@ -34,8 +33,6 @@ __all__ = [
     "code_states_to_json",
     "code_states_from_json",
     "graph_to_json",
-    "graph_from_json",
-    "shape_to_json",
     "projector_from_json",
     "dumps",
     "sniff_and_load_channel",
@@ -129,21 +126,6 @@ def code_states_from_json(data: Any) -> list[np.ndarray]:
 def graph_to_json(n: int, edges) -> dict:
     norm = sorted(tuple(sorted(map(int, e))) for e in edges)
     return {"n": int(n), "edges": [list(e) for e in norm]}
-
-
-def graph_from_json(data: Any) -> tuple[int, list[tuple[int, int]]]:
-    try:
-        n = int(data["n"])
-        edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed graph document: {exc}") from exc
-    return n, edges
-
-
-def shape_to_json(sectors) -> dict:
-    """Encode a sector list of ``(d, n)`` pairs, descending by d then n."""
-    ordered = sorted(((int(d), int(n)) for d, n in sectors), key=lambda s: (-s[0], -s[1]))
-    return {"sectors": [{"d": d, "n": n} for d, n in ordered]}
 
 
 def projector_from_json(data: Any) -> np.ndarray:

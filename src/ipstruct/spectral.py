@@ -44,12 +44,16 @@ semisimple.  One of three solvers gives ``R`` and ``L``:
   pairing condition ``sqrt(1 + ||X||_2^2)``.  It gives the answer, or the error,
   that the selection rule makes.
 
-Memory: the split holds the complex superoperator ``S``, read and never copied,
-its real form ``M_r`` (half of ``S``) and blocks of rows (``S / 64`` from
-``d = 16`` on).  The eigensolve and the Schur form overwrite ``M_r``; the window
-fills one more buffer of its size, ``evd`` two.  The certified solve only reads
-it and fills one in place, with a second while it squares; a superoperator
-built here is freed before.  Only the selected columns outlive the split.
+The split takes a :class:`~ipstruct.channels.QuantumChannel` only: every map
+in Kraus form is Hermiticity preserving, so its real matrix needs no check.
+
+Memory: the change of coordinates holds the complex superoperator ``S``, built
+once and only read, its real form ``M_r`` (half of ``S``) and blocks of rows
+(``S / 64`` from ``d = 16`` on); ``S`` is freed before any factorization.  The
+eigensolve and the Schur form overwrite ``M_r``; the window fills one more
+buffer of its size, ``evd`` two.  The certified solve only reads it and fills
+one in place, with a second while it squares.  Only the selected columns
+outlive the split.
 """
 
 from __future__ import annotations
@@ -69,9 +73,9 @@ from .channels import (
     to_superoperator,
 )
 from .errors import NumericalError, ValidationError
-from .tolerances import (BASIS_ORTHONORMAL, CERTIFIED_RESIDUAL, DEFAULT_TOL, INVERSE_CUT,
-                         INVERSE_SHIFT, PAIRING_CONDITION, PERIPHERAL, RANK_REL, SELF_ADJOINT,
-                         SPECTRAL_GAP, SQUARINGS, ToleranceConfig)
+from .tolerances import (BASIS_ORTHONORMAL, CERTIFIED_RESIDUAL, INVERSE_CUT, INVERSE_SHIFT,
+                         PAIRING_CONDITION, PERIPHERAL, RANK_REL, SELF_ADJOINT, SPECTRAL_GAP,
+                         SQUARINGS)
 
 __all__ = [
     "OperatorSpace",
@@ -176,19 +180,15 @@ def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
 # the spectral split
 # ---------------------------------------------------------------------------
 
-def _superop_matrix(ch: QuantumChannel | Superoperator) -> tuple[np.ndarray, int]:
-    """The complex superoperator matrix of a square map; it is only read."""
-    if isinstance(ch, QuantumChannel):
-        if not ch.is_square:
-            raise ValidationError("spectral analysis requires a square channel")
-        return to_superoperator(ch).matrix, ch.dim_in
-    if isinstance(ch, Superoperator):
-        if ch.dim_in != ch.dim_out:
-            raise ValidationError("spectral analysis requires a square superoperator")
-        return ch.matrix, ch.dim_in
-    raise ValidationError(
-        f"spectral analysis takes a QuantumChannel or a Superoperator, not {type(ch).__name__}"
-    )
+def _coordinates(ch: QuantumChannel) -> np.ndarray:
+    """The real matrix ``M_r`` of a square channel in Hermitian coordinates.  The
+    superoperator built on the way is freed on return."""
+    if not isinstance(ch, QuantumChannel):
+        raise ValidationError(
+            f"spectral analysis takes a QuantumChannel, not {type(ch).__name__}")
+    if not ch.is_square:
+        raise ValidationError("spectral analysis requires a square channel")
+    return hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
 
 
 def _operators(columns: np.ndarray, d: int) -> np.ndarray:
@@ -317,9 +317,11 @@ def _peripheral(re: float, im: float) -> bool:
     return abs(math.hypot(re, im) - 1.0) < PERIPHERAL
 
 
-def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, float, float]:
-    """Split the spectrum into the eigenvalues ``|lambda - 1| < PERIPHERAL`` (or,
-    if ``peripheral``, ``||lambda| - 1| < PERIPHERAL``) and the rest.
+def _split(m_r: np.ndarray, d: int, peripheral: bool) -> tuple[SpectralSpace, float, float]:
+    """Split the spectrum of the real matrix ``m_r`` of a map on ``d x d``
+    operators in Hermitian coordinates into the eigenvalues
+    ``|lambda - 1| < PERIPHERAL`` (or, if ``peripheral``,
+    ``||lambda| - 1| < PERIPHERAL``) and the rest.  ``m_r`` is overwritten.
 
     Returns the selected space, a lower bound on the gap ``1 - |lambda|`` to the
     largest unselected eigenvalue and the pairing condition
@@ -327,11 +329,7 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
     equal to it up to rounding, or the bound the certified squarings proved.  A
     fixed split that the window or the certified solve answers proves none: ``-inf``.
     """
-    select = _peripheral if peripheral else _fixed
-    m, d = _superop_matrix(ch)
-    m_r = hermitian_coordinates(m, d, tol)
-    del m  # a superoperator built here is freed before the factorization
-    n = m_r.shape[0]
+    select, n = (_peripheral if peripheral else _fixed), len(m_r)
     squares = 0.0  # ||M - M^T||_F^2 summed over blocks of 32 rows: no n x n temporary
     for i in range(0, n, 32):
         squares += np.linalg.norm(m_r[i:i + 32] - m_r[:, i:i + 32].T) ** 2
@@ -364,7 +362,7 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
         # ||P|| = 1 / sigma_min(L^dag R) for orthonormal right/left bases R, L
         cond = float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
         del t, z
-    del m_r  # only the k selected columns stay
+    del m_r  # freed here when the caller passed its only reference: the k selected columns stay
     if z1.shape[1] == 0:
         raise NumericalError("no unit-modulus eigenvalues found" if peripheral
                              else "no eigenvalue 1 found; is the map trace preserving?")
@@ -377,17 +375,18 @@ def _split(ch, peripheral: bool, tol: ToleranceConfig) -> tuple[SpectralSpace, f
     return space, gap, cond
 
 
-def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
+def fixed_space(ch: QuantumChannel) -> SpectralSpace:
     """Operators with ``E(X) = X`` (``|lambda - 1| < PERIPHERAL``), with
     the fixed points of the adjoint as ``dual`` and the time-averaged channel
     as ``projector``.
 
     Raises:
+        ValidationError: if ``ch`` is not a square ``QuantumChannel``.
         NumericalError: if no eigenvalue is 1, or if the right/left pairing
             is numerically singular (``pairing_condition`` above
             ``PAIRING_CONDITION``).
     """
-    space, _, cond = _split(ch, False, tol)
+    space, _, cond = _split(_coordinates(ch), ch.dim_in, False)
     if not np.isfinite(cond) or cond > PAIRING_CONDITION:
         raise NumericalError(
             "eigenvalue-1 right/left eigenvector pairing is numerically singular",
@@ -396,18 +395,19 @@ def fixed_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
     return space
 
 
-def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
+def rotating_space(ch: QuantumChannel) -> SpectralSpace:
     """Span of eigenoperators with unit-modulus eigenvalues (``|lambda| = 1``
     within ``PERIPHERAL``), with the adjoint's span as ``dual`` and the
     peripheral spectral projector as ``projector``.
 
     Raises:
+        ValidationError: if ``ch`` is not a square ``QuantumChannel``.
         NumericalError: if no eigenvalue has unit modulus, or if interior
             eigenvalues crowd the unit circle (cluster gap below
             ``SPECTRAL_GAP``), which would make the separation
             meaningless.
     """
-    space, gap, _ = _split(ch, True, tol)
+    space, gap, _ = _split(_coordinates(ch), ch.dim_in, True)
     if gap < SPECTRAL_GAP:
         raise NumericalError(
             "peripheral spectrum is not separated from the interior",
@@ -420,17 +420,17 @@ def rotating_space(ch, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralSpace:
 # or ``rotating_space(ch)`` instead.  They stay only while BENCHMARK.json lists
 # a metric under each name, and go with those metrics.
 
-def fixed_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    return fixed_space(ch, tol).dual
+def fixed_space_adjoint(ch: QuantumChannel) -> OperatorSpace:
+    return fixed_space(ch).dual
 
 
-def rotating_space_adjoint(ch, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSpace:
-    return rotating_space(ch, tol).dual
+def rotating_space_adjoint(ch: QuantumChannel) -> OperatorSpace:
+    return rotating_space(ch).dual
 
 
-def asymptotic_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    return fixed_space(ch, tol).projector
+def asymptotic_projector(ch: QuantumChannel) -> Superoperator:
+    return fixed_space(ch).projector
 
 
-def peripheral_projector(ch, tol: ToleranceConfig = DEFAULT_TOL) -> Superoperator:
-    return rotating_space(ch, tol).projector
+def peripheral_projector(ch: QuantumChannel) -> Superoperator:
+    return rotating_space(ch).projector

@@ -151,7 +151,7 @@ def transpose_channel(ch: QuantumChannel, projector: np.ndarray,
         )
     norm = _pinv_sqrt(image)
     ks = [p @ k.conj().T @ norm for k in ch.kraus]
-    return channel_from_kraus(ks, tol=tol)
+    return channel_from_kraus(ks)
 
 
 def unconditional_recovery(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
@@ -262,7 +262,7 @@ def noiseless_structure(ch: QuantumChannel, seed: int = 0,
     ``fixed_state_residual``: ``E - id`` over the whole structure span.
     """
     _require_square(ch)
-    return _structure_from_space(fixed_space(ch, tol), ch, "noiseless", seed, tol)
+    return _structure_from_space(fixed_space(ch), ch, "noiseless", seed, tol)
 
 
 def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
@@ -275,7 +275,7 @@ def unitarily_noiseless_structure(ch: QuantumChannel, seed: int = 0,
     (``span_leak``) and is from unitary on it (``gram_change``).
     """
     _require_square(ch)
-    return _structure_from_space(rotating_space(ch, tol), ch, "unitarily-noiseless", seed, tol)
+    return _structure_from_space(rotating_space(ch), ch, "unitarily-noiseless", seed, tol)
 
 
 def unconditional_structure(ch: QuantumChannel, seed: int = 0,
@@ -287,8 +287,8 @@ def unconditional_structure(ch: QuantumChannel, seed: int = 0,
     rectangular channels.  The composite is unital, so the structure always
     has full support.
     """
-    comp = compose(unconditional_recovery(ch, tol), ch, tol=tol)
-    return _structure_from_space(fixed_space(comp, tol), comp, "unconditional", seed, tol)
+    comp = compose(unconditional_recovery(ch, tol), ch)
+    return _structure_from_space(fixed_space(comp), comp, "unconditional", seed, tol)
 
 
 def fixed_point_structure(ch: QuantumChannel, seed: int = 0,

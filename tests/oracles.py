@@ -67,20 +67,17 @@ def pairwise_adjacency_graph(sc: StochasticChannel) -> Graph:
     return Graph.from_edges(sc.n_in, edges)
 
 
-def adjoint(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
+def adjoint(ch: QuantumChannel) -> QuantumChannel:
     """Hilbert-Schmidt adjoint ``Y -> sum_i K_i^dag Y K_i``.
 
     The adjoint of a trace-preserving map is unital but generally not trace
-    preserving; the returned channel's flag reflects an explicit check.
+    preserving.
     """
-    return channel_from_kraus([k.conj().T for k in ch.kraus], tol=tol)
+    return channel_from_kraus([k.conj().T for k in ch.kraus])
 
 
-def restrict_to_subspace(
-    ch: QuantumChannel,
-    projector: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[QuantumChannel, np.ndarray]:
+def restrict_to_subspace(ch: QuantumChannel,
+                         projector: np.ndarray) -> tuple[QuantumChannel, np.ndarray]:
     """Compress a square channel to a subspace: Kraus ``P K_i P``.
 
     Returns the compressed channel expressed in an orthonormal basis of
@@ -103,7 +100,7 @@ def restrict_to_subspace(
     if v.shape[1] == 0:
         raise ValidationError("projector has zero rank")
     ks = [v.conj().T @ k @ v for k in ch.kraus]
-    return channel_from_kraus(ks, tol=tol), v
+    return channel_from_kraus(ks), v
 
 
 def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -119,9 +116,8 @@ def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
-def schur_split(ch: QuantumChannel | Superoperator, select,
-                tol: ToleranceConfig = DEFAULT_TOL) -> tuple[SpectralSpace, float, float]:
-    """The spectral split of a square map by one ordered real Schur form,
+def schur_split(ch: QuantumChannel, select) -> tuple[SpectralSpace, float, float]:
+    """The spectral split of a square channel by one ordered real Schur form,
     whatever the symmetry of its matrix; the reference for ``spectral._split``.
 
     In Hermitian coordinates ``M_r = Z T Z^T`` with the eigenvalues that
@@ -132,8 +128,7 @@ def schur_split(ch: QuantumChannel | Superoperator, select,
     is empty) and the pairing condition ``sqrt(1 + ||X||_2^2)``.
     """
     d = ch.dim_in
-    sup = ch if isinstance(ch, Superoperator) else to_superoperator(ch)
-    m_r = hermitian_coordinates(sup.matrix, d, tol)
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, d)
     t, z, k = scipy.linalg.schur(m_r, output="real", sort=select)
     n = t.shape[0]
     x = np.zeros((k, n - k))

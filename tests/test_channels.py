@@ -19,6 +19,7 @@ from ipstruct import (
     vec,
 )
 from ipstruct.channels import (
+    _hermitian_basis,
     _psd_support,
     from_hermitian_coordinates,
     hermitian_coordinates,
@@ -27,6 +28,7 @@ from ipstruct.channels import (
 )
 from ipstruct import zoo
 from ipstruct.spectral import _joint_support
+from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import RANK_REL
 from oracles import (
     adjoint,
@@ -53,17 +55,60 @@ def test_vec_column_stacking_convention():
     assert_allclose(unvec(vec(x), 2, 2), x)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_hermitian_coordinates_match_the_dense_change_of_basis(d):
+def _composite(ch):
+    """R o E with R the input-blind recovery."""
+    return compose(unconditional_recovery(ch), ch)
+
+
+# d = 18 has n = 324 rows: blocks of five with a remainder of four
+@pytest.mark.parametrize("build", [
+    *(lambda d=d: zoo.random_cptp(d, 2, d) for d in (1, 2, 3, 5, 18)),
+    lambda: _composite(zoo.random_cptp(5, 3, 1)),
+], ids=["1", "2", "3", "5", "18", "composite-cptp-5"])
+def test_hermitian_coordinates_match_the_dense_change_of_basis(build):
+    ch = build()
+    d = ch.dim_in
     u = from_hermitian_coordinates(np.eye(d * d), d)
     assert_allclose(u.conj().T @ u, np.eye(d * d), atol=1e-14)
     for column in u.T:
         b = unvec(column, d, d)
         assert_allclose(b, b.conj().T, atol=0)
-    m = to_superoperator(zoo.random_cptp(d, 2, d)).matrix
-    m_r = hermitian_coordinates(m.copy(), d)
-    assert m_r.dtype == np.float64
+    m = to_superoperator(ch).matrix
+    before = m.copy()
+    m_r = hermitian_coordinates(m, d)
+    assert np.array_equal(m, before)  # only read
+    assert m_r.dtype == np.float64 and m_r.flags.f_contiguous
     assert_allclose(m_r, u.conj().T @ m @ u, atol=1e-14)
+
+
+def _square_channel(name):
+    obj = zoo.fixture(name)
+    if isinstance(obj, StochasticChannel) and obj.n_in == obj.n_out:
+        return embed_classical(obj)
+    return obj if getattr(obj, "is_square", False) else None
+
+
+_SQUARE_ZOO = [n for n in zoo.fixture_names() if _square_channel(n) is not None]
+_SWAP_INPUTS = {
+    **{n: (lambda n=n: _square_channel(n)) for n in _SQUARE_ZOO},
+    **{f"composite-{n}": (lambda n=n: _composite(_square_channel(n))) for n in _SQUARE_ZOO},
+    **{f"cptp-{d}-{s}": (lambda d=d, s=s: zoo.random_cptp(d, 3, s))
+       for d in (3, 8) for s in (1, 2)},
+    **{f"dfs-{d}-{s}": (lambda d=d, s=s: zoo.random_dfs_channel(d, d // 2, s))
+       for d in (6, 8) for s in (1, 2)},
+    "composite-cptp-8": lambda: _composite(zoo.random_cptp(8, 3, 1)),
+}
+
+
+@pytest.mark.parametrize("build", _SWAP_INPUTS.values(), ids=_SWAP_INPUTS.keys())
+def test_superoperator_is_conjugated_by_the_transpose_permutation(build):
+    # hermitian_coordinates reads one row block per block of M_r because every
+    # map in Kraus form has S = Pi conj(S) Pi, Pi the permutation swap
+    ch = build()
+    s = to_superoperator(ch).matrix
+    swap = _hermitian_basis(ch.dim_in)[1]
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(s[swap][:, swap] - s.conj())) <= 4 * eps * np.max(np.abs(s))
 
 
 def test_vec_unvec_roundtrip_rectangular():
@@ -166,8 +211,7 @@ def test_is_cptp_on_zoo_fixtures():
 
 
 def test_is_cptp_flags_non_tp():
-    ch = QuantumChannel(kraus=(np.eye(2, dtype=complex) * 0.5,),
-                        dim_in=2, dim_out=2, trace_preserving=False)
+    ch = QuantumChannel(kraus=(np.eye(2, dtype=complex) * 0.5,), dim_in=2, dim_out=2)
     rep = is_cptp(ch)
     assert not rep.trace_preserving
     assert rep.tp_residual > 0.1
@@ -177,10 +221,9 @@ def test_is_cptp_flags_non_tp():
 def test_user_tolerance_is_the_applied_one():
     tol = DEFAULT_TOL.with_user_tolerance(1e-12)
     ks = [np.sqrt(1 + 1e-10) * np.eye(2, dtype=complex)]
-    assert not channel_from_kraus(ks, tol=tol).trace_preserving
     assert not is_cptp(channel_from_kraus(ks), tol=tol).trace_preserving
     assert not is_unital(channel_from_kraus(ks), tol=tol)
-    assert channel_from_kraus(ks).trace_preserving
+    assert is_cptp(channel_from_kraus(ks)).trace_preserving
 
 
 def test_channel_from_kraus_validation():

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from ipstruct.cli import build_parser, main
-from ipstruct import channel_from_kraus
+from ipstruct import channel_from_kraus, is_cptp
 from ipstruct.serialization import (
     channel_from_json,
     channel_to_json,
@@ -449,7 +449,7 @@ def test_transpose_full_emits_channel(fixtures_dir, capsys):
     )
     assert code == 0
     ch = channel_from_json(json.loads(out))
-    assert ch.dim_in == 2 and ch.trace_preserving
+    assert ch.dim_in == 2 and is_cptp(ch).trace_preserving
     assert "self-check" in err and "tp_residual" in err
 
 

@@ -718,10 +718,10 @@ _ZOO_PAIRS = _zoo_pairs()
 @pytest.mark.parametrize("ch,code", [c[1:] for c in _ZOO_PAIRS], ids=[c[0] for c in _ZOO_PAIRS])
 def test_every_sweep_level_matches_the_uncertified_sweep(ch, code):
     for tol in (DEFAULT_TOL, DEFAULT_TOL.with_user_tolerance(1e-12)):
-        composite = compose(transpose_channel(ch, code_support(code), tol=tol), ch, tol=tol)
+        composite = compose(transpose_channel(ch, code_support(code), tol=tol), ch)
         want = {"E": _reference_report(code, lambda x: apply_channel(ch, x), tol),
-                "noiseless": _reference_report(code, fixed_space(ch, tol).project, tol),
-                "correctable": _reference_report(code, fixed_space(composite, tol).project, tol)}
+                "noiseless": _reference_report(code, fixed_space(ch).project, tol),
+                "correctable": _reference_report(code, fixed_space(composite).project, tol)}
         want["preserved"] = want["E"] if not want["E"].verdict else want["correctable"]
         got = {"E": sampled_preservation_check(code, ch, tol),
                "noiseless": is_noiseless(code, ch, tol),

@@ -41,3 +41,41 @@ def test_no_package_module_uses_the_mrrr_eigensolver():
                                                                                       "heevr"))):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert found == []
+
+
+def _tolerance_flow():
+    """``(takes, reads, passes)`` over the package: the functions with a ``tol``
+    parameter, those among them that read ``tol.equality`` or ``tol.subspace``,
+    and for each the names of the functions it passes ``tol`` to."""
+    takes, reads, passes = set(), set(), {}
+    for path in sorted((ROOT / "src" / "ipstruct").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            if "tol" not in {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs]}:
+                continue
+            name = getattr(fn, "name", f"<lambda>:{path.stem}:{fn.lineno}")
+            takes.add(name)
+            passes.setdefault(name, set())
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr in ("equality", "subspace")
+                        and isinstance(node.value, ast.Name) and node.value.id == "tol"):
+                    reads.add(name)
+                elif isinstance(node, ast.Call) and any(
+                        isinstance(v, ast.Name) and v.id == "tol"
+                        for v in [*node.args, *(k.value for k in node.keywords)]):
+                    callee = node.func
+                    passes[name].add(getattr(callee, "id", getattr(callee, "attr", None)))
+    return takes, reads, passes
+
+
+def test_every_tolerance_argument_reaches_a_threshold():
+    # the tolerance a report records is the one applied: a function that takes
+    # tol reads tol.equality or tol.subspace, or passes tol to a package
+    # function that does
+    takes, reached, passes = _tolerance_flow()
+    assert reached
+    while grown := {f for f in takes - reached if passes[f] & reached}:
+        reached |= grown
+    assert sorted(takes - reached) == []

@@ -28,7 +28,7 @@ from ipstruct import (
 )
 from ipstruct import spectral
 from ipstruct.algebra import commutant
-from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates
+from ipstruct.channels import hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
@@ -101,17 +101,15 @@ def test_fixed_space_dim_matches_adjoint(ch):
     assert subspace_distance(space, null) < 1e-8
 
 
-def test_spectral_input_must_be_a_channel_or_superoperator():
-    with pytest.raises(ValidationError):
-        fixed_space(np.eye(4, dtype=complex))
-    # X -> A X with A not Hermitian does not preserve Hermiticity, so it has
-    # no real matrix in Hermitian coordinates
-    a = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
-    left_multiply = Superoperator(dim_in=2, dim_out=2, matrix=np.kron(np.eye(2), a))
-    with pytest.raises(ValidationError, match="Hermiticity"):
-        fixed_space(left_multiply)
-    # a real identity superoperator is Hermiticity preserving and all fixed
-    assert fixed_space(Superoperator(dim_in=2, dim_out=2, matrix=np.eye(4))).size == 4
+@pytest.mark.parametrize("split", [fixed_space, rotating_space])
+def test_spectral_input_must_be_a_channel(split):
+    # only a map in Kraus form is known to preserve Hermiticity, so only a
+    # channel has a real matrix in Hermitian coordinates
+    for other in (Superoperator(dim_in=2, dim_out=2, matrix=np.eye(4)), np.eye(4, dtype=complex)):
+        with pytest.raises(ValidationError, match="QuantumChannel"):
+            split(other)
+    # the identity channel is all fixed
+    assert split(channel_from_kraus([np.eye(2)])).size == 4
 
 
 def test_rotating_space_contains_fixed_space():
@@ -400,7 +398,7 @@ def test_symmetric_split_matches_ordered_schur(build, peripheral, monkeypatch):
     ch = build()
     ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
-    space, gap, cond = _split(ch, peripheral, DEFAULT_TOL)
+    space, gap, cond = _split(spectral._coordinates(ch), ch.dim_in, peripheral)
     assert calls == ["eigh"]
     assert space.size == ref.size
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
@@ -412,15 +410,13 @@ def test_symmetric_split_matches_ordered_schur(build, peripheral, monkeypatch):
 
 
 def _perturbed(ch, asymmetry):
-    """The superoperator of ``ch`` with an antisymmetric part added in the last
-    rows and columns of its Hermitian coordinates, so that
-    ``||M_r - M_r^T||_F`` grows by ``asymmetry``."""
-    d = ch.dim_in
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, d)
+    """The Hermitian coordinates of ``ch`` with an antisymmetric part added in
+    the last rows and columns, so that ``||M_r - M_r^T||_F`` grows by
+    ``asymmetry``: a map with no Kraus form, passed to ``_split`` directly."""
+    m_r = spectral._coordinates(ch)
     m_r[-1, -2] += asymmetry / (2.0 * math.sqrt(2.0))
     m_r[-2, -1] -= asymmetry / (2.0 * math.sqrt(2.0))
-    u = from_hermitian_coordinates(np.eye(d * d), d)
-    return Superoperator(dim_in=d, dim_out=d, matrix=u @ m_r @ u.conj().T)
+    return m_r
 
 
 @pytest.mark.parametrize("scale, method", [(0.5, "eigh"), (2.0, "schur")])
@@ -433,10 +429,10 @@ def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     # blocks of the asymmetry sum, and the perturbation sits in the last.
     # From the size floor on, the certified solve answers for the Schur form:
     # two LU factorizations
-    sup = _perturbed(ch, scale * SELF_ADJOINT)
+    m_r = _perturbed(ch, scale * SELF_ADJOINT)
     reference = fixed_space(ch)
     calls = _count_factorizations(monkeypatch)
-    space = fixed_space(sup)
+    space = _split(m_r, ch.dim_in, False)[0]
     general = ["lu", "lu"] if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR else ["schur"]
     assert calls == (["eigh"] if method == "eigh" else general)
     assert space.size == reference.size
@@ -496,7 +492,7 @@ GENERAL_FIXTURES = [n for n in SQUARE_FIXTURES if _asymmetry(_square_fixture(n))
 def _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch):
     ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
-    space, gap, cond = _split(ch, peripheral, DEFAULT_TOL)
+    space, gap, cond = _split(spectral._coordinates(ch), ch.dim_in, peripheral)
     # the certified solve answered: no Schur form, and the peripheral split's
     # squarings prove what the fixed split's inverse does
     assert calls == (["lu"] if peripheral else ["lu", "lu"])
@@ -594,7 +590,7 @@ def _assert_dense_split(ch, peripheral, monkeypatch):
     certified solve out of reach, to the bit."""
     def outcome():
         try:
-            return _split(ch, peripheral, DEFAULT_TOL)
+            return _split(spectral._coordinates(ch), ch.dim_in, peripheral)
         except NumericalError as exc:
             return str(exc), exc.residuals
 
@@ -654,12 +650,11 @@ def test_fallback_keeps_the_gap_error(monkeypatch):
     (False, "no eigenvalue 1 found"), (True, "no unit-modulus eigenvalues found"),
 ], ids=["fixed", "peripheral"])
 def test_fallback_keeps_the_empty_selection_error(peripheral, message, monkeypatch):
-    # a trace-decreasing map: no direction is amplified, and the dense split
-    # finds nothing to select
-    m = 0.9 * to_superoperator(zoo.random_cptp(8, 3, 1)).matrix
-    sup = Superoperator(dim_in=8, dim_out=8, matrix=m)
+    # a trace-decreasing map, 0.9 times a channel: no direction is amplified,
+    # and the dense split finds nothing to select
+    ch = channel_from_kraus([math.sqrt(0.9) * k for k in zoo.random_cptp(8, 3, 1).kraus])
     calls = _count_factorizations(monkeypatch)
-    assert message in _assert_dense_split(sup, peripheral, monkeypatch)[0]
+    assert message in _assert_dense_split(ch, peripheral, monkeypatch)[0]
     assert calls == ["lu", "schur", "schur"]
 
 
@@ -701,7 +696,7 @@ def test_certified_split_under_two_blas_threads():
 
 
 # ---------------------------------------------------------------------------
-# the spectral projector is kept factored; the input is only read
+# the spectral projector is kept factored
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("split", [fixed_space, rotating_space])
@@ -739,24 +734,6 @@ def test_project_reads_its_stacks_in_place():
     assert_allclose(projected, stack, atol=1e-12)  # the identity fixes every operator
 
 
-def test_hand_built_superoperator_is_only_read():
-    sup = to_superoperator(zoo.random_cptp(4, 2, 1))
-    before = sup.matrix.copy()
-    for split in (fixed_space, rotating_space):
-        split(sup)
-        assert np.array_equal(sup.matrix, before)
-
-
-@pytest.mark.parametrize("row", [0, 12, 24])
-def test_hermiticity_leak_in_any_row_block_is_refused(row):
-    # entry (row, row) of a d = 5 superoperator is a diagonal operator entry, so
-    # 0.1i there is an imaginary part of 0.1 in that row of Hermitian coordinates
-    m = to_superoperator(zoo.random_cptp(5, 2, 1)).matrix.copy()
-    m[row, row] += 0.1j
-    with pytest.raises(ValidationError, match="1.000e-01"):
-        fixed_space(Superoperator(dim_in=5, dim_out=5, matrix=m))
-
-
 @pytest.mark.parametrize("split", [fixed_space, rotating_space])
 def test_non_square_spectral_input_is_a_validation_error(split):
     v = np.zeros((3, 2), dtype=complex)
@@ -764,5 +741,3 @@ def test_non_square_spectral_input_is_a_validation_error(split):
     ch = channel_from_kraus([v])
     with pytest.raises(ValidationError, match="square channel"):
         split(ch)
-    with pytest.raises(ValidationError, match="square superoperator"):
-        split(to_superoperator(ch))

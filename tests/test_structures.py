@@ -91,9 +91,7 @@ def test_transpose_sub_trace_preserving_when_image_not_full():
     # loses trace outside that plane
     ch = zoo.fixture("qutrit_half_fail")
     p = np.diag([0.0, 0.0, 1.0]).astype(complex)
-    rec = transpose_channel(ch, p)
-    assert not rec.trace_preserving
-    rep = is_cptp(rec)
+    rep = is_cptp(transpose_channel(ch, p))
     assert rep.completely_positive and not rep.trace_preserving
 
 
