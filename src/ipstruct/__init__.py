@@ -52,7 +52,6 @@ from .structures import (
 )
 from .codes import (
     Code,
-    CorrectabilityReport,
     PreservationReport,
     build_fixing_recovery,
     is_correctable_via_transpose,
@@ -109,7 +108,6 @@ __all__ = [
     "initialization_free_check",
     "Code",
     "PreservationReport",
-    "CorrectabilityReport",
     "sampled_preservation_check",
     "is_fixed",
     "is_preserved",

@@ -197,7 +197,7 @@ def _witness_line(rep) -> str:
 _SWEEP_LEVELS = {
     "preserved": lambda code, ch, tol: is_preserved(code, ch, tol=tol),
     "noiseless": lambda code, ch, tol: is_noiseless(code, ch, tol=tol),
-    "correctable": lambda code, ch, tol: is_correctable_via_transpose(code, ch, tol=tol).noiseless,
+    "correctable": lambda code, ch, tol: is_correctable_via_transpose(code, ch, tol=tol),
 }
 
 

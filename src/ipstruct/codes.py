@@ -51,7 +51,6 @@ __all__ = [
     "Code",
     "MixtureLabel",
     "PreservationReport",
-    "CorrectabilityReport",
     "code_support",
     "is_fixed",
     "sampled_preservation_check",
@@ -130,16 +129,6 @@ class PreservationReport:
         return self.verdict
 
 
-@dataclass(frozen=True)
-class CorrectabilityReport:
-    verdict: bool
-    recovery: QuantumChannel
-    noiseless: PreservationReport
-
-    def __bool__(self) -> bool:
-        return self.verdict
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -186,10 +175,7 @@ def _hermitian_stack(ops: Sequence[np.ndarray], what: str,
 
 def code_support(code: Code) -> np.ndarray:
     """Projector onto the union of the code states' supports."""
-    acc = np.zeros((code.dim, code.dim), dtype=complex)
-    for s in code.states:
-        acc += s
-    return projector_onto_support(acc)
+    return projector_onto_support(np.sum(code.states, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +277,11 @@ def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
                               distance_before=0.0, distance_after=0.0)
 
 
+def _require_input(code: Code, ch: QuantumChannel) -> None:
+    if ch.dim_in != code.dim:
+        raise ValidationError("code dimension does not match channel input")
+
+
 def sampled_preservation_check(code: Code, ch: QuantumChannel,
                                tol: ToleranceConfig = DEFAULT_TOL) -> PreservationReport:
     """Search for a weighted pair whose distinguishability shrinks.
@@ -300,15 +291,13 @@ def sampled_preservation_check(code: Code, ch: QuantumChannel,
     it does not certify preservation (that needs the structural route in
     :func:`is_preserved`), but any violation it finds is real.
     """
-    if ch.dim_in != code.dim:
-        raise ValidationError("code dimension does not match channel input")
+    _require_input(code, ch)
     return _compare(code, lambda x: apply_channel(ch, x), tol)
 
 
 def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether every code state satisfies ``E(rho) = rho``."""
-    if ch.dim_in != code.dim:
-        raise ValidationError("code dimension does not match channel input")
+    _require_input(code, ch)
     if not ch.is_square:
         return False
     images = apply_channel(ch, np.stack(code.states))
@@ -331,8 +320,7 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     """
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
-    if ch.dim_in != code.dim:
-        raise ValidationError("code dimension does not match channel input")
+    _require_input(code, ch)
     return _compare(code, _time_average(ch, tol).project, tol)
 
 
@@ -346,17 +334,22 @@ def _time_average(ch: QuantumChannel, tol: ToleranceConfig) -> SpectralSpace:
     return fixed_space(ch)
 
 
-def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
-                                 tol: ToleranceConfig = DEFAULT_TOL) -> CorrectabilityReport:
-    """Whether the transpose recovery over the code support makes the code
-    noiseless again.  This coincides with preservation: any code whose
-    distinguishability survives the channel is restored by this one fixed
-    recovery map, so a negative verdict here is a genuine counterexample."""
-    if ch.dim_in != code.dim:
-        raise ValidationError("code dimension does not match channel input")
+def _transpose_stage(code: Code, ch: QuantumChannel,
+                     tol: ToleranceConfig) -> tuple[QuantumChannel, QuantumChannel]:
+    """The transpose recovery ``R`` over the code support, and ``R o E``."""
+    _require_input(code, ch)
     recovery = transpose_channel(ch, code_support(code), tol=tol)
-    report = is_noiseless(code, compose(recovery, ch), tol=tol)
-    return CorrectabilityReport(verdict=report.verdict, recovery=recovery, noiseless=report)
+    return recovery, compose(recovery, ch)
+
+
+def is_correctable_via_transpose(code: Code, ch: QuantumChannel,
+                                 tol: ToleranceConfig = DEFAULT_TOL) -> PreservationReport:
+    """Whether the transpose recovery over the code support makes the code
+    noiseless again: :func:`is_noiseless` of ``R o E``.  This coincides with
+    preservation: any code whose distinguishability survives the channel is
+    restored by this one fixed recovery map, so a negative verdict here is a
+    genuine counterexample."""
+    return is_noiseless(code, _transpose_stage(code, ch, tol)[1], tol=tol)
 
 
 def is_preserved(code: Code, ch: QuantumChannel,
@@ -379,7 +372,7 @@ def is_preserved(code: Code, ch: QuantumChannel,
     sampled = sampled_preservation_check(code, ch, tol=tol)
     if not sampled:
         return sampled
-    return is_correctable_via_transpose(code, ch, tol=tol).noiseless
+    return is_correctable_via_transpose(code, ch, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +404,8 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
         NumericalError: if the assembled recovery misses the ``RECOVERY_RESIDUAL``
             contract (indicating the code lacked common cofactor states).
     """
-    # as is_correctable_via_transpose, but one split of R o E serves the check
-    # and the structure
-    if ch.dim_in != code.dim:
-        raise ValidationError("code dimension does not match channel input")
-    transpose = transpose_channel(ch, code_support(code), tol=tol)
-    composite = compose(transpose, ch)
-    space = _time_average(composite, tol)
+    transpose, composite = _transpose_stage(code, ch, tol)
+    space = _time_average(composite, tol)  # one split serves the check and the structure
     if not _compare(code, space.project, tol):
         raise ValidationError("code is not preserved; no fixing recovery exists")
     structure = _structure_from_space(space, composite, "noiseless", 0, tol)

@@ -52,8 +52,9 @@ once and only read, its real form ``M_r`` (half of ``S``) and blocks of rows
 (``S / 64`` from ``d = 16`` on); ``S`` is freed before any factorization.  The
 eigensolve and the Schur form overwrite ``M_r``; the window fills one more
 buffer of its size, ``evd`` two.  The certified solve only reads it and fills
-one in place, with a second while it squares.  Only the selected columns
-outlive the split.
+one in place, with a second while it squares; on a large ``lambda = 1`` cluster
+of ``k`` the ``n x 2k`` block that :func:`_amplified` grows and solves beside
+them, not ``S + M_r``, sets the peak.  Only the selected columns outlive the split.
 """
 
 from __future__ import annotations
@@ -195,28 +196,20 @@ def _operators(columns: np.ndarray, d: int) -> np.ndarray:
     return columns.T.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def _moduli(t: np.ndarray) -> np.ndarray:
-    """Eigenvalue moduli of a real quasi-triangular Schur block; a 2 x 2
-    diagonal block holds a conjugate pair with ``|lambda|^2 = det``."""
-    mod = np.abs(np.diag(t))
-    j = np.flatnonzero(np.diag(t, -1))
-    mod[j] = mod[j + 1] = np.sqrt(t[j, j] * t[j + 1, j + 1] - t[j, j + 1] * t[j + 1, j])
-    return mod
-
-
-def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray]:
-    """``(T, k, Z)`` from LAPACK ``dgees``, ``T`` led by the ``k`` eigenvalues that
-    ``select`` accepts.  It overwrites ``m_r``; the workspace query's outputs are dropped."""
+def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """``(T, k, Z, |lambda|)`` from LAPACK ``dgees``, ``T`` led by the ``k`` eigenvalues
+    that ``select`` accepts, the moduli in the order of ``T``'s diagonal.  It overwrites
+    ``m_r``; the workspace query's outputs are dropped."""
     dgees = scipy.linalg.lapack.dgees
     lwork = int(dgees(select, m_r, lwork=-1, overwrite_a=True)[-2][0])
-    t, k, _, _, z, _, info = dgees(select, m_r, sort_t=1, lwork=lwork, overwrite_a=True)
+    t, k, wr, wi, z, _, info = dgees(select, m_r, sort_t=1, lwork=lwork, overwrite_a=True)
     if info != 0:  # 1..n: the QR iteration failed; n + 1 and n + 2: the reordering did
         reason = {len(m_r) + 1: "eigenvalues too close to reorder",
                   len(m_r) + 2: "a selected eigenvalue left the selection when reordered"}
         raise NumericalError("ordered Schur form failed: " + reason.get(
             info, f"the QR iteration did not converge (info {info})"),
             residuals={"schur_info": float(info)})
-    return t, k, z
+    return t, k, z, np.hypot(wr, wi)
 
 
 def _amplified(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
@@ -349,9 +342,9 @@ def _split(m_r: np.ndarray, d: int, peripheral: bool) -> tuple[SpectralSpace, fl
     elif certified:
         z1, left, gap, cond = certified
     else:
-        t, k, z = _ordered_schur(m_r, select)
+        t, k, z, moduli = _ordered_schur(m_r, select)
         x = np.zeros((k, n - k))
-        gap = 1.0 - float(np.max(_moduli(t[k:, k:]), initial=-math.inf))
+        gap = 1.0 - float(np.max(moduli[k:], initial=-math.inf))
         if 0 < k < n:
             x, scale, info = scipy.linalg.lapack.dtrsyl(t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
             if info != 0:

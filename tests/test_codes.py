@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import tracemalloc
 
@@ -24,6 +26,7 @@ from ipstruct import (
 )
 from ipstruct import codes
 from ipstruct.channels import compose, to_superoperator, vec
+from ipstruct.cli import main
 from ipstruct.codes import P_GRID, _mixtures, code_support
 from ipstruct.spectral import _joint_support, fixed_space
 from ipstruct.structures import transpose_channel
@@ -265,9 +268,13 @@ def test_build_fixing_recovery_in_a_turned_basis(code_name, fixture_name):
                            channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus]))
 
 
-def test_build_fixing_recovery_splits_one_composite(monkeypatch):
+@pytest.mark.parametrize("check", [
+    build_fixing_recovery, is_correctable_via_transpose, is_preserved,
+], ids=lambda f: f.__name__)
+def test_build_fixing_recovery_splits_one_composite(check, monkeypatch):
     # R o E is built once, and its one spectral split serves both the noiseless
-    # check and the structure whose cofactors the reset reinstalls
+    # check and the structure whose cofactors the reset reinstalls; the other
+    # transpose-stage checks split R o E alone too, never E
     import ipstruct.spectral
 
     calls = []
@@ -278,8 +285,42 @@ def test_build_fixing_recovery_splits_one_composite(monkeypatch):
         return original(ch)
 
     monkeypatch.setattr(ipstruct.spectral, "to_superoperator", counted)
-    _assert_recovery_fixes(zoo.code_fixture("ucp_sub"), zoo.fixture("ucp_d3"))
+    code, ch = zoo.code_fixture("ucp_sub"), zoo.fixture("ucp_d3")
+    if check is build_fixing_recovery:
+        _assert_recovery_fixes(code, ch)
+    else:
+        assert check(code, ch).verdict
     assert len(calls) == 1
+
+
+def test_is_preserved_reaches_the_checks_in_order(monkeypatch, fixtures_dir):
+    # the per-layer metrics read this call graph: is_preserved ends at the
+    # sampled refutation, or goes on to the transpose stage and is_noiseless
+    calls = []
+
+    def counting(name):
+        original = getattr(codes, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(codes, name, wrapper)
+
+    for name in ("sampled_preservation_check", "is_correctable_via_transpose", "is_noiseless"):
+        counting(name)
+    ch = zoo.fixture("dephasing_qubit")
+    assert codes.is_preserved(zoo.code_fixture("cbit"), ch).verdict
+    assert calls == ["sampled_preservation_check", "is_correctable_via_transpose",
+                     "is_noiseless"]
+    calls.clear()
+    assert not codes.is_preserved(zoo.code_fixture("plus_minus"), ch).verdict
+    assert calls == ["sampled_preservation_check"]
+    calls.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify-code", "--channel", str(fixtures_dir / "dephasing_qubit.json"),
+                     "--code", str(fixtures_dir / "code_cbit.json"),
+                     "--level", "correctable", "--json"]) == 0
+    assert "is_noiseless" in calls
 
 
 def test_build_fixing_recovery_rejects_unpreserved():
@@ -437,10 +478,14 @@ def test_non_hermitian_code_state_is_refused_where_its_image_is_hermitian():
     assert sampled_preservation_check(code, dephase).verdict is True
 
 
-def test_is_fixed_dimension_rules():
+@pytest.mark.parametrize("check", [
+    is_fixed, sampled_preservation_check, is_noiseless, is_correctable_via_transpose,
+    is_preserved, build_fixing_recovery,
+], ids=lambda f: f.__name__)
+def test_is_fixed_dimension_rules(check):
     cbit = zoo.code_fixture("cbit")
     with pytest.raises(ValidationError, match="code dimension does not match channel input"):
-        is_fixed(cbit, zoo.fixture("depolarize_B"))
+        check(cbit, zoo.fixture("depolarize_B"))
     # the input dimension matches but the output space differs: not fixed
     assert not is_fixed(cbit, channel_from_kraus([np.eye(3)[:, :2]]))
 
@@ -638,7 +683,7 @@ def test_small_eigenvalue_direction_is_measured_uncompressed(sweep_calls, monkey
 
 def _verdicts(code: Code, ch) -> list:
     return [is_fixed(code, ch), is_preserved(code, ch), is_noiseless(code, ch),
-            is_correctable_via_transpose(code, ch).noiseless]
+            is_correctable_via_transpose(code, ch)]
 
 
 @pytest.mark.parametrize("ch,code", [c[1:] for c in _DOMINANCE],
@@ -725,7 +770,7 @@ def test_every_sweep_level_matches_the_uncertified_sweep(ch, code):
         want["preserved"] = want["E"] if not want["E"].verdict else want["correctable"]
         got = {"E": sampled_preservation_check(code, ch, tol),
                "noiseless": is_noiseless(code, ch, tol),
-               "correctable": is_correctable_via_transpose(code, ch, tol).noiseless,
+               "correctable": is_correctable_via_transpose(code, ch, tol),
                "preserved": is_preserved(code, ch, tol)}
         for level, rep in got.items():
             assert (rep.verdict, rep.worst_pair) == (want[level].verdict, want[level].worst_pair)
