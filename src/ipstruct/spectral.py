@@ -31,8 +31,9 @@ semisimple.  One of three solvers gives ``R`` and ``L``:
   ``R`` give ``L``.  They stand only if ``||M R - R||_F`` and
   ``||M^T L - L||_F / ||L||_2`` are at most ``CERTIFIED_RESIDUAL`` and every
   eigenvalue off the cluster is proven outside the ``PERIPHERAL`` disc around 1:
-  for the fixed points by ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``, which
-  bounds the least singular value; for ``rotating_space`` by
+  for the fixed points by a Cholesky factor of ``(1 - PERIPHERAL) - (X + X^T) / 2``,
+  ``X = M - R L^T``, or else by ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``: they
+  bound the real parts and the least singular value; for ``rotating_space`` by
   ``||(M - R L^T)^p||_F^(1/p) <= 1 - SPECTRAL_GAP`` for some ``p = 2^j``,
   ``j <= SQUARINGS``, which puts the rest of the spectrum inside the circle.
   The gap it reports is that proven lower bound, never above the dense value.
@@ -52,9 +53,10 @@ once and only read, its real form ``M_r`` (half of ``S``) and blocks of rows
 (``S / 64`` from ``d = 16`` on); ``S`` is freed before any factorization.  The
 eigensolve and the Schur form overwrite ``M_r``; the window fills one more
 buffer of its size, ``evd`` two.  The certified solve only reads it and fills
-one in place, with a second while it squares; on a large ``lambda = 1`` cluster
-of ``k`` the ``n x 2k`` block that :func:`_amplified` grows and solves beside
-them, not ``S + M_r``, sets the peak.  Only the selected columns outlive the split.
+one in place (the fixed points' Cholesky factor in its upper triangle), with a
+second while it squares; on a large ``lambda = 1`` cluster of ``k`` the
+``n x 2k`` block that :func:`_amplified` grows and solves beside them, not
+``S + M_r``, sets the peak.  Only the selected columns outlive the split.
 """
 
 from __future__ import annotations
@@ -239,8 +241,9 @@ def _certified(m_r: np.ndarray,
     (``-inf`` unless ``peripheral``) and ``||L||_2``; ``None`` when a certificate fails.
 
     ``m_r`` is only read.  One more ``n x n`` buffer holds ``M - (1 + delta) I``
-    and its LU factors, then, for the fixed points, ``M - 1 + R L^T`` and its
-    inverse, or, if ``peripheral``, the squarings of ``M - R L^T`` beside a second.
+    and its LU factors, then ``M - R L^T``: for the fixed points its symmetric part,
+    shifted, and that part's Cholesky factor, and only if that fails ``M - 1 + R L^T``
+    and its inverse; if ``peripheral``, its squarings beside a second.
     """
     lapack, dgemm, n = scipy.linalg.lapack, scipy.linalg.blas.dgemm, len(m_r)
     diagonal = np.arange(n)
@@ -257,14 +260,24 @@ def _certified(m_r: np.ndarray,
         l = l @ np.linalg.inv(r.T @ l)
     except np.linalg.LinAlgError:
         return None
-    cond = float(np.linalg.norm(l, 2))
+    cond = math.sqrt(np.linalg.eigvalsh(l.T @ l)[-1])  # ||L||_2 from the k x k Gram matrix
     residual = max(np.linalg.norm(m_r @ r - r), np.linalg.norm(m_r.T @ l - l) / cond)
     if not residual <= CERTIFIED_RESIDUAL:
         return None
     np.copyto(buf, m_r)
+    buf = dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)  # X = M - R L^T
     if not peripheral:
-        # every eigenvalue of M - 1 + R L^T, those of M - 1 off the cluster among them,
-        # is at least its least singular value, at least 1 / ||(M - 1 + R L^T)^-1||_F
+        # X has M's eigenvalues off the cluster and 0 on it, none with a real part above
+        # lambda_max((X + X^T) / 2): a Cholesky factor of (1 - PERIPHERAL) - (X + X^T) / 2
+        # puts them outside the disc.  dpotrf reads only the upper triangle, set in place
+        for i in range(0, n, 32):
+            buf[i:i + 32, i:] = -0.5 * (buf[i:i + 32, i:] + buf[i:, i:i + 32].T)
+        buf[diagonal, diagonal] += 1.0 - PERIPHERAL
+        if lapack.dpotrf(buf, overwrite_a=True, clean=False)[1] == 0:
+            return r, l, -math.inf, cond
+        # a non-normal X: every eigenvalue of M - 1 + R L^T, those of M - 1 off the cluster
+        # among them, is at least its least singular value, at least 1 / ||(...)^-1||_F
+        np.copyto(buf, m_r)
         buf[diagonal, diagonal] -= 1.0
         lu, piv, info = lapack.dgetrf(dgemm(1.0, r, l, beta=1.0, c=buf, trans_b=True,
                                             overwrite_c=True), overwrite_a=True)
@@ -276,7 +289,6 @@ def _certified(m_r: np.ndarray,
         return r, l, -math.inf, cond
     # rho(M - R L^T) <= ||(M - R L^T)^p||_F^(1/p), p = 2^j: the rest of the spectrum is off
     # the unit circle, and from 1, by the gap this proves, > PERIPHERAL as the inverse would
-    buf = dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)
     spare, log_norm = np.empty_like(buf), -math.inf  # log ||(M - R L^T)^p||_F
     for j in range(SQUARINGS + 1):
         if j:

@@ -219,11 +219,23 @@ def inverse_certificate(m_r: np.ndarray, r: np.ndarray, l: np.ndarray) -> float:
 
     It bounds the least singular value of ``M - 1 + R L^T`` from below, and with
     it the distance from 1 of every eigenvalue of ``M`` off the cluster.  The
-    package computes it for the fixed points only: for the peripheral split the
-    squarings of ``M - R L^T`` prove that distance at least ``SPECTRAL_GAP``.
+    package computes it only when the Cholesky factorization of the fixed
+    points' field-of-values test fails (see :func:`numerical_abscissa`): for
+    the peripheral split the squarings of ``M - R L^T`` prove that distance at
+    least ``SPECTRAL_GAP``.
     """
     try:
         inverse = np.linalg.inv(m_r - np.eye(len(m_r)) + r @ l.T)
     except np.linalg.LinAlgError:
         return 0.0
     return 1.0 / float(np.linalg.norm(inverse))
+
+
+def numerical_abscissa(m_r: np.ndarray, r: np.ndarray, l: np.ndarray) -> float:
+    """``lambda_max((X + X^T) / 2)`` for ``X = M - R L^T``, from a dense symmetric
+    eigensolve: the largest real part over the field of values of ``X``, so at
+    least the real part of every eigenvalue of ``M`` off the ``lambda = 1`` cluster.
+    The package proves it below ``1 - PERIPHERAL`` by one Cholesky factorization.
+    """
+    x = m_r - r @ l.T
+    return float(np.linalg.eigvalsh((x + x.T) / 2.0)[-1])

@@ -32,8 +32,8 @@ from ipstruct.channels import hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
-from oracles import (apply_superoperator, inverse_certificate, is_unital, schur_split,
-                     subspace_distance)
+from oracles import (apply_superoperator, inverse_certificate, is_unital, numerical_abscissa,
+                     schur_split, subspace_distance)
 
 
 def test_unitary_channel_spectrum():
@@ -341,12 +341,13 @@ def _composite(ch):
 
 def _count_factorizations(monkeypatch):
     """Record each ordered Schur form (a ``dgees`` call that is not a workspace
-    query) as ``"schur"``, each symmetric eigensolve as ``"eigh"`` and each LU
-    factorization as ``"lu"``."""
+    query) as ``"schur"``, each symmetric eigensolve as ``"eigh"``, each LU
+    factorization as ``"lu"`` and each Cholesky factorization as ``"cholesky"``."""
     calls = []
     for module, name, label in ((scipy.linalg.lapack, "dgees", "schur"),
                                 (scipy.linalg, "eigh", "eigh"),
-                                (scipy.linalg.lapack, "dgetrf", "lu")):
+                                (scipy.linalg.lapack, "dgetrf", "lu"),
+                                (scipy.linalg.lapack, "dpotrf", "cholesky")):
         def counted(*args, _label=label, _original=getattr(module, name), **kwargs):
             if kwargs.get("lwork") != -1:
                 calls.append(_label)
@@ -428,12 +429,12 @@ def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     # cut select the same eigenvalues; the composite's 64 rows span two
     # blocks of the asymmetry sum, and the perturbation sits in the last.
     # From the size floor on, the certified solve answers for the Schur form:
-    # two LU factorizations
+    # one LU factorization and the Cholesky factorization of its certificate
     m_r = _perturbed(ch, scale * SELF_ADJOINT)
     reference = fixed_space(ch)
     calls = _count_factorizations(monkeypatch)
     space = _split(m_r, ch.dim_in, False)[0]
-    general = ["lu", "lu"] if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR else ["schur"]
+    general = ["lu", "cholesky"] if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR else ["schur"]
     assert calls == (["eigh"] if method == "eigh" else general)
     assert space.size == reference.size
     assert subspace_distance(space, reference) <= DEFAULT_TOL.subspace
@@ -489,13 +490,15 @@ def _asymmetry(ch):
 GENERAL_FIXTURES = [n for n in SQUARE_FIXTURES if _asymmetry(_square_fixture(n)) > SELF_ADJOINT]
 
 
-def _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch):
+def _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch,
+                                                  fixed_calls=("lu", "cholesky")):
     ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
     space, gap, cond = _split(spectral._coordinates(ch), ch.dim_in, peripheral)
     # the certified solve answered: no Schur form, and the peripheral split's
-    # squarings prove what the fixed split's inverse does
-    assert calls == (["lu"] if peripheral else ["lu", "lu"])
+    # squarings prove what the fixed split's Cholesky factorization, or the
+    # inverse after it, does
+    assert calls == (["lu"] if peripheral else list(fixed_calls))
     assert space.size == ref.size
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
     assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
@@ -517,11 +520,14 @@ def test_certified_split_matches_ordered_schur(build, peripheral, monkeypatch):
 def test_certified_split_matches_ordered_schur_on_fixtures(name, peripheral, monkeypatch):
     # below the floor only to test it: each fixture whose selection is the
     # lambda = 1 cluster alone is certified; unitary_A_depolarize_B also keeps
-    # the phases exp(+-1.4i) on the unit circle, so its peripheral split is dense
+    # the phases exp(+-1.4i) on the unit circle, so its peripheral split is dense.
+    # The symmetric part of uncond_classical's M - R L^T reaches 1.195, though its
+    # other eigenvalues stay at or below 1/2: the inverse certifies its fixed points
     ch = _square_fixture(name)
     monkeypatch.setattr(spectral, "_CERTIFIED_FLOOR", 0)
     if schur_split(ch, _fixed)[0].size == schur_split(ch, SELECT[peripheral])[0].size:
-        _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch)
+        fixed_calls = ["lu", "cholesky", "lu"] if name == "uncond_classical" else ["lu", "cholesky"]
+        _assert_certified_split_matches_ordered_schur(ch, peripheral, monkeypatch, fixed_calls)
     else:
         calls = _count_factorizations(monkeypatch)
         _assert_dense_split(ch, peripheral, monkeypatch)
@@ -547,12 +553,66 @@ def test_squarings_imply_the_inverse_certificate(build):
     assert inverse_certificate(m_r, r, l) > PERIPHERAL
 
 
+@pytest.mark.parametrize("build", [*GENERAL_INPUTS.values(),
+                                   *(lambda n=n: _square_fixture(n) for n in GENERAL_FIXTURES)],
+                         ids=[*GENERAL_INPUTS.keys(), *GENERAL_FIXTURES])
+def test_field_of_values_implies_the_inverse_certificate(build, monkeypatch):
+    # the fixed split skips 1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL wherever the
+    # Cholesky factorization of (1 - PERIPHERAL) - (X + X^T) / 2, X = M - R L^T,
+    # answers; there the inverse must pass too, and a dense eigensolve must put the
+    # field of values of X left of 1 - PERIPHERAL.  Where it fails, the eigensolve
+    # must agree that the field of values crosses that line
+    ch = build()
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    calls = _count_factorizations(monkeypatch)
+    r, l, _, _ = spectral._certified(m_r, False)
+    if calls == ["lu", "cholesky"]:
+        assert inverse_certificate(m_r, r, l) > PERIPHERAL
+        assert numerical_abscissa(m_r, r, l) < 1.0 - PERIPHERAL
+    else:
+        assert calls == ["lu", "cholesky", "lu"]
+        assert numerical_abscissa(m_r, r, l) > 1.0 - PERIPHERAL
+
+
+def _amplitude_damping_on_three_qubits(gamma):
+    qubit = (np.diag([1.0, math.sqrt(1.0 - gamma)]),
+             np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]))
+    return channel_from_kraus([np.kron(np.kron(a, b), c)
+                               for a in qubit for b in qubit for c in qubit])
+
+
+@pytest.mark.parametrize("build", [lambda: zoo.random_dfs_channel(8, 4, 0, leak=0.3),
+                                   lambda: _amplitude_damping_on_three_qubits(0.3),
+                                   lambda: zoo.random_cptp(8, 2, 5)],
+                         ids=["dfs-8-leak", "amplitude-damping-3", "cptp-8-2-5"])
+def test_inverse_certifies_what_the_cholesky_factorization_cannot(build, monkeypatch):
+    # non-normal maps whose field of values crosses Re = 1 - PERIPHERAL: the
+    # Cholesky factorization fails and the inverse certificate answers, not the
+    # ordered Schur form
+    _assert_certified_split_matches_ordered_schur(build(), False, monkeypatch,
+                                                  ["lu", "cholesky", "lu"])
+
+
+def test_fixed_certificate_allocates_no_square_temporary():
+    # the symmetric part is written into the upper triangle of the one buffer the
+    # LU factors used, 32 rows at a time: beside that buffer only small blocks
+    ch = zoo.random_cptp(24, 3, 1)
+    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    tracemalloc.start()
+    try:
+        assert spectral._certified(m_r, False) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m_r.nbytes
+
+
 def test_certified_solve_runs_from_the_size_floor(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     fixed_space(zoo.random_cptp(7, 3, 1))  # 49 < 64
     assert calls == ["schur"]
     fixed_space(zoo.random_cptp(8, 3, 1))
-    assert calls == ["schur", "lu", "lu"]
+    assert calls == ["schur", "lu", "cholesky"]
 
 
 @pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
@@ -629,7 +689,7 @@ def test_fallback_keeps_the_complex_peripheral_spectrum(monkeypatch):
     assert_allclose(space.projector.matrix, np.eye(64), atol=1e-10)
     # its fixed points, the diagonal operators, are certified
     calls.clear()
-    assert fixed_space(ch).size == 8 and calls == ["lu", "lu"]
+    assert fixed_space(ch).size == 8 and calls == ["lu", "cholesky"]
 
 
 def test_fallback_keeps_the_gap_error(monkeypatch):
@@ -641,9 +701,11 @@ def test_fallback_keeps_the_gap_error(monkeypatch):
     with pytest.raises(NumericalError, match="not separated") as err:
         rotating_space(ch)
     assert err.value.residuals == {"cluster_gap": gap}
-    # 1 - 1e-7 is outside the fixed points' disc, which the certificate proves
+    # 1 - 1e-7 is outside the fixed points' disc; the map's symmetric part reaches
+    # past 1 - PERIPHERAL, so the inverse proves it after the Cholesky factorization fails
     calls.clear()
-    assert fixed_space(ch).size == schur_split(ch, _fixed)[0].size and calls == ["lu", "lu"]
+    assert fixed_space(ch).size == schur_split(ch, _fixed)[0].size
+    assert calls == ["lu", "cholesky", "lu"]
 
 
 @pytest.mark.parametrize("peripheral, message", [
@@ -667,10 +729,10 @@ def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
     mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
     turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
     calls = _count_factorizations(monkeypatch)
-    for split, lu in ((fixed_space, ["lu", "lu"]), (rotating_space, ["lu"])):
+    for split, factorizations in ((fixed_space, ["lu", "cholesky"]), (rotating_space, ["lu"])):
         calls.clear()
         space, gauged, rotated = split(ch), split(mixed), split(turned)
-        assert calls == lu * 3
+        assert calls == factorizations * 3
         assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
         conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
         assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
@@ -679,8 +741,9 @@ def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
 
 def test_certified_split_under_two_blas_threads():
     # LAPACK evr once failed under two OpenBLAS threads where one thread passed:
-    # the certified solve and the symmetric eigensolves, the fixed points' value
-    # window among them, run their agreement cases in a child with two
+    # the certified solve, its Cholesky certificate included, and the symmetric
+    # eigensolves, the fixed points' value window among them, run their
+    # agreement cases in a child with two
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(p for p in (str(root / "src"),

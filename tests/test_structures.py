@@ -245,7 +245,7 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
             monkeypatch.setattr(module, "to_superoperator", counted)
     factorizations = []
     for module, name in ((scipy.linalg.lapack, "dgees"), (scipy.linalg, "eigh"),
-                         (scipy.linalg.lapack, "dgetrf")):
+                         (scipy.linalg.lapack, "dgetrf"), (scipy.linalg.lapack, "dpotrf")):
         def counted_factorization(*args, _name=name, _original=getattr(module, name), **kwargs):
             a = args[1] if _name == "dgees" else args[0]  # dgees(select, a, ...)
             if kwargs.get("lwork") != -1:  # not the workspace query
@@ -258,9 +258,10 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
     # real factorizations, in Hermitian coordinates.  The composite R o E of the
     # unconditional analysis is self-adjoint, so it takes the symmetric one; E
     # is not, and the certified solve proves its split without the ordered Schur
-    # form: two LU factorizations for the fixed points, one for the rotating space
+    # form: one LU factorization for each split, and the Cholesky factorization
+    # that certifies the fixed points
     expected = {unconditional_structure: [("eigh", np.float64)],
-                noiseless_structure: [("dgetrf", np.float64)] * 2,
+                noiseless_structure: [("dgetrf", np.float64), ("dpotrf", np.float64)],
                 unitarily_noiseless_structure: [("dgetrf", np.float64)]}[analyze]
     assert factorizations == expected
 
