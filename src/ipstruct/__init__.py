@@ -20,12 +20,10 @@ from .channels import (
     Superoperator,
     apply_channel,
     channel_from_kraus,
-    choi_matrix,
     compose,
     embed_classical,
     is_cptp,
     to_superoperator,
-    vec,
 )
 from .spectral import (
     OperatorSpace,
@@ -81,12 +79,10 @@ __all__ = [
     "StochasticChannel",
     "Superoperator",
     "CptpReport",
-    "vec",
     "channel_from_kraus",
     "to_superoperator",
     "apply_channel",
     "compose",
-    "choi_matrix",
     "is_cptp",
     "embed_classical",
     "OperatorSpace",

@@ -332,6 +332,13 @@ def _matrix_units(sector: Sector, cofactor: np.ndarray) -> np.ndarray:
     return units.reshape(sector.d ** 2, *units.shape[2:])
 
 
+def _partial_trace_factor(sector: Sector, x: np.ndarray) -> np.ndarray:
+    """Trace out the factor of ``V^dag x V`` (``x`` may be a stack), leaving the cofactor part."""
+    m = sector.isometry.conj().T @ x @ sector.isometry
+    d, n = sector.d, sector.n
+    return np.einsum("...aiaj->...ij", m.reshape(*x.shape[:-2], d, n, d, n))
+
+
 def verify_decomposition(space: OperatorSpace, dec: AlgebraDecomposition) -> dict[str, float]:
     """Residuals certifying a decomposition against the original span.
 

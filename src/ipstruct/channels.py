@@ -13,7 +13,7 @@ Operators are vectorized by **column stacking** (Fortran order), so that
     vec(A X B) = (B^T kron A) vec(X)
 
 and the superoperator of ``X -> sum_i K_i X K_i^dag`` is
-``sum_i conj(K_i) kron K_i``.  The convention lives entirely in :func:`vec`,
+``sum_i conj(K_i) kron K_i``.  The convention lives entirely in
 :func:`to_superoperator` and the Hermitian coordinates below; no other module
 builds vectorized indices by hand.
 
@@ -44,7 +44,6 @@ __all__ = [
     "Superoperator",
     "StochasticChannel",
     "CptpReport",
-    "vec",
     "hermitian_coordinates",
     "from_hermitian_coordinates",
     "channel_from_kraus",
@@ -52,7 +51,6 @@ __all__ = [
     "apply_channel",
     "compose",
     "is_cptp",
-    "choi_matrix",
     "embed_classical",
     "is_projector",
     "projector_onto_support",
@@ -62,11 +60,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # vectorization (the only place the stacking convention appears)
 # ---------------------------------------------------------------------------
-
-def vec(x: np.ndarray) -> np.ndarray:
-    """Column-stack an operator into a vector."""
-    return np.asarray(x).reshape(-1, order="F")
-
 
 @lru_cache(maxsize=16)
 def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,15 +187,7 @@ class CptpReport:
     """Diagnostics from :func:`is_cptp`."""
 
     trace_preserving: bool
-    completely_positive: bool
-    unital: bool
     tp_residual: float
-    choi_min_eigenvalue: float
-    unital_residual: float
-
-    @property
-    def cptp(self) -> bool:
-        return self.trace_preserving and self.completely_positive
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +277,15 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
     return channel_from_kraus(ks)
 
 
-def choi_matrix(ch: QuantumChannel) -> np.ndarray:
-    """Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` (PSD iff the map is CP)."""
-    d = ch.dim_in * ch.dim_out
-    j = np.zeros((d, d), dtype=complex)
-    for k in ch.kraus:
-        v = vec(k)
-        j += np.outer(v, v.conj())
-    return j
-
-
 def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpReport:
-    """Report trace preservation, complete positivity and unitality.
+    """Report trace preservation: ``max |sum_i K_i^dag K_i - 1|`` against ``tol.equality``.
 
-    In Kraus form complete positivity holds by construction; the Choi minimum
-    eigenvalue is still reported so that channels assembled from superoperator
-    arithmetic elsewhere can reuse the same report shape.
+    A map in Kraus form is completely positive by construction, so only trace
+    preservation is checked.
     """
     acc_tp = sum(k.conj().T @ k for k in ch.kraus)
     tp_residual = float(np.max(np.abs(acc_tp - np.eye(ch.dim_in))))
-    acc_un = sum(k @ k.conj().T for k in ch.kraus)
-    unital_residual = float(np.max(np.abs(acc_un - np.eye(ch.dim_out))))
-    choi_min = float(np.linalg.eigvalsh(choi_matrix(ch)).min())
-    return CptpReport(
-        trace_preserving=tp_residual <= tol.equality,
-        completely_positive=choi_min >= -tol.equality,
-        unital=unital_residual <= tol.equality,
-        tp_residual=tp_residual,
-        choi_min_eigenvalue=choi_min,
-        unital_residual=unital_residual,
-    )
+    return CptpReport(trace_preserving=tp_residual <= tol.equality, tp_residual=tp_residual)
 
 
 # ---------------------------------------------------------------------------

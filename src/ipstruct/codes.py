@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import _embed
+from .algebra import _embed, _partial_trace_factor
 from .channels import (
     QuantumChannel,
     _psd_support,
@@ -42,7 +42,7 @@ from .channels import (
 )
 from .errors import NumericalError, ValidationError
 from .spectral import SpectralSpace, _joint_support, fixed_space
-from .structures import _partial_trace_factor, _structure_from_space, transpose_channel
+from .structures import _structure_from_space, transpose_channel
 from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
                          RECOVERY_RESIDUAL, SWEEP_COMPRESSION, WITNESS_TIE_DIGITS,
                          ToleranceConfig)
@@ -107,15 +107,17 @@ class Code:
         return cls(states=arr, dim=arr[0].shape[0])
 
     @cached_property
-    def _sweep(self) -> "_PairSweep":
-        """The before side of every sweep of this code, computed once."""
+    def _sweep(self) -> tuple[list[MixtureLabel], np.ndarray, np.ndarray]:
+        """The before side of every sweep of this code, computed once: the labels
+        of the swept states, their weights over the listed states, and the trace
+        norms of their weighted pairs (laid out by :func:`_weighted_norms`)."""
         collection = _mixtures(self)
         # row m writes the m-th swept state over the listed states
         weights = np.array([np.bincount(*zip(*lab), len(self.states)) for lab, _ in collection])
         before = _weighted_norms(np.stack([s for _, s in collection]))
         # every check of this code reads these arrays
         weights.flags.writeable = before.flags.writeable = False
-        return _PairSweep(labels=[lab for lab, _ in collection], weights=weights, before=before)
+        return [lab for lab, _ in collection], weights, before
 
 
 @dataclass(frozen=True)
@@ -196,16 +198,6 @@ def _mixtures(code: Code) -> list[tuple[MixtureLabel, np.ndarray]]:
     return out
 
 
-@dataclass(frozen=True)
-class _PairSweep:
-    """The weighted pairs of a code, with their trace norms before any map
-    (see :func:`_weighted_norms` for the layout of ``before``)."""
-
-    labels: list[MixtureLabel]
-    weights: np.ndarray
-    before: np.ndarray
-
-
 def _weighted_norms(states: np.ndarray) -> np.ndarray:
     """``|| p X_i - (1-p) X_j ||_1`` with one row per pair ``i < j``, in
     ``np.triu_indices`` order, and one column per prior ``p`` in ``P_GRID``.
@@ -259,18 +251,18 @@ def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
     _hermitian_stack(code.states, "code state", tol)
     images = _hermitian_stack(apply_map(np.stack(code.states)), "mapped state", tol)
     if images.shape[-1] != code.dim or _displacement(code, images) > tol.subspace:
-        sweep = code._sweep
-        after = _weighted_norms(np.tensordot(sweep.weights, images, axes=1))
-        drops = sweep.before - after
+        labels, weights, before = code._sweep
+        after = _weighted_norms(np.tensordot(weights, images, axes=1))
+        drops = before - after
         if drops.size and drops.max() > tol.subspace:
             # the witness is the first pair in sweep order among those whose drops
             # tie with the largest up to rounding; the verdict used the exact maximum
             k, p_k = np.unravel_index(np.argmax(np.round(drops, WITNESS_TIE_DIGITS)), drops.shape)
-            ii, jj = np.triu_indices(len(sweep.labels), k=1)
+            ii, jj = np.triu_indices(len(labels), k=1)
             return PreservationReport(
                 verdict=False,
-                worst_pair=(sweep.labels[ii[k]], sweep.labels[jj[k]], P_GRID[p_k]),
-                distance_before=float(sweep.before[k, p_k]),
+                worst_pair=(labels[ii[k]], labels[jj[k]], P_GRID[p_k]),
+                distance_before=float(before[k, p_k]),
                 distance_after=float(after[k, p_k]),
             )
     return PreservationReport(verdict=True, worst_pair=None,

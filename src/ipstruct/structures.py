@@ -30,7 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import AlgebraDecomposition, Sector, _decompose_on, _embed, _in_sectors, _matrix_units
+from .algebra import (AlgebraDecomposition, _decompose_on, _embed, _in_sectors, _matrix_units,
+                      _partial_trace_factor)
 from .channels import (
     QuantumChannel,
     _psd_support,
@@ -166,13 +167,6 @@ def unconditional_recovery(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TO
 # ---------------------------------------------------------------------------
 # structure pipelines
 # ---------------------------------------------------------------------------
-
-def _partial_trace_factor(sector: Sector, x: np.ndarray) -> np.ndarray:
-    """Trace out the factor of ``V^dag x V`` (``x`` may be a stack), leaving the cofactor part."""
-    m = sector.isometry.conj().T @ x @ sector.isometry
-    d, n = sector.d, sector.n
-    return np.einsum("...aiaj->...ij", m.reshape(*x.shape[:-2], d, n, d, n))
-
 
 def _structure_from_space(
     space: SpectralSpace,

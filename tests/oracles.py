@@ -14,7 +14,7 @@ import scipy.linalg
 
 from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
-                      apply_channel, channel_from_kraus, to_superoperator, vec)
+                      apply_channel, channel_from_kraus, to_superoperator)
 from ipstruct.algebra import _matrix_units
 from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
@@ -24,6 +24,11 @@ from ipstruct.tolerances import OVERLAP_EPS
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values (nuclear norm)."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex), "nuc"))
+
+
+def vec(x: np.ndarray) -> np.ndarray:
+    """Column-stack an operator into a vector."""
+    return np.asarray(x).reshape(-1, order="F")
 
 
 def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -101,6 +106,16 @@ def restrict_to_subspace(ch: QuantumChannel,
         raise ValidationError("projector has zero rank")
     ks = [v.conj().T @ k @ v for k in ch.kraus]
     return channel_from_kraus(ks), v
+
+
+def choi_matrix(ch: QuantumChannel) -> np.ndarray:
+    """Choi matrix ``sum_i vec(K_i) vec(K_i)^dag`` (PSD iff the map is CP)."""
+    d = ch.dim_in * ch.dim_out
+    j = np.zeros((d, d), dtype=complex)
+    for k in ch.kraus:
+        v = vec(k)
+        j += np.outer(v, v.conj())
+    return j
 
 
 def is_unital(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

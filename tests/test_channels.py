@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,12 +13,10 @@ from ipstruct import (
     ValidationError,
     apply_channel,
     channel_from_kraus,
-    choi_matrix,
     compose,
     embed_classical,
     is_cptp,
     to_superoperator,
-    vec,
 )
 from ipstruct.channels import (
     _hermitian_basis,
@@ -28,17 +28,19 @@ from ipstruct.channels import (
 )
 from ipstruct import zoo
 from ipstruct.spectral import _joint_support
-from ipstruct.structures import unconditional_recovery
+from ipstruct.structures import transpose_channel, unconditional_recovery
 from ipstruct.tolerances import RANK_REL
 from oracles import (
     adjoint,
     apply_superoperator,
+    choi_matrix,
     is_hermitian,
     is_positive_semidefinite,
     is_unital,
     orthonormal_range_basis,
     restrict_to_subspace,
     unvec,
+    vec,
 )
 
 
@@ -207,7 +209,7 @@ def test_is_cptp_on_zoo_fixtures():
         d = zoo.descriptor(name)
         if d.kind == "channel":
             rep = is_cptp(d.build())
-            assert rep.cptp, f"{name}: {rep}"
+            assert rep.trace_preserving, f"{name}: {rep}"
 
 
 def test_is_cptp_flags_non_tp():
@@ -215,7 +217,27 @@ def test_is_cptp_flags_non_tp():
     rep = is_cptp(ch)
     assert not rep.trace_preserving
     assert rep.tp_residual > 0.1
-    assert rep.completely_positive
+
+
+def test_is_cptp_does_no_choi_work(monkeypatch):
+    # Kraus form makes a map completely positive, so is_cptp only sums K^dag K:
+    # on the five-qubit recovery (32 x 32) the Choi matrix alone would be 16 MiB
+    rec = transpose_channel(zoo.fixture("five_qubit_depolarize_one"),
+                            zoo.five_qubit_code_projector())
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
+    tracemalloc.start()
+    try:
+        rep = is_cptp(rec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 2 ** 20
+    assert rep.trace_preserving
 
 
 def test_user_tolerance_is_the_applied_one():
@@ -267,7 +289,7 @@ def test_restrict_to_subspace_rejects_non_projector():
 def test_embed_classical_matches_stochastic_action():
     sc = zoo.fixture("cyclic_four")
     ch = embed_classical(sc)
-    assert is_cptp(ch).cptp
+    assert is_cptp(ch).trace_preserving
     for i in range(4):
         basis = np.zeros((4, 4), dtype=complex)
         basis[i, i] = 1.0

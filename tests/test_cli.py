@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -692,6 +693,51 @@ def test_shared_parser_survives_a_usage_error(fixtures_dir, capsys):
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+# ---------------------------------------------------------------------------
+# each verb takes only the options it applies
+# ---------------------------------------------------------------------------
+
+def test_each_verb_takes_only_the_options_it_applies():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {verb: sorted(o for a in p._actions for o in a.option_strings
+                            if o not in ("-h", "--help"))
+               for verb, p in sub.choices.items()}
+    assert options == {
+        "analyze": ["--channel", "--json", "--mode", "--seed", "--tol"],
+        "verify-code": ["--channel", "--code", "--json", "--level", "--tol"],
+        "transpose": ["--channel", "--full", "--projector", "--tol"],
+        "classical-maxcode": ["--all", "--json", "--stochastic"],
+        "fixtures": ["--json", "--name"],
+    }
+    assert sum(map(len, options.values())) == 19
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical-maxcode", "--stochastic", "{fx}/cyclic_four.json", "--tol", "1e-6"],
+    ["fixtures", "--tol", "1e-6"],
+    ["transpose", "--channel", "{fx}/dephasing_qubit.json", "--full", "--json"],
+    ["analyze", "--channel", "{fx}/dephasing_qubit.json", "--text"],
+], ids=["classical-maxcode-tol", "fixtures-tol", "transpose-json", "analyze-text"])
+def test_an_option_a_verb_does_not_apply_is_a_usage_error(fixtures_dir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(fx=fixtures_dir) for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_only_the_verbs_that_apply_a_tolerance_record_one(fixtures_dir, capsys):
+    _, out, _ = run_cli(capsys, "classical-maxcode",
+                        "--stochastic", str(fixtures_dir / "cyclic_four.json"), "--all", "--json")
+    assert "tolerance" not in json.loads(out)
+    channel = str(fixtures_dir / "dephasing_qubit.json")
+    _, out, _ = run_cli(capsys, "analyze", "--channel", channel, "--tol", "1e-6", "--json")
+    assert json.loads(out)["tolerance"] == {"equality": 1e-6, "subspace": 1e-6}
+    _, out, _ = run_cli(capsys, "verify-code", "--channel", channel,
+                        "--code", str(fixtures_dir / "code_cbit.json"), "--level", "preserved",
+                        "--tol", "1e-6", "--json")
+    assert json.loads(out)["tolerance"] == {"equality": 1e-6, "subspace": 1e-6}
 
 
 def test_console_script_runs():

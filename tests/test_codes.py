@@ -25,13 +25,13 @@ from ipstruct import (
     zoo,
 )
 from ipstruct import codes
-from ipstruct.channels import compose, to_superoperator, vec
+from ipstruct.channels import compose, to_superoperator
 from ipstruct.cli import main
 from ipstruct.codes import P_GRID, _mixtures, code_support
 from ipstruct.spectral import _joint_support, fixed_space
 from ipstruct.structures import transpose_channel
 from ipstruct.tolerances import DEFAULT_TOL
-from oracles import apply_superoperator, helstrom_probability, trace_norm, unvec
+from oracles import apply_superoperator, helstrom_probability, trace_norm, unvec, vec
 
 
 def test_trace_norm_known_values():

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import tokenize
 from pathlib import Path
@@ -43,12 +44,15 @@ def test_no_package_module_uses_the_mrrr_eigensolver():
     assert found == []
 
 
-def _tolerance_flow():
-    """``(takes, reads, passes)`` over the package: the functions with a ``tol``
-    parameter, those among them that read ``tol.equality`` or ``tol.subspace``,
-    and for each the names of the functions it passes ``tol`` to."""
+def _tolerance_flow(skip=()):
+    """``(takes, reads, passes)`` over the package modules not named in ``skip``:
+    the functions with a ``tol`` parameter, those among them that read
+    ``tol.equality`` or ``tol.subspace``, and for each the names of the
+    functions it passes ``tol`` to."""
     takes, reads, passes = set(), set(), {}
     for path in sorted((ROOT / "src" / "ipstruct").glob("*.py")):
+        if path.name in skip:
+            continue
         for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
@@ -79,3 +83,58 @@ def test_every_tolerance_argument_reaches_a_threshold():
     while grown := {f for f in takes - reached if passes[f] & reached}:
         reached |= grown
     assert sorted(takes - reached) == []
+
+
+def _cli_tolerance_calls():
+    """For each ``_cmd_*`` function of the CLI: whether it calls ``_tolerance``,
+    and the names of the functions it passes the result to.  A callee
+    ``TABLE[key]`` stands for every value of the module-level dict ``TABLE``,
+    and a lambda there for the functions it passes its ``tol`` to."""
+    tree = ast.parse((ROOT / "src" / "ipstruct" / "cli.py").read_text())
+    tables = {t.id: node.value.values for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+              for t in node.targets if isinstance(t, ast.Name)}
+
+    def callees(scope, var):
+        out = set()
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Call) and any(
+                    isinstance(v, ast.Name) and v.id == var
+                    for v in [*node.args, *(k.value for k in node.keywords)])):
+                continue
+            f = node.func
+            if isinstance(f, ast.Subscript) and getattr(f.value, "id", None) in tables:
+                for v in tables[f.value.id]:
+                    out |= callees(v.body, "tol") if isinstance(v, ast.Lambda) else {
+                        getattr(v, "id", None)}
+            else:
+                out.add(getattr(f, "id", getattr(f, "attr", None)))
+        return out
+
+    flow = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
+            reads = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_tolerance"]
+            names = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                     and node.value in reads for t in node.targets}
+            flow[fn.name] = (bool(reads), set().union(*(callees(fn, n) for n in names)))
+    return flow
+
+
+def test_every_command_line_tolerance_reaches_a_threshold():
+    # the command-line form of the test above: a verb that parses --tol reads it
+    # with _tolerance and passes the result to an analysis whose tol reaches a
+    # threshold, so no report records a tolerance that was not applied
+    from ipstruct.cli import build_parser
+
+    takes, reached, passes = _tolerance_flow(skip=("cli.py",))
+    while grown := {f for f in takes - reached if passes[f] & reached}:
+        reached |= grown
+    flow = _cli_tolerance_calls()
+    assert sorted(f for f, (calls, to) in flow.items() if calls and not to & reached) == []
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parses = {p.get_default("func").__name__ for p in sub.choices.values()
+              if any("--tol" in a.option_strings for a in p._actions)}
+    assert parses == {f for f, (calls, _) in flow.items() if calls}

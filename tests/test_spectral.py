@@ -23,7 +23,6 @@ from ipstruct import (
     fixed_space,
     rotating_space,
     to_superoperator,
-    vec,
     zoo,
 )
 from ipstruct import spectral
@@ -33,7 +32,7 @@ from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
 from oracles import (apply_superoperator, inverse_certificate, is_unital, numerical_abscissa,
-                     schur_split, subspace_distance)
+                     schur_split, subspace_distance, vec)
 
 
 def test_unitary_channel_spectrum():

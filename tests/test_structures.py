@@ -92,7 +92,7 @@ def test_transpose_sub_trace_preserving_when_image_not_full():
     ch = zoo.fixture("qutrit_half_fail")
     p = np.diag([0.0, 0.0, 1.0]).astype(complex)
     rep = is_cptp(transpose_channel(ch, p))
-    assert rep.completely_positive and not rep.trace_preserving
+    assert not rep.trace_preserving
 
 
 def test_transpose_validation_and_numerical_errors():

@@ -12,7 +12,7 @@ def test_every_fixture_builds_and_validates():
         obj = d.build()
         if d.kind == "channel":
             assert isinstance(obj, QuantumChannel)
-            assert is_cptp(obj).cptp, name
+            assert is_cptp(obj).trace_preserving, name
         elif d.kind == "stochastic":
             assert isinstance(obj, StochasticChannel)
             assert_allclose(obj.matrix.sum(axis=0), 1.0, atol=1e-12)
@@ -69,7 +69,7 @@ def test_random_cptp_exact_and_deterministic():
 def test_random_dfs_channel_is_tp_and_plants_subspace(leak):
     for seed in range(5):
         ch = zoo.random_dfs_channel(5, 2, seed, leak=leak)
-        assert is_cptp(ch).cptp
+        assert is_cptp(ch).trace_preserving
         # states on the planted subspace are exactly fixed
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
