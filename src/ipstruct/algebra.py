@@ -380,8 +380,8 @@ def _residuals(space: OperatorSpace, sectors) -> dict[str, float]:
     labels = np.repeat(np.arange(len(sectors)), [s.d * s.n for s in sectors])
     gram, on_block = np.abs(v.conj().T @ v - np.eye(v.shape[1])), labels[:, None] == labels
 
-    # chunks of the basis, so that the temporaries stay below one basis
-    step, cofactors = -(-space.size // 8), [np.eye(s.n) / np.sqrt(s.n) for s in sectors]
+    # chunks of d^2 / 8 elements (an eighth of the superoperator), as in _structure_from_space
+    step, cofactors = -(-space.dim ** 2 // 8), [np.eye(s.n) / np.sqrt(s.n) for s in sectors]
     recon = 1.0 if sum(s.d * s.d for s in sectors) != space.size else float(np.linalg.norm(
         np.concatenate([_in_sectors(sectors, cofactors, space.basis[lo:lo + step])[1]
                         for lo in range(0, space.size, step)])))

@@ -247,15 +247,13 @@ def _cmd_verify_code(args) -> int:
 def _cmd_transpose(args) -> int:
     tol = _tolerance(args)
     ch, _info = _load_channel(args.channel)
-    if args.full:
-        proj = np.eye(ch.dim_in, dtype=complex)
-    else:
-        proj = projector_from_json(_read_json_file(args.projector))
+    proj = (np.eye(ch.dim_in, dtype=complex) if args.full
+            else projector_from_json(_read_json_file(args.projector)))
     recovery = transpose_channel(ch, proj, tol=tol)
     sys.stdout.write(dumps(channel_to_json(recovery)))
 
     # self-check: trace preservation, and the composite returning the support to itself
-    rep = is_cptp(recovery, tol=tol)
+    rep = is_cptp(recovery)
     # a zero projector has already failed in transpose_channel (exit 3)
     rank = float(np.real(np.trace(proj)))
     back = apply_channel(compose(recovery, ch), proj / rank)

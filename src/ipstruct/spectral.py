@@ -55,7 +55,7 @@ eigensolve and the Schur form overwrite ``M_r``; the window fills one more
 buffer of its size, ``evd`` two.  The certified solve only reads it and fills
 one in place (the fixed points' Cholesky factor in its upper triangle), with a
 second while it squares; on a large ``lambda = 1`` cluster of ``k`` the
-``n x 2k`` block that :func:`_amplified` grows and solves beside them, not
+``n x 2k`` block that :func:`_amplified` solves in place beside them, not
 ``S + M_r``, sets the peak.  Only the selected columns outlive the split.
 """
 
@@ -218,17 +218,18 @@ def _amplified(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning what solves with the factored ``A = M - (1 + delta) I``
     amplify by more than ``INVERSE_CUT / delta``.
 
-    Block inverse iteration from a fixed-seed block, grown to twice the count of
-    amplified columns (``k`` singular values of ``Y = A^-1 X`` above the cut), then
-    one more solve on those ``k`` directions.  The singular values come from the
-    Gram matrix ``Y^T Y``: squaring loses what lies 1e-8 below the largest, far
-    under the cut.  No column amplified: ``n x 0``.
+    Block inverse iteration from a fixed-seed block, drawn in Fortran order and solved in
+    place, of twice the count of ``U``'s pivots below ``delta / INVERSE_CUT`` (at least 2).
+    That count only sizes it: it grows until at most half its columns are amplified (``k``
+    singular values of ``Y = A^-1 X`` above the cut, from the Gram matrix ``Y^T Y``, which
+    loses only what lies 1e-8 below the largest); one more solve on those ``k`` gives them.
     """
-    n, getrs = len(lu), scipy.linalg.lapack.dgetrs
-    rng, y, k = np.random.default_rng(0), np.empty((n, 0)), 1
+    n, getrs, rng = len(lu), scipy.linalg.lapack.dgetrs, np.random.default_rng(0)
+    y, k = np.empty((n, 0)), max(1, int(np.sum(abs(lu.diagonal()) * INVERSE_CUT < INVERSE_SHIFT)))
     while 2 * k > y.shape[1] and y.shape[1] < n:
-        x = rng.standard_normal((n, min(2 * k, n) - y.shape[1])) / math.sqrt(n)
-        y = np.hstack([y, getrs(lu, piv, x)[0]])
+        x = rng.standard_normal((min(2 * k, n) - y.shape[1], n)).T / math.sqrt(n)
+        x = getrs(lu, piv, x, overwrite_b=True)[0]
+        y = np.hstack([y, x]) if y.shape[1] else x
         w, v = np.linalg.eigh(y.T @ y)  # ascending
         k = int(np.count_nonzero(INVERSE_SHIFT ** 2 * w > INVERSE_CUT ** 2))
     return np.linalg.qr(getrs(lu, piv, y @ v[:, len(w) - k:])[0])[0]

@@ -644,6 +644,62 @@ def test_certified_solve_draws_once_and_solves_the_left_side_from_the_right(
     assert left_solves == [k, k]
 
 
+@pytest.mark.parametrize("d, dfs, seed", [*((10, 5, s) for s in range(3)),
+                                          *((12, 4, s) for s in range(3)), (16, 8, 1)])
+def test_pivot_count_starts_the_block_at_its_final_size(d, dfs, seed, monkeypatch):
+    # the k = dfs^2 + 1 pivots below delta / INVERSE_CUT size the first block at 2k
+    # columns: one solve and one Gram eigensolve decide k, and one more solve on the
+    # k directions gives R, where a block grown from 2 columns took log2(k) + 1 steps
+    ch = zoo.random_dfs_channel(d, dfs, seed, leak=0.0)
+    calls, inside = [], []
+    for module, name in ((np.linalg, "eigh"), (scipy.linalg.lapack, "dgetrs")):
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            if inside:
+                calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def amplified(lu, piv, _original=spectral._amplified):
+        inside.append(True)
+        try:
+            return _original(lu, piv)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(spectral, "_amplified", amplified)
+    _assert_certified_split_matches_ordered_schur(ch, False, monkeypatch)
+    assert calls == ["dgetrs", "eigh", "dgetrs"]
+
+
+def test_pivot_count_only_sizes_the_block():
+    # every pivot of T (1 on the diagonal, -1 above it) is 1, but T has one
+    # singular value near 2.7e-12: the count of 1 starts the block at 2 columns,
+    # and the Gram count grows it to find both amplified directions of T (+) T
+    t = np.eye(40) - np.triu(np.ones((40, 40)), 1)
+    a = scipy.linalg.block_diag(t, t)
+    assert np.linalg.svd(a, compute_uv=False)[-2] < 1e-11
+    lu, piv, info = scipy.linalg.lapack.dgetrf(a)
+    assert info == 0 and np.all(np.abs(np.diagonal(lu)) == 1.0)
+    assert spectral._amplified(lu, piv).shape == (80, 2)
+
+
+def test_certified_solve_solves_its_block_in_place():
+    # the first block is drawn in Fortran order and solved in place, with no
+    # hstack onto an empty block: the peak reads 1.206 (S + M_r), S + M_r = 24 d^4
+    # bytes; a C-order draw, its solve and the hstack, three n x 2k blocks, read 1.374
+    d = 24
+    ch = zoo.random_dfs_channel(d, d // 2, 1)
+    tracemalloc.start()
+    try:
+        space = fixed_space(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.size == (d // 2) ** 2 + 1
+    assert peak <= 1.23 * 24 * d ** 4
+
+
 def _assert_dense_split(ch, peripheral, monkeypatch):
     """The split, or its error, is the dense one: that of ``_split`` with the
     certified solve out of reach, to the bit."""

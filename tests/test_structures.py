@@ -383,6 +383,44 @@ def test_identity_d32_decomposes_below_100_mb(analyze):
     assert peak < (100 * 2**20 if analyze is unitarily_noiseless_structure else 64 * 2**20)
 
 
+@pytest.mark.parametrize("build, chunks", [
+    *((lambda s=s: zoo.random_dfs_channel(12, 4, s), [17]) for s in range(3)),
+    *((lambda s=s: zoo.random_dfs_channel(10, 5, s), [13, 13]) for s in range(3)),
+    (lambda: channel_from_kraus([np.eye(16)]), [32] * 8),
+], ids=[*(f"dfs-12-4-{s}" for s in range(3)), *(f"dfs-10-5-{s}" for s in range(3)),
+        "identity-d16"])
+def test_algebra_check_takes_the_certificate_chunks(build, chunks, monkeypatch):
+    # the reconstruction distance reads the basis in chunks of d^2 / 8 elements, as
+    # the structure certificate does: k = 17 elements at d = 12 in one chunk of 18,
+    # k = 26 at d = 10 in two of 13, and the d = 16 identity's 256 in eight of 32
+    seen, in_sectors = [], ipstruct.algebra._in_sectors
+
+    def counted(sectors, cofactors, x):
+        seen.append(len(x))
+        return in_sectors(sectors, cofactors, x)
+
+    monkeypatch.setattr(ipstruct.algebra, "_in_sectors", counted)
+    noiseless_structure(build())
+    assert seen == chunks
+
+
+def test_planted_dfs_d32_structure_peak_does_not_rise():
+    # the algebra check's chunks of d^2 / 8 elements and the in-place solve of the
+    # lambda = 1 block add nothing to the peak: 1.197 (S + M_r), S + M_r = 24 d^4 bytes,
+    # in a fresh process, 1.198 with chunks of k / 8 and a block grown from 2 columns;
+    # a C-order draw, its solve and the hstack, three n x 2k blocks, read 1.364
+    d = 32
+    ch = zoo.random_dfs_channel(d, d // 2, 1)
+    tracemalloc.start()
+    try:
+        s = noiseless_structure(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.shape, s.cofactors) == ((16, 1), (1, 16))
+    assert peak <= 1.1984 * 24 * d ** 4
+
+
 @pytest.mark.parametrize("analyze", [
     noiseless_structure, unitarily_noiseless_structure, unconditional_structure,
 ])
