@@ -247,12 +247,10 @@ def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
     d_in, d_out = ch.dim_in, ch.dim_out
     ks = np.stack(ch.kraus)
-    flat = ks.reshape(len(ch.kraus), -1)
-    # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]:
-    # for each b one GEMM gives it at [d, (a, c)], written once into the result
+    # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]: one
+    # batched product over (b, a) of (d, i) by (i, c) blocks, written once into the result
     m = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
-    for b in range(d_out):
-        m[b] = (ks[:, b, :].conj().T @ flat).reshape(d_in, d_out, d_in).transpose(1, 0, 2)
+    np.matmul(ks.conj().transpose(1, 2, 0)[:, None], ks.transpose(1, 0, 2)[None], out=m)
     return Superoperator(dim_in=d_in, dim_out=d_out, matrix=m.reshape(d_out**2, d_in**2))
 
 

@@ -1,62 +1,50 @@
 """Eigenstructure of channel superoperators.
 
 The asymptotic behaviour of a trace-preserving map is governed by its
-peripheral spectrum (eigenvalues on the unit circle).  This module extracts,
-for the fixed points (``lambda = 1``) or the whole peripheral spectrum
-(``|lambda| = 1``):
-
-* the right eigenoperators, i.e. the fixed or rotating operator space;
-* the left eigenoperators, i.e. the same space for the adjoint map;
-* the spectral projector onto the right space along all other spectral
-  components -- for the fixed points this is the time-averaged channel.
+peripheral spectrum (eigenvalues on the unit circle).  For the fixed points
+(``lambda = 1``) or the whole peripheral spectrum (``|lambda| = 1``) this module
+extracts the right eigenoperators (the fixed or rotating operator space), the
+left ones (that space for the adjoint map) and the spectral projector onto the
+right space along all other components: for the fixed points, the time average.
 
 The split runs in Hermitian coordinates (see :mod:`ipstruct.channels`): in an
-orthonormal basis of Hermitian operators a Hermiticity-preserving map, such
-as every map in Kraus form, has a real matrix ``M_r``, because
-``tr(B_a E(B_b))`` is real when ``B_a``, ``B_b`` and ``E(B_b)`` are
-Hermitian.  The right space has an orthonormal basis ``R`` and the left space
-a basis ``L`` with ``L^T R = 1``; as operators these are Hermitian, and the
-projector ``P = R L^dag`` stays factored (``SpectralSpace.project``).  Its
-pairing condition is ``||L||_2``.  The invariant subspace is the eigenspace
-because the peripheral spectrum of a trace-preserving positive map is
-semisimple.  One of three solvers gives ``R`` and ``L``:
+orthonormal basis of Hermitian operators every map in Kraus form, being
+Hermiticity preserving, has a real matrix ``M_r``, so the split takes a
+:class:`~ipstruct.channels.QuantumChannel` only.  The right space has an
+orthonormal basis ``R`` and the left space a basis ``L`` with ``L^T R = 1``; as
+operators these are Hermitian, and the projector ``P = R L^dag`` stays factored
+(``SpectralSpace.project``).  Its pairing condition is ``||L||_2``.  The
+invariant subspace is the eigenspace because the peripheral spectrum of a
+trace-preserving positive map is semisimple.  A map with
+``||M_r - M_r^T||_F <= SELF_ADJOINT`` is symmetric: by Bauer-Fike no eigenvalue
+moves by more than that, far inside ``PERIPHERAL``, and its Schur form is
+diagonal, so ``L = R`` with pairing condition 1.
 
-* ``||M_r - M_r^T||_F <= SELF_ADJOINT``: one symmetric eigensolve.  Its Schur
-  form is diagonal, so ``L = R``; by Bauer-Fike each eigenvalue of ``M_r`` is
-  within ``SELF_ADJOINT`` of the solver's, far inside ``PERIPHERAL``.  ``evx``
-  gives the fixed points' value window around 1, ``evd`` every eigenpair.
-* Any other map with ``d^2 >= _CERTIFIED_FLOOR`` first tries a certified solve
-  of the ``lambda = 1`` cluster.  Block inverse iteration with the LU factors
-  of ``A = M_r - (1 + INVERSE_SHIFT) I`` gives ``R``; two solves with ``A^T`` on
-  ``R`` give ``L``.  They stand only if ``||M R - R||_F`` and
-  ``||M^T L - L||_F / ||L||_2`` are at most ``CERTIFIED_RESIDUAL`` and every
-  eigenvalue off the cluster is proven outside the ``PERIPHERAL`` disc around 1:
-  for the fixed points by a Cholesky factor of ``(1 - PERIPHERAL) - (X + X^T) / 2``,
-  ``X = M - R L^T``, or else by ``1 / ||(M - 1 + R L^T)^-1||_F > PERIPHERAL``: they
-  bound the real parts and the least singular value; for ``rotating_space`` by
-  ``||(M - R L^T)^p||_F^(1/p) <= 1 - SPECTRAL_GAP`` for some ``p = 2^j``,
-  ``j <= SQUARINGS``, which puts the rest of the spectrum inside the circle.
-  The gap it reports is that proven lower bound, never above the dense value.
-* Otherwise, or when a certificate fails, one ordered real Schur form
-  ``M_r = Z T Z^T`` of the untouched ``M_r``, with the selected eigenvalues in
-  the leading quasi-triangular block ``T11`` (a conjugate pair shares
-  ``|lambda|`` and ``|lambda - 1|``, so it is selected or dropped whole):
-  ``R = Z1`` and ``L = Z1 + Z2 X^T``, where ``T11 X - X T22 = T12``, with the
-  pairing condition ``sqrt(1 + ||X||_2^2)``.  It gives the answer, or the error,
-  that the selection rule makes.
+* From ``d^2 >= _CERTIFIED_FLOOR`` a certified solve of the ``lambda = 1``
+  cluster comes first.  Block inverse iteration with the factors of
+  ``A = M_r - (1 + INVERSE_SHIFT) I``, the Cholesky factor of ``-A`` for a
+  symmetric map and else the LU factors, gives ``R``; two solves with ``A^T``
+  give ``L`` of any other.  They stand if the residuals are at most ``CERTIFIED_RESIDUAL`` and,
+  with ``X = M - R L^T``, the rest of the spectrum is proven outside the
+  ``PERIPHERAL`` disc around 1: for the fixed points by a Cholesky factor of
+  ``(1 - PERIPHERAL) - (X + X^T) / 2``, or else ``1 / ||(M - 1 + R L^T)^-1||_F >
+  PERIPHERAL``; for ``rotating_space`` inside the unit circle, by Cholesky
+  factors of ``(1 - SPECTRAL_GAP) -+ X`` if ``X`` is symmetric, else by
+  ``||X^p||_F^(1/p) <= 1 - SPECTRAL_GAP`` for a ``p = 2^j``, ``j <= SQUARINGS``.
+  The gap it reports is that proven bound, never above the dense value.
+* Otherwise, or when a factorization or certificate fails, a dense solve of ``M_r``
+  gives the answer, or the error, that the selection rule makes: ``evd`` for a
+  symmetric map, else one ordered real Schur form ``M_r = Z T Z^T`` led by the
+  selected block ``T11`` (a conjugate pair shares ``|lambda|`` and ``|lambda - 1|``,
+  so it is selected or dropped whole), with ``R = Z1``, ``L = Z1 + Z2 X^T`` for
+  ``T11 X - X T22 = T12``, and pairing condition ``sqrt(1 + ||X||_2^2)``.
 
-The split takes a :class:`~ipstruct.channels.QuantumChannel` only: every map
-in Kraus form is Hermiticity preserving, so its real matrix needs no check.
-
-Memory: the change of coordinates holds the complex superoperator ``S``, built
-once and only read, its real form ``M_r`` (half of ``S``) and blocks of rows
-(``S / 64`` from ``d = 16`` on); ``S`` is freed before any factorization.  The
-eigensolve and the Schur form overwrite ``M_r``; the window fills one more
-buffer of its size, ``evd`` two.  The certified solve only reads it and fills
-one in place (the fixed points' Cholesky factor in its upper triangle), with a
-second while it squares; on a large ``lambda = 1`` cluster of ``k`` the
-``n x 2k`` block that :func:`_amplified` solves in place beside them, not
-``S + M_r``, sets the peak.  Only the selected columns outlive the split.
+Memory: the change of coordinates holds the complex superoperator ``S`` (only
+read), its real form ``M_r`` (half of ``S``) and blocks of rows; ``S`` is freed
+before any factorization.  The certified solve reads ``M_r`` and fills one buffer
+of its size in place (two while it squares) beside the ``n x 2k`` block of
+:func:`_amplified`; a dense solve overwrites ``M_r``, ``evd`` with two more
+buffers.  Only the selected columns outlive the split.
 """
 
 from __future__ import annotations
@@ -214,67 +202,83 @@ def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray
     return t, k, z, np.hypot(wr, wi)
 
 
-def _amplified(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning what solves with the factored ``A = M - (1 + delta) I``
-    amplify by more than ``INVERSE_CUT / delta``.
+def _amplified(factor: np.ndarray, piv: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal columns spanning what solves with ``A = M - (1 + delta) I`` amplify by
+    more than ``INVERSE_CUT / delta``, from its LU factors ``(factor, piv)`` or, without
+    ``piv``, the Cholesky factor ``U`` of ``-A = U^T U``, whose pivots are ``U_ii^2``.
 
     Block inverse iteration from a fixed-seed block, drawn in Fortran order and solved in
-    place, of twice the count of ``U``'s pivots below ``delta / INVERSE_CUT`` (at least 2).
-    That count only sizes it: it grows until at most half its columns are amplified (``k``
-    singular values of ``Y = A^-1 X`` above the cut, from the Gram matrix ``Y^T Y``, which
-    loses only what lies 1e-8 below the largest); one more solve on those ``k`` gives them.
+    place, of twice the count of pivots below ``delta / INVERSE_CUT`` (at least 2), which only
+    sizes it: it grows until at most half its columns are amplified (``k`` singular values of
+    ``Y = A^-1 X`` above the cut, from ``Y^T Y``, which loses only what lies 1e-8 below the
+    largest), and one more solve on those ``k`` gives them.  No column once ``2 k >= n``.
     """
-    n, getrs, rng = len(lu), scipy.linalg.lapack.dgetrs, np.random.default_rng(0)
-    y, k = np.empty((n, 0)), max(1, int(np.sum(abs(lu.diagonal()) * INVERSE_CUT < INVERSE_SHIFT)))
-    while 2 * k > y.shape[1] and y.shape[1] < n:
-        x = rng.standard_normal((min(2 * k, n) - y.shape[1], n)).T / math.sqrt(n)
-        x = getrs(lu, piv, x, overwrite_b=True)[0]
+    lapack, n, rng = scipy.linalg.lapack, len(factor), np.random.default_rng(0)
+    pivots = factor.diagonal() ** 2 if piv is None else abs(factor.diagonal())
+    solve = ((lambda b: lapack.dpotrs(factor, b, overwrite_b=True)[0]) if piv is None
+             else lambda b: lapack.dgetrs(factor, piv, b, overwrite_b=True)[0])
+    y, k = np.empty((n, 0)), max(1, int(np.sum(pivots * INVERSE_CUT < INVERSE_SHIFT)))
+    while n > 2 * k > y.shape[1]:
+        x = solve(rng.standard_normal((2 * k - y.shape[1], n)).T / math.sqrt(n))
         y = np.hstack([y, x]) if y.shape[1] else x
         w, v = np.linalg.eigh(y.T @ y)  # ascending
         k = int(np.count_nonzero(INVERSE_SHIFT ** 2 * w > INVERSE_CUT ** 2))
-    return np.linalg.qr(getrs(lu, piv, y @ v[:, len(w) - k:])[0])[0]
+    return np.linalg.qr(solve(y @ v[:, len(w) - k:]))[0] if 2 * k < n else np.empty((n, 0))
 
 
-def _certified(m_r: np.ndarray,
-               peripheral: bool) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+def _bounded(buf: np.ndarray, m_r: np.ndarray, r: np.ndarray, l: np.ndarray,
+             sign: float, bound: float) -> bool:
+    """Whether ``(1 - bound) - sign (X + X^T) / 2``, ``X = M - R L^T``, has a Cholesky
+    factor, built 32 rows at a time and factored in ``buf``'s upper triangle: then every
+    eigenvalue of ``X``, ``M``'s off the cluster and 0 on it, has ``sign Re < 1 - bound``."""
+    np.copyto(buf, m_r)
+    buf = scipy.linalg.blas.dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)
+    for i in range(0, len(buf), 32):
+        buf[i:i + 32, i:] = -0.5 * sign * (buf[i:i + 32, i:] + buf[i:, i:i + 32].T)
+    buf[np.diag_indices_from(buf)] += 1.0 - bound
+    return scipy.linalg.lapack.dpotrf(buf, overwrite_a=True, clean=False)[1] == 0
+
+
+def _certified(m_r: np.ndarray, peripheral: bool,
+               symmetric: bool = False) -> tuple[np.ndarray, np.ndarray, float, float] | None:
     """Right and left bases ``R``, ``L`` of the eigenvalue-1 cluster with ``L^T R = 1``,
     a proven lower bound on the gap ``1 - |lambda|`` over the rest of the spectrum
     (``-inf`` unless ``peripheral``) and ``||L||_2``; ``None`` when a certificate fails.
 
-    ``m_r`` is only read.  One more ``n x n`` buffer holds ``M - (1 + delta) I``
-    and its LU factors, then ``M - R L^T``: for the fixed points its symmetric part,
-    shifted, and that part's Cholesky factor, and only if that fails ``M - 1 + R L^T``
-    and its inverse; if ``peripheral``, its squarings beside a second.
+    ``m_r`` is only read.  One more ``n x n`` buffer holds the factors of
+    ``M - (1 + delta) I`` (of its negative if ``symmetric``, where ``L = R``), then the
+    certificates of :func:`_bounded`; when the fixed points' fails, ``M - 1 + R L^T`` and
+    its inverse; for a peripheral ``M`` that is not symmetric, squarings beside a second.
     """
     lapack, dgemm, n = scipy.linalg.lapack, scipy.linalg.blas.dgemm, len(m_r)
-    diagonal = np.arange(n)
-    buf = m_r.copy(order="F")  # LAPACK and BLAS overwrite a Fortran-order buffer in place
-    buf[diagonal, diagonal] -= 1.0 + INVERSE_SHIFT
-    lu, piv, info = lapack.dgetrf(buf, overwrite_a=True)
-    if info != 0 or (r := _amplified(lu, piv)).shape[1] == 0:
+    diagonal, sign = np.arange(n), -1.0 if symmetric else 1.0
+    # sign A, A = M - (1 + delta) I, in a Fortran-order buffer that LAPACK and BLAS overwrite in
+    # place: -A of a symmetric M has a Cholesky factor unless an eigenvalue reaches 1 + delta
+    buf = np.multiply(m_r, sign, order="F")
+    buf[diagonal, diagonal] -= sign * (1.0 + INVERSE_SHIFT)
+    # a Cholesky pivot never exceeds its diagonal entry: half of them below the cut draw no block
+    if symmetric and 2 * np.sum(buf.diagonal() * INVERSE_CUT < INVERSE_SHIFT) >= n:
         return None
-    # A^-T = sum_i (lambda_i - 1 - delta)^-1 l_i r_i^T amplifies the left cluster by 1/delta;
-    # R meets it through the nonsingular Gram matrix of the right cluster, and two solves
-    # leave (delta / gap)^2 of the rest
-    l = lapack.dgetrs(lu, piv, lapack.dgetrs(lu, piv, r, trans=1)[0], trans=1)[0]
-    try:
-        l = l @ np.linalg.inv(r.T @ l)
-    except np.linalg.LinAlgError:
+    *factors, info = (lapack.dpotrf(buf, overwrite_a=True, clean=False) if symmetric
+                      else lapack.dgetrf(buf, overwrite_a=True))
+    if info != 0 or (r := _amplified(*factors)).shape[1] == 0:
         return None
-    cond = math.sqrt(np.linalg.eigvalsh(l.T @ l)[-1])  # ||L||_2 from the k x k Gram matrix
+    l, cond = r, 1.0  # the Schur form of a symmetric M is diagonal
+    if not symmetric:
+        # A^-T = sum_i (lambda_i - 1 - delta)^-1 l_i r_i^T amplifies the left cluster by
+        # 1/delta; R meets it through the nonsingular Gram matrix of the right cluster, and
+        # two solves leave (delta / gap)^2 of the rest
+        l = lapack.dgetrs(*factors, lapack.dgetrs(*factors, r, trans=1)[0], trans=1)[0]
+        try:
+            l = l @ np.linalg.inv(r.T @ l)
+        except np.linalg.LinAlgError:
+            return None
+        cond = math.sqrt(np.linalg.eigvalsh(l.T @ l)[-1])  # ||L||_2 from the k x k Gram matrix
     residual = max(np.linalg.norm(m_r @ r - r), np.linalg.norm(m_r.T @ l - l) / cond)
     if not residual <= CERTIFIED_RESIDUAL:
         return None
-    np.copyto(buf, m_r)
-    buf = dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)  # X = M - R L^T
-    if not peripheral:
-        # X has M's eigenvalues off the cluster and 0 on it, none with a real part above
-        # lambda_max((X + X^T) / 2): a Cholesky factor of (1 - PERIPHERAL) - (X + X^T) / 2
-        # puts them outside the disc.  dpotrf reads only the upper triangle, set in place
-        for i in range(0, n, 32):
-            buf[i:i + 32, i:] = -0.5 * (buf[i:i + 32, i:] + buf[i:, i:i + 32].T)
-        buf[diagonal, diagonal] += 1.0 - PERIPHERAL
-        if lapack.dpotrf(buf, overwrite_a=True, clean=False)[1] == 0:
+    if not peripheral:  # the rest lies left of Re(lambda) = 1 - PERIPHERAL, outside the disc
+        if _bounded(buf, m_r, r, l, 1.0, PERIPHERAL):
             return r, l, -math.inf, cond
         # a non-normal X: every eigenvalue of M - 1 + R L^T, those of M - 1 off the cluster
         # among them, is at least its least singular value, at least 1 / ||(...)^-1||_F
@@ -285,11 +289,15 @@ def _certified(m_r: np.ndarray,
         if info == 0:  # the blocked inverse: 3.4x the default workspace's speed, n = 1024
             lwork = int(lapack.dgetri_lwork(n)[0])
             buf, info = lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
-        if info != 0 or not 1.0 / np.linalg.norm(buf) > PERIPHERAL:
-            return None
-        return r, l, -math.inf, cond
+        proven = info == 0 and 1.0 / np.linalg.norm(buf) > PERIPHERAL
+        return (r, l, -math.inf, cond) if proven else None
+    if symmetric:  # ||X||_2 = rho(X): the rest lies in |lambda| < 1 - SPECTRAL_GAP
+        bounded = all(_bounded(buf, m_r, r, l, s, SPECTRAL_GAP) for s in (1.0, -1.0))
+        return (r, l, SPECTRAL_GAP, cond) if bounded else None
     # rho(M - R L^T) <= ||(M - R L^T)^p||_F^(1/p), p = 2^j: the rest of the spectrum is off
     # the unit circle, and from 1, by the gap this proves, > PERIPHERAL as the inverse would
+    np.copyto(buf, m_r)
+    buf = dgemm(-1.0, r, l, beta=1.0, c=buf, trans_b=True, overwrite_c=True)  # X = M - R L^T
     spare, log_norm = np.empty_like(buf), -math.inf  # log ||(M - R L^T)^p||_F
     for j in range(SQUARINGS + 1):
         if j:
@@ -307,11 +315,10 @@ def _certified(m_r: np.ndarray,
     return None
 
 
-# d^2 from which a map that is not symmetric tries _certified before the ordered
-# Schur form.  On random_cptp(d, 3, s), one BLAS thread, a split took about
-# the same both ways at d = 5 (0.91 ms dense, 0.99 ms certified) and half the
-# time certified at d = 8 (4.4 against 1.8 ms); below d = 8 the saving is under
-# a millisecond, and small maps keep the dense digits
+# d^2 from which every map tries _certified before the dense solve.  On random_cptp(d, 3, s),
+# one BLAS thread, a split took about the same both ways at d = 5 (0.91 ms dense, 0.99 ms
+# certified) and half the time certified at d = 8 (4.4 against 1.8 ms); below d = 8 the saving
+# is under a millisecond, and small maps keep the dense digits
 _CERTIFIED_FLOOR = 64
 
 
@@ -324,36 +331,31 @@ def _peripheral(re: float, im: float) -> bool:
 
 
 def _split(m_r: np.ndarray, d: int, peripheral: bool) -> tuple[SpectralSpace, float, float]:
-    """Split the spectrum of the real matrix ``m_r`` of a map on ``d x d``
-    operators in Hermitian coordinates into the eigenvalues
-    ``|lambda - 1| < PERIPHERAL`` (or, if ``peripheral``,
-    ``||lambda| - 1| < PERIPHERAL``) and the rest.  ``m_r`` is overwritten.
+    """Split the spectrum of the real matrix ``m_r`` of a map on ``d x d`` operators in
+    Hermitian coordinates into the eigenvalues ``|lambda - 1| < PERIPHERAL`` (or, if
+    ``peripheral``, ``||lambda| - 1| < PERIPHERAL``) and the rest; ``m_r`` may be overwritten.
 
-    Returns the selected space, a lower bound on the gap ``1 - |lambda|`` to the
-    largest unselected eigenvalue and the pairing condition
-    ``||L||_2 = sqrt(1 + ||X||_2^2)``.  The gap is ``inf`` if nothing is left and
-    equal to it up to rounding, or the bound the certified squarings proved.  A
-    fixed split that the window or the certified solve answers proves none: ``-inf``.
+    Returns the selected space, a lower bound on the gap ``1 - |lambda|`` to the largest
+    unselected eigenvalue and the pairing condition ``||L||_2 = sqrt(1 + ||X||_2^2)``.  The
+    gap is ``inf`` if nothing is left, the bound the certified solve proved, or the dense
+    value up to rounding; a fixed split that the certified solve or ``evd`` answers: ``-inf``.
     """
     select, n = (_peripheral if peripheral else _fixed), len(m_r)
     squares = 0.0  # ||M - M^T||_F^2 summed over blocks of 32 rows: no n x n temporary
     for i in range(0, n, 32):
         squares += np.linalg.norm(m_r[i:i + 32] - m_r[:, i:i + 32].T) ** 2
     symmetric = math.sqrt(squares) <= SELF_ADJOINT
-    certified = None if symmetric or n < _CERTIFIED_FLOOR else _certified(m_r, peripheral)
-    if symmetric:  # the Schur form is diagonal: X = 0 and the left space is the right one
-        solver = {"driver": "evd"} if peripheral else {  # all the fixed points need, cut by select
-            "driver": "evx", "subset_by_value": (1.0 - PERIPHERAL, 1.0 + PERIPHERAL)}
+    if n >= _CERTIFIED_FLOOR and (certified := _certified(m_r, peripheral, symmetric)):
+        z1, left, gap, cond = certified
+    elif symmetric:  # the Schur form is diagonal: X = 0 and the left space is the right one
         try:
-            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, **solver)
+            w, z = scipy.linalg.eigh(m_r, overwrite_a=True, driver="evd")
         except scipy.linalg.LinAlgError as exc:
             raise NumericalError(f"symmetric eigensolve failed: {exc}") from exc
         keep = np.fromiter(map(select, w, np.zeros(len(w))), dtype=bool, count=len(w))
         z1, cond = z[:, keep], 1.0
         gap = 1.0 - float(np.max(np.abs(w[~keep]), initial=-math.inf)) if peripheral else -math.inf
         del z
-    elif certified:
-        z1, left, gap, cond = certified
     else:
         t, k, z, moduli = _ordered_schur(m_r, select)
         x = np.zeros((k, n - k))

@@ -151,7 +151,7 @@ def test_example_five_qubit_random_depolarization():
         mapped = (sup @ delta.reshape(-1, order="F")).reshape(32, 32, order="F")
         worst = max(worst, abs(trace_norm(delta) - trace_norm(mapped)))
     assert worst < 1e-7
-    assert time.perf_counter() - t0 < 120.0
+    assert time.perf_counter() - t0 < 10.0
 
 
 # ---------------------------------------------------------------------------

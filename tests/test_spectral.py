@@ -318,8 +318,9 @@ def test_fixed_space_matches_commutant_of_kraus_span(ch, size):
 
 
 # ---------------------------------------------------------------------------
-# a self-adjoint map is split by one symmetric eigensolve; the ordered Schur
-# form of every input (oracles.schur_split) is the reference
+# a self-adjoint map is split by the Cholesky-certified solve from the size
+# floor on, and by one symmetric eigensolve below it or when that solve fails;
+# the ordered Schur form of every input (oracles.schur_split) is the reference
 # ---------------------------------------------------------------------------
 
 def _fixed(re, im):
@@ -399,14 +400,23 @@ def test_symmetric_split_matches_ordered_schur(build, peripheral, monkeypatch):
     ref, ref_gap, ref_cond = schur_split(ch, SELECT[peripheral])
     calls = _count_factorizations(monkeypatch)
     space, gap, cond = _split(spectral._coordinates(ch), ch.dim_in, peripheral)
-    assert calls == ["eigh"]
+    # from the floor on: the Cholesky factor of (1 + delta) - M, then the fixed points'
+    # certificate, or the two that bound ||X||_2 for the peripheral gap
+    certified = ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR
+    assert calls == (["cholesky"] * (3 if peripheral else 2) if certified else ["eigh"])
     assert space.size == ref.size
     assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
     assert subspace_distance(space.dual, ref.dual) <= DEFAULT_TOL.subspace
     assert np.max(np.abs(space.projector.matrix - ref.projector.matrix)) <= 1e-10
     assert abs(cond - ref_cond) <= 1e-10 and cond == 1.0
-    # the fixed points' value window proves no gap
-    assert (gap == ref_gap or abs(gap - ref_gap) <= 1e-10) if peripheral else gap == -math.inf
+    # no fixed split proves a gap; the Cholesky route proves SPECTRAL_GAP, never
+    # above the dense value, and the eigensolve gives that value
+    if not peripheral:
+        assert gap == -math.inf
+    elif certified:
+        assert SPECTRAL_GAP <= gap <= ref_gap + 1e-10
+    else:
+        assert gap == ref_gap or abs(gap - ref_gap) <= 1e-10
 
 
 def _perturbed(ch, asymmetry):
@@ -427,14 +437,17 @@ def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     # ||K||_2 <= ||K||_F of S's, far below PERIPHERAL, so both sides of the
     # cut select the same eigenvalues; the composite's 64 rows span two
     # blocks of the asymmetry sum, and the perturbation sits in the last.
-    # From the size floor on, the certified solve answers for the Schur form:
-    # one LU factorization and the Cholesky factorization of its certificate
+    # From the size floor on, the certified solve answers for both: with two
+    # Cholesky factorizations of a symmetric map (the "eigh" side), with one LU
+    # factorization and the Cholesky factorization of its certificate otherwise
     m_r = _perturbed(ch, scale * SELF_ADJOINT)
     reference = fixed_space(ch)
     calls = _count_factorizations(monkeypatch)
     space = _split(m_r, ch.dim_in, False)[0]
-    general = ["lu", "cholesky"] if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR else ["schur"]
-    assert calls == (["eigh"] if method == "eigh" else general)
+    symmetric, general = ["eigh"], ["schur"]
+    if ch.dim_in ** 2 >= spectral._CERTIFIED_FLOOR:
+        symmetric, general = ["cholesky", "cholesky"], ["lu", "cholesky"]
+    assert calls == (symmetric if method == "eigh" else general)
     assert space.size == reference.size
     assert subspace_distance(space, reference) <= DEFAULT_TOL.subspace
 
@@ -450,21 +463,120 @@ def test_symmetric_eigensolve_failure_is_numerical(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_symmetric_split_invariant_under_gauge_and_conjugation(seed, monkeypatch):
-    # depolarize_B is self-adjoint; a Kraus gauge leaves the map, and a
+    # depolarize_B and the composite of a planted d = 8 map (k = 17, on the
+    # Cholesky route) are self-adjoint; a Kraus gauge leaves the map, and a
     # unitary conjugation its self-adjointness, unchanged
-    ch = zoo.fixture("depolarize_B")
-    rng = np.random.default_rng(seed)
-    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
-    u = unitary_group.rvs(ch.dim_in, random_state=rng)
-    mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
-    turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
     calls = _count_factorizations(monkeypatch)
-    space, gauged, rotated = fixed_space(ch), fixed_space(mixed), fixed_space(turned)
-    assert calls == ["eigh"] * 3
-    assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
-    conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
-    assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
-    assert rotated.size == space.size == 4
+    for ch, splits, size in (
+            (zoo.fixture("depolarize_B"), ((fixed_space, ["eigh"]),), 4),
+            (_composite(zoo.random_dfs_channel(8, 4, seed)),
+             ((fixed_space, ["cholesky"] * 2), (rotating_space, ["cholesky"] * 3)), 17)):
+        rng = np.random.default_rng(seed)
+        mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+        u = unitary_group.rvs(ch.dim_in, random_state=rng)
+        mixed = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
+        turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
+        for split, factorizations in splits:
+            calls.clear()
+            space, gauged, rotated = split(ch), split(mixed), split(turned)
+            assert calls == factorizations * 3
+            assert subspace_distance(gauged, space) <= DEFAULT_TOL.subspace
+            conjugated = np.column_stack([vec(u @ b @ u.conj().T) for b in space.basis])
+            assert subspace_distance(rotated, conjugated) <= DEFAULT_TOL.subspace
+            assert rotated.size == gauged.size == space.size == size
+
+
+def _with_an_eigenvalue_above_one(ch):
+    """``ch`` beside the qubit map ``rho -> 1.05 rho + 0.05 Z rho Z``, self-adjoint with
+    the eigenvalue 1.1 on the Paulis ``1`` and ``Z`` and 1 on ``X`` and ``Y``: the product
+    keeps the fixed points of ``ch`` times ``X`` and ``Y`` and gains an eigenvalue 1.1."""
+    qubit = [math.sqrt(1.05) * np.eye(2), math.sqrt(0.05) * np.diag([1.0, -1.0])]
+    return channel_from_kraus([np.kron(q, k) for q in qubit for k in ch.kraus])
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("build", [
+    lambda: channel_from_kraus([math.sqrt(1.01) * k
+                                for k in _composite(zoo.random_cptp(8, 3, 1)).kraus]),
+    lambda: _with_an_eigenvalue_above_one(_composite(zoo.random_cptp(4, 3, 1))),
+], ids=["scaled-composite-8", "composite-4-beside-a-qubit"])
+def test_self_adjoint_split_past_one_takes_the_eigensolve(build, peripheral, monkeypatch):
+    # an eigenvalue above 1 + delta: (1 + delta) - M has no Cholesky factor, and the
+    # symmetric eigensolve gives the answer, or the error, with nothing else run.  The
+    # scaled composite's spectrum tops out at 1.01, so neither split finds an eigenvalue
+    # to select; the product keeps 2 fixed points, and its eigenvalue 1.1 fails the gap
+    ch = build()
+    assert ch.dim_in == 8 and _asymmetry(ch) <= SELF_ADJOINT
+    calls = _count_factorizations(monkeypatch)
+    dense = _assert_dense_split(ch, peripheral, monkeypatch)
+    assert calls == ["cholesky", "eigh", "eigh"]
+    ref, ref_gap, _ = schur_split(ch, SELECT[peripheral])
+    if isinstance(dense[0], str):
+        assert ref.size == 0
+        return
+    space, gap, _ = dense
+    assert space.size == ref.size == 2
+    assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
+    assert gap == -math.inf if not peripheral else abs(gap - ref_gap) <= 1e-10 and gap < 0
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+def test_minus_one_fails_the_second_peripheral_factorization(peripheral, monkeypatch):
+    # Pauli-X conjugation beside depolarize_B: the eigenvalue 1 on 1 and X, and -1 on
+    # Y and Z, each times the 4 fixed points of depolarize_B.  The fixed split is
+    # certified; the peripheral one certifies the +1 cluster and (1 - SPECTRAL_GAP) - X,
+    # but (1 - SPECTRAL_GAP) + X has no Cholesky factor, and evd keeps all 16
+    pauli_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ch = channel_from_kraus([np.kron(pauli_x, k) for k in zoo.fixture("depolarize_B").kraus])
+    ref, ref_gap, _ = schur_split(ch, SELECT[peripheral])
+    calls = _count_factorizations(monkeypatch)
+    if peripheral:
+        space, gap, _ = _assert_dense_split(ch, True, monkeypatch)
+        assert calls == ["cholesky"] * 3 + ["eigh", "eigh"]
+        assert abs(gap - ref_gap) <= 1e-10
+    else:
+        space = _split(spectral._coordinates(ch), ch.dim_in, False)[0]
+        assert calls == ["cholesky"] * 2
+    assert space.size == ref.size == (16 if peripheral else 8)
+    assert subspace_distance(space, ref) <= DEFAULT_TOL.subspace
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("rotated", [False, True], ids=["diagonal", "rotated"])
+def test_half_the_spectrum_at_one_draws_no_block(rotated, peripheral, monkeypatch):
+    # the pinching onto two 4-dimensional blocks fixes their 32 operators and
+    # kills the other 32, so the symmetric eigensolve answers.  Its M is diagonal,
+    # and 32 diagonal entries of (1 + delta) - M at delta bound as many Cholesky
+    # pivots: nothing is factored.  Turned by a random unitary, it is factored,
+    # and the pivot count says 2k = n: no block is drawn or solved
+    blocks = [np.diag([1.0] * 4 + [0.0] * 4), np.diag([0.0] * 4 + [1.0] * 4)]
+    u = unitary_group.rvs(8, random_state=np.random.default_rng(3)) if rotated else np.eye(8)
+    ch = channel_from_kraus([u @ b @ u.conj().T for b in blocks])
+    solves, dpotrs = [], scipy.linalg.lapack.dpotrs
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrs",
+                        lambda *args, **kwargs: solves.append(args) or dpotrs(*args, **kwargs))
+    calls = _count_factorizations(monkeypatch)
+    space, gap, _ = _assert_dense_split(ch, peripheral, monkeypatch)
+    assert calls == ["cholesky"] * rotated + ["eigh", "eigh"] and solves == []
+    assert space.size == 32
+    assert abs(gap - 1.0) <= 1e-10 if peripheral else gap == -math.inf
+    assert subspace_distance(space, schur_split(ch, SELECT[peripheral])[0]) <= DEFAULT_TOL.subspace
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+def test_self_adjoint_route_holds_one_square_buffer(peripheral):
+    # the Cholesky route only reads M and reuses one n x n buffer for the factor of
+    # (1 + delta) - M and every certificate after it: n = 576, M is 2.65 MB
+    ch = _composite(zoo.random_cptp(24, 3, 1))
+    m_r = spectral._coordinates(ch)
+    tracemalloc.start()
+    try:
+        space, gap, _ = _split(m_r, ch.dim_in, peripheral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.size == 1 and gap == (SPECTRAL_GAP if peripheral else -math.inf)
+    assert peak < 1.25 * m_r.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +908,9 @@ def test_certified_split_invariant_under_gauge_and_conjugation(seed, monkeypatch
 
 def test_certified_split_under_two_blas_threads():
     # LAPACK evr once failed under two OpenBLAS threads where one thread passed:
-    # the certified solve, its Cholesky certificate included, and the symmetric
-    # eigensolves, the fixed points' value window among them, run their
-    # agreement cases in a child with two
+    # the certified solve, its Cholesky certificate included, on a map that is
+    # not symmetric and on a self-adjoint one, and the symmetric eigensolve that
+    # takes over past 1 + delta, run their agreement cases in a child with two
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(p for p in (str(root / "src"),
@@ -806,11 +918,12 @@ def test_certified_split_under_two_blas_threads():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__)),
          "-k", "(test_certified_split_matches_ordered_schur and cptp-16-1) or "
-               "(test_symmetric_split_matches_ordered_schur and composite-cptp-16-1)"],
+               "(test_symmetric_split_matches_ordered_schur and composite-cptp-16-1) or "
+               "test_self_adjoint_split_past_one_takes_the_eigensolve"],
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "4 passed" in proc.stdout
+    assert "8 passed" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

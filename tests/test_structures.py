@@ -255,12 +255,12 @@ def test_one_superoperator_per_analysis(analyze, monkeypatch):
         monkeypatch.setattr(module, name, counted_factorization)
     analyze(zoo.random_cptp(8, 3, 1))
     assert len(calls) == 1
-    # real factorizations, in Hermitian coordinates.  The composite R o E of the
-    # unconditional analysis is self-adjoint, so it takes the symmetric one; E
-    # is not, and the certified solve proves its split without the ordered Schur
-    # form: one LU factorization for each split, and the Cholesky factorization
-    # that certifies the fixed points
-    expected = {unconditional_structure: [("eigh", np.float64)],
+    # real factorizations, in Hermitian coordinates; the certified solve proves
+    # each split without a dense one.  The composite R o E of the unconditional
+    # analysis is self-adjoint: the Cholesky factor of (1 + delta) - M, then the
+    # one that certifies the fixed points.  E is not: one LU factorization for
+    # each split, and the Cholesky factorization that certifies the fixed points
+    expected = {unconditional_structure: [("dpotrf", np.float64)] * 2,
                 noiseless_structure: [("dgetrf", np.float64), ("dpotrf", np.float64)],
                 unitarily_noiseless_structure: [("dgetrf", np.float64)]}[analyze]
     assert factorizations == expected
