@@ -13,25 +13,24 @@ Operators are vectorized by **column stacking** (Fortran order), so that
     vec(A X B) = (B^T kron A) vec(X)
 
 and the superoperator of ``X -> sum_i K_i X K_i^dag`` is
-``sum_i conj(K_i) kron K_i``.  The convention lives entirely in
-:func:`to_superoperator` and the Hermitian coordinates below; no other module
-builds vectorized indices by hand.
+``sum_i conj(K_i) kron K_i``.  The convention lives in :func:`to_superoperator`,
+the Hermitian coordinates below and their reading in
+:func:`ipstruct.spectral._coordinates`; no other module builds vectorized
+indices by hand.
 
-Hermitian coordinates use the orthonormal basis ``E_ii``,
-``(E_ij + E_ji)/sqrt(2)`` and ``i(E_ij - E_ji)/sqrt(2)`` (``i < j``), labelled
-by the vectorized index of ``(i, i)``, ``(i, j)`` and ``(j, i)``.  Column ``c``
-of this unitary ``U`` is ``alpha_c e_c + conj(alpha_c) e_swap(c)``, with
-``swap(c)`` the index of the transposed entry, so a change of basis is index
-arithmetic.  A Hermiticity-preserving map (``E(X)^dag = E(X^dag)``, as is
-every map in Kraus form) has a real matrix ``U^dag M U`` there.  Its
-superoperator satisfies ``M = Pi conj(M) Pi`` with ``Pi`` the permutation
-``swap``, which lets :func:`hermitian_coordinates` read each row of ``M`` once.
+Hermitian coordinates use the orthonormal basis of Hermitian operators
+``E_aa`` and ``((1 - i) E_ab + (1 + i) E_ba) / 2`` (``a != b``), labelled by the
+vectorized index of ``(a, b)``: the unitary ``U = alpha 1 + conj(alpha) F`` with
+``alpha = (1 - i) / 2`` and ``F`` the permutation ``vec(X) -> vec(X^T)``.  A
+Hermiticity-preserving map (``E(X)^dag = E(X^dag)``, as is every map in Kraus
+form) has a superoperator ``S`` with ``F S F = conj(S)``, so its matrix in this
+basis is the real ``U^dag S U = Re S - Im S F``: no phases and no complex
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "Superoperator",
     "StochasticChannel",
     "CptpReport",
-    "hermitian_coordinates",
     "from_hermitian_coordinates",
     "channel_from_kraus",
     "to_superoperator",
@@ -58,50 +56,19 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# vectorization (the only place the stacking convention appears)
+# vectorization (with spectral._coordinates, the only place the stacking convention appears)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _hermitian_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(alpha, swap)`` of the Hermitian basis of ``d x d`` operators; cached
-    and read-only, because each spectral split reads them several times."""
-    idx = np.arange(d * d)
-    row, col = idx % d, idx // d
-    alpha = np.where(row == col, 0.5, np.where(row < col, 1.0, -1j) / np.sqrt(2.0))
-    swap = col + row * d
-    alpha.setflags(write=False)
-    swap.setflags(write=False)
-    return alpha, swap
-
-
-def hermitian_coordinates(m: np.ndarray, d: int) -> np.ndarray:
-    """The real matrix ``U^dag M U`` of the superoperator matrix ``m`` of a map
-    in Kraus form on ``d x d`` operators, in Fortran order so that LAPACK can
-    overwrite it in place.  ``m`` is only read: the change of basis runs on
-    blocks of rows, so no temporary comes near the size of ``m``.
-
-    ``M = Pi conj(M) Pi`` gives ``(U^dag M U)[r] = 2 Re(conj(alpha_r) A_r)``
-    with ``A_r = alpha * M[r] + conj(alpha) * M[r, swap]``: one gather of
-    columns per block of rows, and no imaginary part to discard.
-    """
-    alpha, swap = _hermitian_basis(d)
-    m, n, conj = np.asarray(m, dtype=complex), d * d, alpha.conj()  # no copy if complex
-    out = np.empty((n, n), order="F")
-    step = max(4, n // 64)  # 64 row blocks: a few temporaries of n^2 / 64 entries each
-    for start in range(0, n, step):
-        r = slice(start, start + step)
-        block = m[r].take(swap, axis=1)
-        block *= conj
-        block += alpha * m[r]
-        block *= 2.0 * conj[r, None]
-        out[r] = block.real
-    return out
-
-
 def from_hermitian_coordinates(z: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized operators ``U z`` of real coordinate columns ``z``."""
-    alpha, swap = _hermitian_basis(d)
-    return alpha[:, None] * z + alpha.conj()[swap][:, None] * z[swap]
+    """Vectorized operators ``U z`` of real coordinate columns ``z``.  Read in C order as
+    ``d x d`` arrays, a column ``Y`` of ``z`` gives ``(Y + Y^T) / 2 + i (Y^T - Y) / 2``,
+    built per ``(d, d)`` slice."""
+    y = np.asarray(z, dtype=float).T.reshape(-1, d, d)
+    out = np.empty(y.shape, dtype=complex)
+    np.add(y, y.transpose(0, 2, 1), out=out.real)
+    np.subtract(y.transpose(0, 2, 1), y, out=out.imag)
+    out *= 0.5
+    return out.reshape(len(y), d * d).T
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +213,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray] | Iterable[np.ndarray]) -> Qu
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
     d_in, d_out = ch.dim_in, ch.dim_out
-    ks = np.stack(ch.kraus)
+    ks = np.array(ch.kraus)  # C order whatever the operators' layout: np.stack keeps theirs
     # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]: one
     # batched product over (b, a) of (d, i) by (i, c) blocks, written once into the result
     m = np.empty((d_out, d_out, d_in, d_in), dtype=complex)

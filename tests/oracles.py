@@ -16,7 +16,7 @@ from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
                       apply_channel, channel_from_kraus, to_superoperator)
 from ipstruct.algebra import _matrix_units
-from ipstruct.channels import from_hermitian_coordinates, hermitian_coordinates, is_projector
+from ipstruct.channels import from_hermitian_coordinates, is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
 from ipstruct.tolerances import OVERLAP_EPS
 
@@ -131,6 +131,14 @@ def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
+def hermitian_coordinates(m: np.ndarray, d: int) -> np.ndarray:
+    """The real matrix ``U^dag M U`` of the superoperator matrix ``m`` of a map in Kraus
+    form on ``d x d`` operators, by the dense change of basis with
+    ``U = from_hermitian_coordinates(1, d)``: the reference for ``spectral._coordinates``."""
+    u = from_hermitian_coordinates(np.eye(d * d), d)
+    return (u.conj().T @ m @ u).real
+
+
 def schur_split(ch: QuantumChannel, select) -> tuple[SpectralSpace, float, float]:
     """The spectral split of a square channel by one ordered real Schur form,
     whatever the symmetry of its matrix; the reference for ``spectral._split``.
@@ -165,6 +173,16 @@ def schur_split(ch: QuantumChannel, select) -> tuple[SpectralSpace, float, float
     interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
     gap = 1.0 - float(interior.max()) if interior.size else math.inf
     return space, gap, float(np.sqrt(1.0 + np.linalg.norm(x, 2) ** 2))
+
+
+def superoperator_eigenspace(ch: QuantumChannel, select) -> np.ndarray:
+    """Vectorized operators (columns) spanning the eigenvectors of the complex
+    superoperator whose eigenvalues ``select(re, im)`` accepts, from one ordered
+    complex Schur form: no Hermitian coordinates, so no basis of them, is read.
+    The span is the eigenspace when those eigenvalues are semisimple."""
+    _, z, k = scipy.linalg.schur(to_superoperator(ch).matrix, output="complex",
+                                 sort=lambda w: select(w.real, w.imag))
+    return z[:, :k]
 
 
 def subspace_distance(a: OperatorSpace | np.ndarray, b: OperatorSpace | np.ndarray) -> float:

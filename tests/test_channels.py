@@ -19,14 +19,12 @@ from ipstruct import (
     to_superoperator,
 )
 from ipstruct.channels import (
-    _hermitian_basis,
     _psd_support,
     from_hermitian_coordinates,
-    hermitian_coordinates,
     is_projector,
     projector_onto_support,
 )
-from ipstruct import zoo
+from ipstruct import spectral, zoo
 from ipstruct.spectral import _joint_support
 from ipstruct.structures import transpose_channel, unconditional_recovery
 from ipstruct.tolerances import RANK_REL
@@ -62,7 +60,6 @@ def _composite(ch):
     return compose(unconditional_recovery(ch), ch)
 
 
-# d = 18 has n = 324 rows: blocks of five with a remainder of four
 @pytest.mark.parametrize("build", [
     *(lambda d=d: zoo.random_cptp(d, 2, d) for d in (1, 2, 3, 5, 18)),
     lambda: _composite(zoo.random_cptp(5, 3, 1)),
@@ -76,11 +73,48 @@ def test_hermitian_coordinates_match_the_dense_change_of_basis(build):
         b = unvec(column, d, d)
         assert_allclose(b, b.conj().T, atol=0)
     m = to_superoperator(ch).matrix
-    before = m.copy()
-    m_r = hermitian_coordinates(m, d)
-    assert np.array_equal(m, before)  # only read
+    before = [k.copy() for k in ch.kraus]
+    m_r = spectral._coordinates(ch)
+    assert all(np.array_equal(k, b) for k, b in zip(ch.kraus, before))  # only read
     assert m_r.dtype == np.float64 and m_r.flags.f_contiguous
     assert_allclose(m_r, u.conj().T @ m @ u, atol=1e-14)
+
+
+def _five_qubit_composite():
+    """R o E for the five-qubit code under one random depolarization: 400 Kraus operators."""
+    ch = zoo.fixture("five_qubit_depolarize_one")
+    return compose(transpose_channel(ch, zoo.five_qubit_code_projector()), ch)
+
+
+@pytest.mark.parametrize("build", [lambda: zoo.random_cptp(6, 3, 2), _five_qubit_composite],
+                         ids=["cptp-6", "five-qubit-composite"])
+def test_superoperator_ignores_the_kraus_layout(build):
+    # the Kraus operators are stacked in C order whatever their layout, so the
+    # transposed views that spectral._coordinates passes take the same product
+    ch = build()
+    fortran = channel_from_kraus([np.asfortranarray(k) for k in ch.kraus])
+    assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in fortran.kraus)
+    assert np.array_equal(to_superoperator(fortran).matrix, to_superoperator(ch).matrix)
+
+
+@pytest.mark.parametrize("build", [*(lambda s=s: zoo.random_cptp(16, 9, s) for s in range(2)),
+                                   _five_qubit_composite],
+                         ids=["cptp-16-9-0", "cptp-16-9-1", "five-qubit-composite"])
+def test_hermitian_coordinates_hold_only_the_superoperator_and_the_result(build):
+    # S beside the two Kraus stacks of to_superoperator and a view object per K^T
+    # (no copy of the adjoint operators), then S beside M_r (no ufunc buffer for
+    # the strided views of S), with 16 KiB to spare: within the sum of all four
+    ch = build()
+    n, kraus = ch.dim_in ** 2, np.array(ch.kraus).nbytes
+    phases = max(16 * n * n + 2 * kraus + 256 * len(ch.kraus), 16 * n * n + 8 * n * n)
+    tracemalloc.start()
+    try:
+        m_r = spectral._coordinates(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m_r.shape == (n, n)
+    assert peak <= phases + 16 * 1024 <= 16 * n * n + 8 * n * n + 2 * kraus + 16 * 1024
 
 
 def _square_channel(name):
@@ -104,11 +138,12 @@ _SWAP_INPUTS = {
 
 @pytest.mark.parametrize("build", _SWAP_INPUTS.values(), ids=_SWAP_INPUTS.keys())
 def test_superoperator_is_conjugated_by_the_transpose_permutation(build):
-    # hermitian_coordinates reads one row block per block of M_r because every
-    # map in Kraus form has S = Pi conj(S) Pi, Pi the permutation swap
+    # the Hermitian coordinates are Re S - Im S F because every map in Kraus
+    # form has S = F conj(S) F, F the permutation swap of vec(X) -> vec(X^T)
     ch = build()
     s = to_superoperator(ch).matrix
-    swap = _hermitian_basis(ch.dim_in)[1]
+    d = ch.dim_in
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
     eps = np.finfo(float).eps
     assert np.max(np.abs(s[swap][:, swap] - s.conj())) <= 4 * eps * np.max(np.abs(s))
 

@@ -27,12 +27,11 @@ from ipstruct import (
 )
 from ipstruct import spectral
 from ipstruct.algebra import commutant
-from ipstruct.channels import hermitian_coordinates
 from ipstruct.spectral import _split, operator_space_from_span
 from ipstruct.structures import unconditional_recovery
 from ipstruct.tolerances import DEFAULT_TOL, PERIPHERAL, SELF_ADJOINT, SPECTRAL_GAP
 from oracles import (apply_superoperator, inverse_certificate, is_unital, numerical_abscissa,
-                     schur_split, subspace_distance, vec)
+                     schur_split, subspace_distance, superoperator_eigenspace, vec)
 
 
 def test_unitary_channel_spectrum():
@@ -435,8 +434,8 @@ def _perturbed(ch, asymmetry):
 def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     # Bauer-Fike: the eigenvalues of M = S + K, S symmetric, lie within
     # ||K||_2 <= ||K||_F of S's, far below PERIPHERAL, so both sides of the
-    # cut select the same eigenvalues; the composite's 64 rows span two
-    # blocks of the asymmetry sum, and the perturbation sits in the last.
+    # cut select the same eigenvalues; the composite's 64 rows fill one
+    # tile of the asymmetry sum.
     # From the size floor on, the certified solve answers for both: with two
     # Cholesky factorizations of a symmetric map (the "eigh" side), with one LU
     # factorization and the Cholesky factorization of its certificate otherwise
@@ -450,6 +449,19 @@ def test_symmetry_cut_picks_the_factorization(ch, scale, method, monkeypatch):
     assert calls == (symmetric if method == "eigh" else general)
     assert space.size == reference.size
     assert subspace_distance(space, reference) <= DEFAULT_TOL.subspace
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+@pytest.mark.parametrize("at", [(-1, -2), (0, -1)], ids=["diagonal-tile", "mirrored-tiles"])
+def test_asymmetry_sum_counts_each_mirrored_tile_twice(at, scale):
+    # n = 144 spans three rows of 64 x 64 tiles: the pair (0, -1) falls in a tile
+    # and its mirror, which the sum reads once and counts twice, and the pair
+    # (-1, -2) in one tile on the diagonal; the verdict is that of the whole norm
+    m_r = spectral._coordinates(_composite(zoo.random_cptp(12, 3, 1)))
+    i, j = at
+    m_r[i, j] += scale * SELF_ADJOINT / (2.0 * math.sqrt(2.0))
+    m_r[j, i] -= scale * SELF_ADJOINT / (2.0 * math.sqrt(2.0))
+    assert spectral._symmetric(m_r) == (np.linalg.norm(m_r - m_r.T) <= SELF_ADJOINT) == (scale < 1)
 
 
 def test_symmetric_eigensolve_failure_is_numerical(monkeypatch):
@@ -594,7 +606,7 @@ GENERAL_INPUTS = {
 
 
 def _asymmetry(ch):
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    m_r = spectral._coordinates(ch)
     return np.linalg.norm(m_r - m_r.T)
 
 
@@ -654,7 +666,7 @@ def test_squarings_imply_the_inverse_certificate(build):
     # wherever its squarings answer, from any size (the floor only guards _split),
     # the dense inverse of the fixed split's certificate must pass too
     ch = build()
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    m_r = spectral._coordinates(ch)
     certified = spectral._certified(m_r, True)
     if certified is None:  # a peripheral phase other than 1: the Schur form answers
         assert schur_split(ch, _fixed)[0].size < schur_split(ch, _unit_circle)[0].size
@@ -674,7 +686,7 @@ def test_field_of_values_implies_the_inverse_certificate(build, monkeypatch):
     # field of values of X left of 1 - PERIPHERAL.  Where it fails, the eigensolve
     # must agree that the field of values crosses that line
     ch = build()
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    m_r = spectral._coordinates(ch)
     calls = _count_factorizations(monkeypatch)
     r, l, _, _ = spectral._certified(m_r, False)
     if calls == ["lu", "cholesky"]:
@@ -708,7 +720,7 @@ def test_fixed_certificate_allocates_no_square_temporary():
     # the symmetric part is written into the upper triangle of the one buffer the
     # LU factors used, 32 rows at a time: beside that buffer only small blocks
     ch = zoo.random_cptp(24, 3, 1)
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    m_r = spectral._coordinates(ch)
     tracemalloc.start()
     try:
         assert spectral._certified(m_r, False) is not None
@@ -735,7 +747,7 @@ def test_certified_solve_draws_once_and_solves_the_left_side_from_the_right(
     # the growth loop runs for A = M - (1 + delta) I only; L is A^-T A^-T R, two
     # transposed solves with the LU factors already held, each on the k columns of R
     ch = build()
-    m_r = hermitian_coordinates(to_superoperator(ch).matrix, ch.dim_in)
+    m_r = spectral._coordinates(ch)
     generators, left_solves = [], []
     default_rng, dgetrs = np.random.default_rng, scipy.linalg.lapack.dgetrs
 
@@ -943,6 +955,36 @@ def test_project_matches_the_dense_projector(name, split):
     expected = np.stack([apply_superoperator(dense, x) for x in stack])
     assert space.project(stack).shape == stack.shape
     assert np.max(np.abs(space.project(stack) - expected)) <= 1e-12
+
+
+# five-qubit (n = 1024) is left out: its dense complex Schur form takes 3 s a split
+BASIS_FREE_INPUTS = {
+    **{n: (lambda n=n: _square_fixture(n))
+       for n in SQUARE_FIXTURES if n != "five_qubit_depolarize_one"},
+    **{f"dfs-8-{s}": (lambda s=s: zoo.random_dfs_channel(8, 4, s)) for s in range(2)},
+}
+
+
+@pytest.mark.parametrize("peripheral", [False, True], ids=["fixed", "peripheral"])
+@pytest.mark.parametrize("build", BASIS_FREE_INPUTS.values(), ids=BASIS_FREE_INPUTS.keys())
+def test_spaces_match_the_superoperator_eigenspace(build, peripheral):
+    # the package's spaces against eigenvectors of S itself, so the Hermitian basis
+    # is tested only through its result: on the map, under a Kraus gauge (the same
+    # S) and under a unitary conjugation (S turned by conj(u) kron u).  The zoo
+    # takes the dense route below the size floor, the planted d = 8 maps the
+    # certified one
+    ch = build()
+    split, select = (rotating_space if peripheral else fixed_space), SELECT[peripheral]
+    rng = np.random.default_rng(ch.dim_in)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    u = unitary_group.rvs(ch.dim_in, random_state=rng)
+    gauged = channel_from_kraus([sum(m * k for m, k in zip(row, ch.kraus)) for row in mix])
+    turned = channel_from_kraus([u @ k @ u.conj().T for k in ch.kraus])
+    oracle = superoperator_eigenspace(ch, select)
+    assert oracle.shape[1] > 0
+    for variant, expected in ((ch, oracle), (gauged, oracle),
+                              (turned, np.kron(u.conj(), u) @ oracle)):
+        assert subspace_distance(split(variant), expected) <= DEFAULT_TOL.subspace
 
 
 def test_project_reads_its_stacks_in_place():
