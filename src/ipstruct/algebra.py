@@ -86,6 +86,8 @@ class AlgebraDecomposition:
 
     def element(self, blocks) -> np.ndarray:
         """Assemble the algebra element with factor blocks ``blocks[k]``."""
+        if len(blocks) != len(self.sectors):
+            raise ValidationError(f"{len(blocks)} blocks for {len(self.sectors)} sectors")
         return sum((_embed(s.isometry, m, np.eye(s.n)) for s, m in zip(self.sectors, blocks)),
                    np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex))
 

@@ -13,19 +13,9 @@ Operators are vectorized by **column stacking** (Fortran order), so that
     vec(A X B) = (B^T kron A) vec(X)
 
 and the superoperator of ``X -> sum_i K_i X K_i^dag`` is
-``sum_i conj(K_i) kron K_i``.  The convention lives in :func:`to_superoperator`,
-the Hermitian coordinates below and their reading in
-:func:`ipstruct.spectral._coordinates`; no other module builds vectorized
-indices by hand.
-
-Hermitian coordinates use the orthonormal basis of Hermitian operators
-``E_aa`` and ``((1 - i) E_ab + (1 + i) E_ba) / 2`` (``a != b``), labelled by the
-vectorized index of ``(a, b)``: the unitary ``U = alpha 1 + conj(alpha) F`` with
-``alpha = (1 - i) / 2`` and ``F`` the permutation ``vec(X) -> vec(X^T)``.  A
-Hermiticity-preserving map (``E(X)^dag = E(X^dag)``, as is every map in Kraus
-form) has a superoperator ``S`` with ``F S F = conj(S)``, so its matrix in this
-basis is the real ``U^dag S U = Re S - Im S F``: no phases and no complex
-arithmetic.
+``sum_i conj(K_i) kron K_i``.  The convention lives in :func:`to_superoperator`
+and in the Hermitian coordinates of :mod:`ipstruct.spectral`; no other module
+builds vectorized indices by hand.
 """
 
 from __future__ import annotations
@@ -43,7 +33,6 @@ __all__ = [
     "Superoperator",
     "StochasticChannel",
     "CptpReport",
-    "from_hermitian_coordinates",
     "channel_from_kraus",
     "to_superoperator",
     "apply_channel",
@@ -53,22 +42,6 @@ __all__ = [
     "is_projector",
     "projector_onto_support",
 ]
-
-
-# ---------------------------------------------------------------------------
-# vectorization (with spectral._coordinates, the only place the stacking convention appears)
-# ---------------------------------------------------------------------------
-
-def from_hermitian_coordinates(z: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized operators ``U z`` of real coordinate columns ``z``.  Read in C order as
-    ``d x d`` arrays, a column ``Y`` of ``z`` gives ``(Y + Y^T) / 2 + i (Y^T - Y) / 2``,
-    built per ``(d, d)`` slice."""
-    y = np.asarray(z, dtype=float).T.reshape(-1, d, d)
-    out = np.empty(y.shape, dtype=complex)
-    np.add(y, y.transpose(0, 2, 1), out=out.real)
-    np.subtract(y.transpose(0, 2, 1), y, out=out.imag)
-    out *= 0.5
-    return out.reshape(len(y), d * d).T
 
 
 # ---------------------------------------------------------------------------

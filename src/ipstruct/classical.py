@@ -39,6 +39,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValidationError(f"graph has a negative vertex count {self.n}")
         for (i, j) in self.edges:
             if i == j:
                 raise ValidationError(f"self-loop at vertex {i}")

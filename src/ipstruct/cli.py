@@ -19,7 +19,6 @@ from .channels import (
     QuantumChannel,
     StochasticChannel,
     apply_channel,
-    compose,
     embed_classical,
     is_cptp,
 )
@@ -192,15 +191,6 @@ def _witness_line(rep) -> str:
             f"{rep.distance_before:.6f} -> {rep.distance_after:.6f}")
 
 
-# the sweep levels, each answered by one PreservationReport; the checks are
-# looked up when called, so a rebinding of this module's names reaches them
-_SWEEP_LEVELS = {
-    "preserved": lambda code, ch, tol: is_preserved(code, ch, tol=tol),
-    "noiseless": lambda code, ch, tol: is_noiseless(code, ch, tol=tol),
-    "correctable": lambda code, ch, tol: is_correctable_via_transpose(code, ch, tol=tol),
-}
-
-
 def _cmd_verify_code(args) -> int:
     tol = _tolerance(args)
     ch, info = _load_channel(args.channel)
@@ -212,7 +202,9 @@ def _cmd_verify_code(args) -> int:
     if args.level == "fixed":
         verdict = is_fixed(code, ch, tol=tol)
     else:
-        rep = _SWEEP_LEVELS[args.level](code, ch, tol)
+        # the sweep levels, each answered by one PreservationReport
+        rep = {"preserved": is_preserved, "noiseless": is_noiseless,
+               "correctable": is_correctable_via_transpose}[args.level](code, ch, tol=tol)
         verdict = rep.verdict
         detail = _preservation_detail(rep)
         if args.level != "preserved":
@@ -252,11 +244,11 @@ def _cmd_transpose(args) -> int:
     recovery = transpose_channel(ch, proj, tol=tol)
     sys.stdout.write(dumps(channel_to_json(recovery)))
 
-    # self-check: trace preservation, and the composite returning the support to itself
+    # self-check: trace preservation, and R after E returning the support to itself
     rep = is_cptp(recovery)
     # a zero projector has already failed in transpose_channel (exit 3)
     rank = float(np.real(np.trace(proj)))
-    back = apply_channel(compose(recovery, ch), proj / rank)
+    back = apply_channel(recovery, apply_channel(ch, proj / rank))
     restored = float(np.linalg.norm(back - proj / rank))
     print(
         "self-check: "
@@ -315,9 +307,7 @@ def _dump_fixture(name: str) -> str:
         return dumps(channel_to_json(obj))
     if isinstance(obj, StochasticChannel):
         return dumps(stochastic_to_json(obj))
-    if isinstance(obj, Code):
-        return dumps(code_states_to_json(obj.states))
-    raise NumericalError(f"fixture {name!r} produced an unserializable object")
+    return dumps(code_states_to_json(obj.states))  # a Code
 
 
 def _cmd_fixtures(args) -> int:
@@ -408,7 +398,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         detail = ""
         if getattr(exc, "residuals", None):
             detail = "  [" + _fmt_residuals(exc.residuals) + "]"

@@ -149,8 +149,6 @@ def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
     ``(a+d)/2 +- hypot((a-d)/2, |b|)`` have moduli summing to ``|a+d|`` if
     they share a sign, else to ``hypot(a-d, 2|b|)``, whichever is larger.
     """
-    if stack.shape[0] == 0:
-        return np.zeros(0)
     if stack.shape[-1] == 2:
         a, d = stack[..., 0, 0].real, stack[..., 1, 1].real
         b = np.abs(stack[..., 0, 1] + stack[..., 1, 0].conj()) / 2

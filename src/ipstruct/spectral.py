@@ -7,9 +7,13 @@ extracts the right eigenoperators (the fixed or rotating operator space), the
 left ones (that space for the adjoint map) and the spectral projector onto the
 right space along all other components: for the fixed points, the time average.
 
-The split runs in Hermitian coordinates (see :mod:`ipstruct.channels`): in an
-orthonormal basis of Hermitian operators every map in Kraus form, being
-Hermiticity preserving, has a real matrix ``M_r``, so the split takes a
+The split runs in Hermitian coordinates: the orthonormal basis of Hermitian
+operators ``E_aa`` and ``((1 - i) E_ab + (1 + i) E_ba) / 2`` (``a != b``), labelled
+by the column-stacked index of ``(a, b)``, is the unitary ``U = alpha 1 + conj(alpha) F``
+with ``alpha = (1 - i) / 2`` and ``F`` the permutation ``vec(X) -> vec(X^T)``.  Every map
+in Kraus form is Hermiticity preserving (``E(X)^dag = E(X^dag)``), so its superoperator
+``S`` has ``F S F = conj(S)`` and its matrix in this basis is the real
+``M_r = U^dag S U = Re S - Im S F``; the split takes a
 :class:`~ipstruct.channels.QuantumChannel` only.  The right space has an
 orthonormal basis ``R`` and the left space a basis ``L`` with ``L^T R = 1``; as
 operators these are Hermitian, and the projector ``P = R L^dag`` stays factored
@@ -56,13 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .channels import (
-    QuantumChannel,
-    Superoperator,
-    _psd_support,
-    from_hermitian_coordinates,
-    to_superoperator,
-)
+from .channels import QuantumChannel, Superoperator, _psd_support, to_superoperator
 from .errors import NumericalError, ValidationError
 from .tolerances import (BASIS_ORTHONORMAL, CERTIFIED_RESIDUAL, INVERSE_CUT, INVERSE_SHIFT,
                          PAIRING_CONDITION, PERIPHERAL, RANK_REL, SELF_ADJOINT, SPECTRAL_GAP,
@@ -164,7 +162,8 @@ def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
         raise NumericalError(f"span matrix has shape {v.shape}, expected ({dim*dim}, k)")
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     keep = s > RANK_REL * np.max(s, initial=0.0)
-    return OperatorSpace(dim=dim, basis=_operators(u[:, keep], dim))
+    # the columns are column-stacked: a row of u^T, read in C order, is an operator transposed
+    return OperatorSpace(dim=dim, basis=u[:, keep].T.reshape(-1, dim, dim).transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +171,8 @@ def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
 # ---------------------------------------------------------------------------
 
 def _coordinates(ch: QuantumChannel) -> np.ndarray:
-    """The real matrix ``M_r = Re S - Im S F`` of a square channel in Hermitian coordinates
-    (see :mod:`ipstruct.channels`), in Fortran order so that LAPACK can overwrite it.
+    """The real matrix ``M_r = Re S - Im S F`` of a square channel in Hermitian coordinates,
+    in Fortran order so that LAPACK can overwrite it.
 
     It reads ``T = S^T``, the superoperator of the map with Kraus operators ``K^T`` (views,
     no copy), freed on return.  ``F T F = conj(T)`` makes ``M_r^T = Re T + Im T F``, whose
@@ -193,8 +192,16 @@ def _coordinates(ch: QuantumChannel) -> np.ndarray:
     return out.T
 
 
-def _operators(columns: np.ndarray, d: int) -> np.ndarray:
-    return columns.T.reshape(-1, d, d).transpose(0, 2, 1)
+def _hermitian_operators(z: np.ndarray, d: int) -> np.ndarray:
+    """The C-contiguous ``(k, d, d)`` stack of operators with real Hermitian coordinate
+    columns ``z``: a column ``Y``, read in C order as a ``d x d`` array, gives the operator
+    ``(Y + Y^T) / 2 + i (Y - Y^T) / 2``, built per ``(d, d)`` slice."""
+    y = np.asarray(z, dtype=float).T.reshape(-1, d, d)
+    out = np.empty(y.shape, dtype=complex)
+    np.add(y, y.transpose(0, 2, 1), out=out.real)
+    np.subtract(y, y.transpose(0, 2, 1), out=out.imag)
+    out *= 0.5
+    return out
 
 
 def _ordered_schur(m_r: np.ndarray, select) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
@@ -397,11 +404,10 @@ def _split(m_r: np.ndarray, d: int, peripheral: bool) -> tuple[SpectralSpace, fl
     if z1.shape[1] == 0:
         raise NumericalError("no unit-modulus eigenvalues found" if peripheral
                              else "no eigenvalue 1 found; is the map trace preserving?")
-    def stack(z):  # built once per distinct stack, C-contiguous: project reads it in place
-        return np.ascontiguousarray(_operators(from_hermitian_coordinates(z, d), d))
-
-    right = stack(z1)
-    dual, left = (right, right) if symmetric else (stack(np.linalg.qr(left)[0]), stack(left))
+    # each distinct stack is written once, C-contiguous: project reads it in place
+    right = _hermitian_operators(z1, d)
+    dual, left = (right, right) if symmetric else (
+        _hermitian_operators(np.linalg.qr(left)[0], d), _hermitian_operators(left, d))
     space = SpectralSpace(dim=d, basis=right, dual=OperatorSpace(dim=d, basis=dual), left=left)
     return space, gap, cond
 

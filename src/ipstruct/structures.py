@@ -96,6 +96,9 @@ class FixedPointStructure:
         """Assemble ``sum_k p_k V_k (blocks[k] (x) tau_k) V_k^dag``."""
         sectors = self.algebra.sectors
         weights = [1.0 / len(sectors)] * len(sectors) if weights is None else weights
+        if not len(blocks) == len(weights) == len(sectors):
+            raise ValidationError(f"{len(blocks)} blocks and {len(weights)} weights "
+                                  f"for {len(sectors)} sectors")
         return sum(w * _embed(s.isometry, m, tau)
                    for w, s, m, tau in zip(weights, sectors, blocks, self.distortion_states))
 
@@ -321,7 +324,10 @@ def initialization_free_check(ch: QuantumChannel, structure: FixedPointStructure
     root-sum-square, which a unitary mixing of the Kraus set leaves unchanged.
     """
     _require_square(ch)
-    sector = structure.algebra.sectors[sector_index]
+    sectors = structure.algebra.sectors
+    if not 0 <= sector_index < len(sectors):
+        raise ValidationError(f"sector index {sector_index} outside 0..{len(sectors) - 1}")
+    sector = sectors[sector_index]
     p_k = sector.isometry @ sector.isometry.conj().T
     comp = np.eye(ch.dim_in) - structure.support_projector
     residuals = tuple(map(float, np.linalg.norm(p_k @ np.stack(ch.kraus) @ comp, axis=(1, 2))))

@@ -16,7 +16,7 @@ from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
                       apply_channel, channel_from_kraus, to_superoperator)
 from ipstruct.algebra import _matrix_units
-from ipstruct.channels import from_hermitian_coordinates, is_projector
+from ipstruct.channels import is_projector
 from ipstruct.spectral import OperatorSpace, SpectralSpace
 from ipstruct.tolerances import OVERLAP_EPS
 
@@ -131,11 +131,21 @@ def helstrom_probability(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return 0.5 * (1.0 + trace_norm(p * np.asarray(rho) - (1.0 - p) * np.asarray(sigma)))
 
 
+def hermitian_basis(d: int) -> np.ndarray:
+    """The dense unitary ``U = alpha 1 + conj(alpha) F`` of Hermitian coordinates on
+    ``d x d`` operators, ``alpha = (1 - i) / 2`` and ``F`` the permutation
+    ``vec(X) -> vec(X^T)``: its columns are the column-stacked basis operators ``E_aa``
+    and ``((1 - i) E_ab + (1 + i) E_ba) / 2``, labelled by the vectorized index of ``(a, b)``."""
+    swap = np.arange(d * d).reshape(d, d).T.ravel()
+    alpha = (1 - 1j) / 2
+    return alpha * np.eye(d * d) + np.conj(alpha) * np.eye(d * d)[swap]
+
+
 def hermitian_coordinates(m: np.ndarray, d: int) -> np.ndarray:
     """The real matrix ``U^dag M U`` of the superoperator matrix ``m`` of a map in Kraus
-    form on ``d x d`` operators, by the dense change of basis with
-    ``U = from_hermitian_coordinates(1, d)``: the reference for ``spectral._coordinates``."""
-    u = from_hermitian_coordinates(np.eye(d * d), d)
+    form on ``d x d`` operators, by the dense change of basis ``U = hermitian_basis(d)``:
+    the reference for ``spectral._coordinates``."""
+    u = hermitian_basis(d)
     return (u.conj().T @ m @ u).real
 
 
@@ -160,15 +170,14 @@ def schur_split(ch: QuantumChannel, select) -> tuple[SpectralSpace, float, float
         assert info == 0
         x = x / scale
     left = z[:, :k] + z[:, k:] @ x.T
-    right = from_hermitian_coordinates(z[:, :k], d)
-    dual = from_hermitian_coordinates(np.linalg.qr(left)[0], d)
+    u = hermitian_basis(d)
 
-    def ops(columns):
-        return columns.T.reshape(-1, d, d).transpose(0, 2, 1)
+    def ops(coordinates):  # the operators U z, unstacked from their columns
+        return (u @ coordinates).T.reshape(-1, d, d).transpose(0, 2, 1)
 
     space = SpectralSpace(
-        dim=d, basis=ops(right), dual=OperatorSpace(dim=d, basis=ops(dual)),
-        left=ops(from_hermitian_coordinates(left, d)),
+        dim=d, basis=ops(z[:, :k]), dual=OperatorSpace(dim=d, basis=ops(np.linalg.qr(left)[0])),
+        left=ops(left),
     )
     interior = np.abs(scipy.linalg.eigvals(t[k:, k:]))
     gap = 1.0 - float(interior.max()) if interior.size else math.inf

@@ -170,6 +170,8 @@ def test_canonical_decompose_reconstructs_elements():
     blocks = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
               rng.standard_normal((1, 1))]
     elem = dec.element(blocks)
+    with pytest.raises(ValidationError, match="1 blocks for 2 sectors"):
+        dec.element(blocks[:1])
     v = space.vec_matrix()
     proj = v @ v.conj().T
     x = elem.reshape(-1, order="F")

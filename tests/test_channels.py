@@ -20,7 +20,6 @@ from ipstruct import (
 )
 from ipstruct.channels import (
     _psd_support,
-    from_hermitian_coordinates,
     is_projector,
     projector_onto_support,
 )
@@ -32,6 +31,7 @@ from oracles import (
     adjoint,
     apply_superoperator,
     choi_matrix,
+    hermitian_basis,
     is_hermitian,
     is_positive_semidefinite,
     is_unital,
@@ -67,11 +67,14 @@ def _composite(ch):
 def test_hermitian_coordinates_match_the_dense_change_of_basis(build):
     ch = build()
     d = ch.dim_in
-    u = from_hermitian_coordinates(np.eye(d * d), d)
+    u = hermitian_basis(d)
     assert_allclose(u.conj().T @ u, np.eye(d * d), atol=1e-14)
-    for column in u.T:
-        b = unvec(column, d, d)
+    basis = [unvec(column, d, d) for column in u.T]
+    for b in basis:
         assert_allclose(b, b.conj().T, atol=0)
+    # the split's inverse change of basis writes the same operators, bit for bit
+    operators = spectral._hermitian_operators(np.eye(d * d), d)
+    assert operators.flags.c_contiguous and np.array_equal(operators, basis)
     m = to_superoperator(ch).matrix
     before = [k.copy() for k in ch.kraus]
     m_r = spectral._coordinates(ch)

@@ -45,6 +45,8 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValidationError, match="negative vertex count"):
+        Graph.from_edges(-1, [])
     g = Graph.from_edges(3, [(2, 0)])
     assert (0, 2) in g.edges
     assert g.neighbors(0) == {2}

@@ -147,6 +147,18 @@ def test_analyze_symmetric_eigensolve_failure_exits_3(fixtures_dir, capsys, monk
     )
     assert code == 3
     assert "symmetric eigensolve" in err
+    # a LinAlgError from an eigensolve that no site converts is a numerical failure too
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code, _, err = run_cli(capsys, "analyze", "--channel", str(fixtures_dir / "depolarize_B.json"))
+    assert code == 3 and err.startswith("numerical failure: the algorithm failed to converge")
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigh)
+    code, _, err = run_cli(
+        capsys, "verify-code", "--channel", str(fixtures_dir / "qutrit_half_fail.json"),
+        "--code", str(fixtures_dir / "code_qutrit_half_pair.json"), "--level", "preserved",
+    )
+    assert code == 3 and err.startswith("numerical failure: the algorithm failed to converge")
 
 
 def test_analyze_without_spectral_gap_exits_3(tmp_path, capsys):

@@ -340,6 +340,8 @@ def test_hermitian_trace_norm_matches_nuclear_norm(d):
     stack = g + g.conj().swapaxes(-1, -2)
     got = codes._batched_trace_norm(stack)
     assert_allclose(got, [trace_norm(x) for x in stack], rtol=0, atol=1e-12)
+    # an empty stack takes the general path, the 2x2 closed form at d = 2
+    assert codes._batched_trace_norm(stack[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8])

@@ -89,7 +89,7 @@ def _cli_tolerance_calls():
     """For each ``_cmd_*`` function of the CLI: whether it calls ``_tolerance``,
     and the names of the functions it passes the result to.  A callee
     ``TABLE[key]`` stands for every value of the module-level dict ``TABLE``,
-    and a lambda there for the functions it passes its ``tol`` to."""
+    and a callee ``{...}[key]`` for every value of that dict literal."""
     tree = ast.parse((ROOT / "src" / "ipstruct" / "cli.py").read_text())
     tables = {t.id: node.value.values for node in tree.body
               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
@@ -103,10 +103,10 @@ def _cli_tolerance_calls():
                     for v in [*node.args, *(k.value for k in node.keywords)])):
                 continue
             f = node.func
-            if isinstance(f, ast.Subscript) and getattr(f.value, "id", None) in tables:
-                for v in tables[f.value.id]:
-                    out |= callees(v.body, "tol") if isinstance(v, ast.Lambda) else {
-                        getattr(v, "id", None)}
+            table = getattr(f, "value", None) if isinstance(f, ast.Subscript) else None
+            if isinstance(table, ast.Dict) or getattr(table, "id", None) in tables:
+                values = table.values if isinstance(table, ast.Dict) else tables[table.id]
+                out |= {getattr(v, "id", None) for v in values}
             else:
                 out.add(getattr(f, "id", getattr(f, "attr", None)))
         return out

@@ -160,6 +160,16 @@ def test_sample_state_is_fixed():
     blocks = [random_state(dk, rng) for dk in s.shape]
     rho = s.sample_state(blocks)
     assert np.linalg.norm(apply_channel(ch, rho) - rho) < 1e-9
+    # one block or weight per sector: none is dropped or ignored
+    two = noiseless_structure(zoo.fixture("unitary_A_depolarize_B"))
+    assert len(two.algebra.sectors) == 2
+    for blocks in [np.eye(1)], [np.eye(1)] * 3:
+        with pytest.raises(ValidationError, match="sectors"):
+            two.sample_state(blocks)
+        with pytest.raises(ValidationError, match="sectors"):
+            two.algebra.element(blocks)
+    with pytest.raises(ValidationError, match="1 weights for 2 sectors"):
+        two.sample_state([np.eye(1)] * 2, [1.0])
 
 
 def test_unitarily_noiseless_vs_noiseless_rotation():
@@ -617,6 +627,9 @@ def test_initialization_free_planted():
     rep = initialization_free_check(ch, s, idx)
     assert rep.initialization_free
     assert max(rep.kraus_residuals) < 1e-9
+    for outside in (-1, len(s.algebra.sectors)):  # no wrap-around to the last sector
+        with pytest.raises(ValidationError, match="sector index"):
+            initialization_free_check(ch, s, outside)
 
 
 def test_initialization_free_fails_with_leak():
