@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DecompositionError, NumericalError, ValidationError
 from .spectral import OperatorSpace, _is_orthonormal, operator_space_from_span
-from .tolerances import (CLUSTER_FLOOR, CLUSTER_REL, DEFAULT_TOL, RANK_REL, SECTOR_TIE_DIGITS,
-                         TRANSPORT_FLOOR, TRANSPORT_REL, ToleranceConfig)
+from .tolerances import (CLUSTER_REL, DEFAULT_TOL, RANK_REL, SECTOR_TIE_DIGITS, TRANSPORT_FLOOR,
+                         TRANSPORT_REL, ToleranceConfig)
 
 __all__ = [
     "Sector",
@@ -166,19 +166,15 @@ def commutant(space: OperatorSpace, tol: ToleranceConfig = DEFAULT_TOL) -> Opera
 # canonical decomposition
 # ---------------------------------------------------------------------------
 
-def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Eigenvectors of a Hermitian ``h`` and the index groups of its ascending
-    eigenvalues, split where neighbours differ by more than ``CLUSTER_REL``
-    times their spread."""
+def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors of a Hermitian ``h`` and the bounds of the clusters of its
+    ascending eigenvalues, cluster ``i`` being ``bounds[i]:bounds[i + 1]``: one
+    starts where an eigenvalue exceeds its predecessor by more than
+    ``CLUSTER_REL`` times their spread or, below unit spread, by more than an
+    absolute ``CLUSTER_REL`` (1e-7)."""
     w, v = np.linalg.eigh(h)
-    width = max(CLUSTER_REL * max(float(w[-1] - w[0]), 1.0), CLUSTER_FLOOR)
-    groups: list[list[int]] = [[0]]
-    for idx in range(1, len(w)):
-        if w[idx] - w[groups[-1][-1]] <= width:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return v, [np.array(g) for g in groups]
+    width = CLUSTER_REL * max(float(w[-1] - w[0]), 1.0)
+    return v, np.flatnonzero(np.concatenate(([True], np.diff(w) > width, [True])))
 
 
 def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -290,38 +286,40 @@ def _decompose_once(space: OperatorSpace, rng: np.random.Generator) -> list[Sect
     block from a sector's first cluster to another carries the first
     cluster's basis onto that factor row.
     """
-    v, clusters = _eigen_clusters(_random_hermitian_in(space.basis, rng))
+    v, bounds = _eigen_clusters(_random_hermitian_in(space.basis, rng))
     g = v.conj().T @ _random_element_in(space.basis, rng) @ v
-    starts = [c[0] for c in clusters]
+    starts, sizes = bounds[:-1], np.diff(bounds)
     weight = np.add.reduceat(np.add.reduceat(np.abs(g) ** 2, starts, axis=0), starts, axis=1)
     linked = weight > (TRANSPORT_REL * np.linalg.norm(g)) ** 2
     linked |= linked.T
 
     sectors = []
-    free = np.ones(len(clusters), dtype=bool)
+    free = np.ones(len(starts), dtype=bool)
     while free.any():
         # the clusters connected to the first free one, in ascending order
-        member = np.arange(len(clusters)) == np.argmax(free)
+        member = np.arange(len(starts)) == np.argmax(free)
         while not np.array_equal(grown := member | linked[member].any(axis=0), member):
             member = grown
         free &= ~member
-        rows = [clusters[i] for i in np.flatnonzero(member)]
-        n = len(rows[0])
-        if any(len(c) != n for c in rows):
+        n = int(sizes[member][0])
+        if np.any(sizes[member] != n):
             raise DecompositionError(
                 "eigenvalue clusters of one sector differ in size",
-                residuals={"clusters": float(len(rows))},
+                residuals={"clusters": float(np.count_nonzero(member))},
             )
-        columns = [v[:, rows[0]]]
-        for c in rows[1:]:
-            u, s, vh = np.linalg.svd(g[np.ix_(c, rows[0])])
-            if s[-1] < TRANSPORT_REL * max(s[0], TRANSPORT_FLOOR):
+        rows = starts[member][:, None] + np.arange(n)  # each cluster's indices
+        columns = v[:, rows].transpose(1, 0, 2)  # (clusters, dim, n): their eigenvectors
+        if len(rows) > 1:
+            # the blocks of g from the first cluster to each other one, and their polar factors
+            u, s, vh = np.linalg.svd(g[rows[1:, :, None], rows[0]])
+            deficient = s[:, -1] < TRANSPORT_REL * np.maximum(s[:, 0], TRANSPORT_FLOOR)
+            if deficient.any():
                 raise DecompositionError(
                     "algebra transport between eigenspaces is rank deficient",
-                    residuals={"min_singular": float(s[-1])},
+                    residuals={"min_singular": float(s[np.argmax(deficient), -1])},
                 )
-            columns.append(v[:, c] @ (u @ vh))
-        sectors.append(Sector(d=len(rows), n=n, isometry=np.column_stack(columns)))
+            columns[1:] = columns[1:] @ (u @ vh)
+        sectors.append(Sector(len(rows), n, columns.transpose(1, 0, 2).reshape(len(v), -1)))
     return sectors
 
 

@@ -47,7 +47,7 @@ Memory: the change of coordinates holds the complex superoperator of the
 transposed map (only read) and writes its real form ``M_r`` (half of it) in one
 pass, with no temporary; the superoperator is freed before any factorization.
 The certified solve reads ``M_r`` and fills one buffer of its size in place (two
-while it squares) beside the ``n x 2k`` block of :func:`_amplified`; a dense
+while it squares) beside the ``n x (k + 2)`` block of :func:`_amplified`; a dense
 solve overwrites ``M_r``, ``evd`` with two more buffers.  Only the selected
 columns outlive the split.
 """
@@ -145,10 +145,9 @@ def _joint_support(ops: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of ``sum_x x x^dag + x^dag x``
     over a ``(k, dim, dim)`` stack ``ops``; largest eigenvalue first.
     Eigenvalues below ``RANK_REL`` times the largest count as zero."""
-    acc = np.zeros(ops.shape[1:], dtype=complex)
-    for x in ops:
-        acc += x @ x.conj().T + x.conj().T @ x
-    return _psd_support(acc)[1]
+    d = ops.shape[-1]
+    wide, tall = ops.transpose(1, 0, 2).reshape(d, -1), ops.reshape(-1, d)  # [x_1 ...], [x_1; ...]
+    return _psd_support(wide @ wide.conj().T + tall.conj().T @ tall)[1]
 
 
 def operator_space_from_span(vectors: np.ndarray, dim: int) -> OperatorSpace:
@@ -226,18 +225,22 @@ def _amplified(factor: np.ndarray, piv: np.ndarray | None = None) -> np.ndarray:
     ``piv``, the Cholesky factor ``U`` of ``-A = U^T U``, whose pivots are ``U_ii^2``.
 
     Block inverse iteration from a fixed-seed block, drawn in Fortran order and solved in
-    place, of twice the count of pivots below ``delta / INVERSE_CUT`` (at least 2), which only
-    sizes it: it grows until at most half its columns are amplified (``k`` singular values of
-    ``Y = A^-1 X`` above the cut, from ``Y^T Y``, which loses only what lies 1e-8 below the
-    largest), and one more solve on those ``k`` gives them.  No column once ``2 k >= n``.
+    place, of ``k + min(k, 2)`` columns for the count ``k`` of pivots below ``delta /
+    INVERSE_CUT`` (at least 1): it grows until ``min(k, 2)`` columns come out unamplified
+    (``k`` singular values of ``Y = A^-1 X`` above the cut, from ``Y^T Y``, which loses only
+    what lies 1e-8 below the largest), to the new ``k + min(k, 2)`` or, while all are
+    amplified, to ``2 k``; one more solve on those ``k`` gives them.  No column once ``2 k >=
+    n``.  The size only moves cost: a cluster direction that the block misses leaves ``X = M -
+    R L^T`` an eigenvalue near 1, a certificate fails and the dense solve answers.
     """
     lapack, n, rng = scipy.linalg.lapack, len(factor), np.random.default_rng(0)
     pivots = factor.diagonal() ** 2 if piv is None else abs(factor.diagonal())
     solve = ((lambda b: lapack.dpotrs(factor, b, overwrite_b=True)[0]) if piv is None
              else lambda b: lapack.dgetrs(factor, piv, b, overwrite_b=True)[0])
     y, k = np.empty((n, 0)), max(1, int(np.sum(pivots * INVERSE_CUT < INVERSE_SHIFT)))
-    while n > 2 * k > y.shape[1]:
-        x = solve(rng.standard_normal((2 * k - y.shape[1], n)).T / math.sqrt(n))
+    while 2 * k < n and y.shape[1] < k + min(k, 2):
+        width = 2 * k if k == y.shape[1] else k + min(k, 2)
+        x = solve(rng.standard_normal((width - y.shape[1], n)).T / math.sqrt(n))
         y = np.hstack([y, x]) if y.shape[1] else x
         w, v = np.linalg.eigh(y.T @ y)  # ascending
         k = int(np.count_nonzero(INVERSE_SHIFT ** 2 * w > INVERSE_CUT ** 2))

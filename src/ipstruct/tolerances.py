@@ -57,8 +57,7 @@ CERTIFIED_RESIDUAL = 1e-10  # ||MR - R||_F and ||M^T L - L||_F / ||L||_2 up to t
 SQUARINGS = 8  # squarings of M - R L^T that may prove the rest of the spectrum inside the gap
 SELF_ADJOINT = 1e-12  # ||M - M^T||_F up to this: a symmetric eigensolve, off by at most this
 PAIRING_CONDITION = 1e12  # largest condition of the fixed-space right/left pairing
-CLUSTER_REL = 1e-7  # eigenvalue cluster width, relative to a generic element's spread
-CLUSTER_FLOOR = 1e-12  # absolute floor of that width, for an element of tiny spread
+CLUSTER_REL = 1e-7  # eigenvalue cluster width relative to a generic element's spread, absolute below spread 1
 SECTOR_TIE_DIGITS = 6  # decimals of the projector entries that order sectors of one shape
 BASIS_ORTHONORMAL = 1e-8  # entrywise orthonormality of an operator-space basis
 TRANSPORT_REL = 1e-8  # row transport: least singular value over the largest; cluster link: block over ||g||_F

@@ -305,6 +305,57 @@ def test_degenerate_centre_draw_is_retried(monkeypatch):
     assert dec.residuals["max_residual"] < 1e-8
 
 
+@pytest.mark.parametrize("w, bounds", [
+    # below unit spread the width is an absolute CLUSTER_REL = 1e-7
+    ([0.0, 0.6e-7, 1.2e-7, 1.8e-7, 0.5], [0, 4, 5]),  # a chain wider than the width is one cluster
+    ([0.0, 1e-7], [0, 2]),  # a step of exactly the width joins
+    ([0.0, np.nextafter(1e-7, 1.0)], [0, 1, 2]),  # one just above it splits
+    # from unit spread on, the width is CLUSTER_REL times the spread, here 4.0000005e-7
+    ([0.0, 4.0, 4.0 + 3e-7, 4.0 + 5e-7], [0, 1, 4]),
+    ([3.0], [0, 1]),
+    ([2.0, 2.0, 2.0], [0, 3]),
+], ids=["chain", "at-width", "above-width", "relative-chain", "one", "all-equal"])
+def test_eigen_clusters_compare_each_eigenvalue_with_its_predecessor(w, bounds):
+    h = np.diag(w).astype(complex)
+    assert np.array_equal(np.linalg.eigh(h)[0], w)  # the eigensolve returns w as given
+    v, got = ipstruct.algebra._eigen_clusters(h)
+    assert got.tolist() == bounds
+    assert v.shape == h.shape
+
+
+def _decompose_with_draws(monkeypatch, a, g):
+    """``canonical_decompose`` of the full matrix algebra on ``len(a)`` dimensions
+    with the generic Hermitian element ``a`` and the generic element ``g`` on every
+    attempt: the error of the last attempt."""
+    monkeypatch.setattr(ipstruct.algebra, "_random_hermitian_in", lambda ops, rng: a)
+    monkeypatch.setattr(ipstruct.algebra, "_random_element_in", lambda ops, rng: g)
+    space = space_of(len(a), [(len(a), 1)], np.eye(len(a)))
+    with pytest.raises(DecompositionError) as info:
+        canonical_decompose(space)
+    return info.value
+
+
+def test_clusters_of_one_sector_that_differ_in_size_fail(monkeypatch):
+    # clusters {0, 1} and {2} of a, coupled by g into one sector
+    error = _decompose_with_draws(monkeypatch, np.diag([0.0, 0.0, 1.0]).astype(complex),
+                                  np.ones((3, 3), dtype=complex))
+    assert str(error) == "eigenvalue clusters of one sector differ in size"
+    assert error.residuals == {"clusters": 2.0}
+
+
+def test_rank_deficient_transport_fails_with_its_least_singular_value(monkeypatch):
+    # clusters {0, 1}, {2, 3} and {4, 5} of a, all in one sector: the block of g
+    # from the first to the second is the identity, to the third it has singular
+    # values 1 and 1e-12, which the error reports
+    g = np.zeros((6, 6), dtype=complex)
+    g[2:4, :2], g[4:, :2] = np.eye(2), np.diag([1.0, 1e-12])
+    a = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]).astype(complex)
+    error = _decompose_with_draws(monkeypatch, a, g)
+    assert str(error) == "algebra transport between eigenspaces is rank deficient"
+    assert error.residuals.keys() == {"min_singular"}
+    assert error.residuals["min_singular"] == pytest.approx(1e-12, rel=1e-6)
+
+
 def test_matrix_units_follow_the_factor_major_layout():
     rng = np.random.default_rng(9)
     iso = haar_unitary(6, rng)[:, :4]

@@ -395,17 +395,18 @@ def test_support_of_zero_matrix_is_empty(d):
 
 def test_joint_support_is_unchanged_bit_for_bit():
     # the support basis feeds the decomposition, so its columns, phases and
-    # order must stay those of this formula
+    # order must stay those of this formula: sum_x x x^dag + x^dag x as two
+    # products, of the operators side by side and of the operators stacked
     rng = np.random.default_rng(23)
-    for d, r, k in [(3, 1, 2), (4, 2, 3), (6, 3, 2), (8, 8, 4), (8, 5, 6)]:
+    for d, r, k in [(3, 1, 2), (4, 2, 3), (6, 3, 2), (8, 8, 4), (8, 5, 6), (5, 0, 0)]:
         iso = unitary_group.rvs(d, random_state=rng)[:, :r]
         g = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
         ops = iso @ g @ iso.conj().T
-        acc = np.zeros((d, d), dtype=complex)
-        for x in ops:
-            acc += x @ x.conj().T + x.conj().T @ x
+        wide = np.concatenate(list(ops), axis=1) if k else np.zeros((d, 0), dtype=complex)
+        tall = ops.reshape(k * d, d)
+        acc = wide @ wide.conj().T + tall.conj().T @ tall
         w, v = np.linalg.eigh((acc + acc.conj().T) / 2.0)
         expected = v[:, w > RANK_REL * np.max(np.abs(w))][:, ::-1]
         got = _joint_support(ops)
-        assert got.shape == (d, r)
+        assert got.shape == (d, r)  # the empty stack (k = 0) has an empty support
         assert np.array_equal(got, expected)

@@ -175,6 +175,26 @@ def test_analyze_without_spectral_gap_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("gamma, shape", [(5e-9, [8]), (1.2e-8, None), (1.5e-8, None),
+                                          (1.8e-8, None), (5e-8, [4])])
+def test_analyze_amplitude_damping_across_the_fixed_cut(tmp_path, capsys, gamma, shape):
+    # amplitude damping (x) 1_4 at d = 8: the coherences (lambda ~ 1 - gamma / 2) and
+    # the population (lambda = 1 - gamma) fall on either side of PERIPHERAL = 1e-8
+    # for gamma in [1.1e-8, 2e-8), and the selected set is no algebra: exit 3 with
+    # nothing on stdout.  Below it the whole M_8 is fixed, above it |0><0| (x) M_4
+    damping = [np.diag([1.0, np.sqrt(1.0 - gamma)]), np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])]
+    path = tmp_path / "amplitude_damping.json"
+    path.write_text(dumps(channel_to_json(channel_from_kraus([np.kron(k, np.eye(4))
+                                                              for k in damping]))))
+    code, out, _ = run_cli(capsys, "analyze", "--channel", str(path), "--mode", "noiseless",
+                           "--json")
+    if shape is None:
+        assert (code, out) == (3, "")
+    else:
+        doc = json.loads(out)
+        assert (code, doc["shape"], doc["cofactors"]) == (0, shape, [1])
+
+
 def test_analyze_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
