@@ -7,11 +7,11 @@ direct sum of full matrix factors with multiplicity,
 
 and this module recovers that shape numerically by the eigenspace grouping
 of Murota, Kanno, Kojima and Kojima (Japan J. Indust. Appl. Math., 2010).
-The strategy is randomized but seed-deterministic.  A generic Hermitian
-element of the span reads ``sum_k h_k (x) 1_{n_k}``, so its eigenvalues fall
-into ``d_k`` clusters of ``n_k`` in each sector: the factor rows.  A generic
-element couples two clusters exactly when they lie in one sector, so the
-connected clusters are the sectors, and its coupling blocks transport the
+The strategy is randomized but seed-deterministic: one generic element is
+drawn per attempt.  Its Hermitian part reads ``sum_k h_k (x) 1_{n_k}``, so its
+eigenvalues fall into ``d_k`` clusters of ``n_k`` in each sector: the factor
+rows.  The element couples two clusters exactly when they lie in one sector, so
+the connected clusters are the sectors, and its coupling blocks transport the
 first row of a sector onto the others, fixing the tensor alignment.
 
 No separate closure check runs.  The span of the sector matrix units is a
@@ -38,7 +38,7 @@ __all__ = [
     "verify_decomposition",
 ]
 
-# fresh draws of the two generic elements before a decomposition fails
+# fresh draws of the generic element before a decomposition fails
 DECOMPOSE_ATTEMPTS = 3
 
 
@@ -177,11 +177,6 @@ def _eigen_clusters(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, np.flatnonzero(np.concatenate(([True], np.diff(w) > width, [True])))
 
 
-def _random_hermitian_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    z = _random_element_in(ops, rng)
-    return (z + z.conj().T) / 2.0
-
-
 def _random_element_in(ops: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     k = len(ops)
     return np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), ops, axes=1)
@@ -276,18 +271,21 @@ def _decompose_on(span: OperatorSpace, v: np.ndarray, seed: int,
 
 
 def _decompose_once(space: OperatorSpace, rng: np.random.Generator) -> list[Sector]:
-    """The sectors of a span with full support, from one generic Hermitian
-    element ``a`` and one generic element ``g``.
+    """The sectors of a span with full support, from one generic element ``g``
+    and its Hermitian part ``a = (g + g^dag) / 2``.
 
     Each sector ``M_d (x) 1_n`` holds ``d`` eigenvalue clusters of ``a``, all
     of size ``n``; the clusters partition the support.  Two clusters share a
     sector when the block of ``g`` between them, in ``a``'s eigenbasis,
-    exceeds ``TRANSPORT_REL`` times ``||g||_F``.  The polar factor of the
-    block from a sector's first cluster to another carries the first
+    exceeds ``TRANSPORT_REL`` times ``||g||_F``.  Those blocks are the
+    anti-Hermitian part's, which for a Gaussian draw on a *-closed span is
+    independent of ``a``: as generic as a second draw.  The polar factor of
+    the block from a sector's first cluster to another carries the first
     cluster's basis onto that factor row.
     """
-    v, bounds = _eigen_clusters(_random_hermitian_in(space.basis, rng))
-    g = v.conj().T @ _random_element_in(space.basis, rng) @ v
+    g = _random_element_in(space.basis, rng)
+    v, bounds = _eigen_clusters((g + g.conj().T) / 2.0)
+    g = v.conj().T @ g @ v
     starts, sizes = bounds[:-1], np.diff(bounds)
     weight = np.add.reduceat(np.add.reduceat(np.abs(g) ** 2, starts, axis=0), starts, axis=1)
     linked = weight > (TRANSPORT_REL * np.linalg.norm(g)) ** 2
@@ -374,14 +372,18 @@ def _in_sectors(sectors, cofactors, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(coords, axis=1), distance
 
 
+def _chunk(dim: int) -> int:
+    """Operators per chunk of a batched pass over ``dim x dim`` operators: an eighth of S."""
+    return -(-dim ** 2 // 8)
+
+
 def _residuals(space: OperatorSpace, sectors) -> dict[str, float]:
     """The :func:`verify_decomposition` report for an orthonormal basis, via :func:`_in_sectors`."""
     v = np.concatenate([s.isometry for s in sectors], axis=1)
     labels = np.repeat(np.arange(len(sectors)), [s.d * s.n for s in sectors])
     gram, on_block = np.abs(v.conj().T @ v - np.eye(v.shape[1])), labels[:, None] == labels
 
-    # chunks of d^2 / 8 elements (an eighth of the superoperator), as in _structure_from_space
-    step, cofactors = -(-space.dim ** 2 // 8), [np.eye(s.n) / np.sqrt(s.n) for s in sectors]
+    step, cofactors = _chunk(space.dim), [np.eye(s.n) / np.sqrt(s.n) for s in sectors]
     recon = 1.0 if sum(s.d * s.d for s in sectors) != space.size else float(np.linalg.norm(
         np.concatenate([_in_sectors(sectors, cofactors, space.basis[lo:lo + step])[1]
                         for lo in range(0, space.size, step)])))

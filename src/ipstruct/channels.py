@@ -1,8 +1,9 @@
 """Quantum channels in Kraus form, superoperators, and classical stochastic maps.
 
-Operators are plain complex ``numpy`` arrays.  A channel is a list of Kraus
-operators ``K_i`` acting as ``X -> sum_i K_i X K_i^dag``; complete positivity
-is automatic in this representation.  Trace preservation is not assumed:
+Operators are plain complex ``numpy`` arrays.  A channel holds its Kraus
+operators ``K_i`` as one complex ``(r, dim_out, dim_in)`` stack, acting as
+``X -> sum_i K_i X K_i^dag``; complete positivity is automatic in this
+representation.  Trace preservation is not assumed:
 :func:`is_cptp` reports it, so trace-decreasing maps (a transpose recovery on
 part of the space) share the same type.
 
@@ -21,7 +22,7 @@ builds vectorized indices by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,22 +55,24 @@ class QuantumChannel:
 
     It need not be trace preserving: a transpose recovery on part of the
     space is trace decreasing.  :func:`is_cptp` reports how far
-    ``sum K_i^dag K_i`` is from the identity.
+    ``sum K_i^dag K_i`` is from the identity.  ``kraus`` is the complex
+    ``(r, dim_out, dim_in)`` stack of the operators; a stack is kept as given.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     dim_in: int
     dim_out: int
 
     def __post_init__(self):
-        if not self.kraus:
+        ks = np.asarray(self.kraus, dtype=complex)
+        object.__setattr__(self, "kraus", ks)
+        if len(ks) == 0:
             raise ValidationError("channel needs at least one Kraus operator")
-        for k in self.kraus:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValidationError(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
+        if ks.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValidationError(
+                f"Kraus operator shape {ks.shape[1:]} does not match "
+                f"({self.dim_out}, {self.dim_in})"
+            )
 
     @property
     def is_square(self) -> bool:
@@ -166,19 +169,22 @@ def projector_onto_support(a: np.ndarray) -> np.ndarray:
 # construction and representation changes
 # ---------------------------------------------------------------------------
 
-def channel_from_kraus(kraus: Sequence[np.ndarray] | Iterable[np.ndarray]) -> QuantumChannel:
-    """Build a channel from Kraus operators of one shape with finite entries."""
-    ks = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not ks:
+def channel_from_kraus(kraus: np.ndarray | Iterable[np.ndarray]) -> QuantumChannel:
+    """Build a channel from Kraus operators of one shape with finite entries, stacked once in
+    C order whatever their layout; an ``(r, d_out, d_in)`` complex stack is kept as given."""
+    ks = kraus if isinstance(kraus, np.ndarray) else [np.asarray(k) for k in kraus]
+    if len(ks) == 0:
         raise ValidationError("empty Kraus list")
-    if any(k.ndim != 2 for k in ks):
+    shapes = {ks.shape[1:]} if isinstance(ks, np.ndarray) else {k.shape for k in ks}
+    if any(len(shape) != 2 for shape in shapes):
         raise ValidationError("Kraus operators must be matrices")
-    d_out, d_in = ks[0].shape
-    if any(k.shape != (d_out, d_in) for k in ks):
+    if len(shapes) > 1:
         raise ValidationError("Kraus operators have inconsistent shapes")
+    (d_out, d_in), = shapes
     if 0 in (d_out, d_in):
         raise ValidationError(f"Kraus operators of shape {(d_out, d_in)} have no entries")
-    if not all(np.all(np.isfinite(k)) for k in ks):
+    ks = np.asarray(ks, dtype=complex)
+    if not np.all(np.isfinite(ks)):
         raise ValidationError("Kraus operators have non-finite entries")
     return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out)
 
@@ -186,7 +192,7 @@ def channel_from_kraus(kraus: Sequence[np.ndarray] | Iterable[np.ndarray]) -> Qu
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
     d_in, d_out = ch.dim_in, ch.dim_out
-    ks = np.array(ch.kraus)  # C order whatever the operators' layout: np.stack keeps theirs
+    ks = np.ascontiguousarray(ch.kraus)  # C order: copies only a view such as K^T
     # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]: one
     # batched product over (b, a) of (d, i) by (i, c) blocks, written once into the result
     m = np.empty((d_out, d_out, d_in, d_in), dtype=complex)
@@ -211,8 +217,8 @@ def compose(after: QuantumChannel, before: QuantumChannel) -> QuantumChannel:
         raise ValidationError(
             f"cannot compose: after.dim_in={after.dim_in} != before.dim_out={before.dim_out}"
         )
-    ks = [a @ b for a in after.kraus for b in before.kraus]
-    return channel_from_kraus(ks)
+    ks = after.kraus[:, None] @ before.kraus  # (after, before) order
+    return channel_from_kraus(ks.reshape(-1, after.dim_out, before.dim_in))
 
 
 def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpReport:
@@ -221,8 +227,8 @@ def is_cptp(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> CptpRepor
     A map in Kraus form is completely positive by construction, so only trace
     preservation is checked.
     """
-    acc_tp = sum(k.conj().T @ k for k in ch.kraus)
-    tp_residual = float(np.max(np.abs(acc_tp - np.eye(ch.dim_in))))
+    k = ch.kraus.reshape(-1, ch.dim_in)  # the stacked rows: sum_i K_i^dag K_i is one product
+    tp_residual = float(np.max(np.abs(k.conj().T @ k - np.eye(ch.dim_in))))
     return CptpReport(trace_preserving=tp_residual <= tol.equality, tp_residual=tp_residual)
 
 
@@ -237,12 +243,7 @@ def embed_classical(sc: StochasticChannel) -> QuantumChannel:
     Kraus operators are ``sqrt(M[k, i]) |k><i|`` for every nonzero entry,
     which is trace preserving because columns of ``M`` sum to one.
     """
-    m = sc.matrix
-    ks = []
-    for k in range(sc.n_out):
-        for i in range(sc.n_in):
-            if m[k, i] > 0.0:
-                op = np.zeros((sc.n_out, sc.n_in), dtype=complex)
-                op[k, i] = np.sqrt(m[k, i])
-                ks.append(op)
+    k, i = np.nonzero(sc.matrix > 0.0)  # row-major order
+    ks = np.zeros((len(k), sc.n_out, sc.n_in), dtype=complex)
+    ks[np.arange(len(k)), k, i] = np.sqrt(sc.matrix[k, i])
     return channel_from_kraus(ks)

@@ -1,5 +1,7 @@
 """Codes (finite sets of density operators) and the preservation hierarchy.
 
+A :class:`Code` holds its states as one complex ``(m, dim, dim)`` stack.
+
 A code is preserved when every weighted distinguishability is unchanged by
 the channel, i.e. ``|| E(p rho - (1-p) sigma) ||_1 = || p rho - (1-p) sigma
 ||_1`` over the convex closure of the code.  Sampling weighted pairs can only
@@ -12,9 +14,11 @@ A sweep level first maps the listed states alone.  A code that the map ``F``
 moves by ``r = max_a ||F(rho_a) - rho_a||_1 <= tol.subspace`` passes unswept:
 a sweep point ``Y = p X_i - (1-p) X_j`` has coefficients of total modulus at
 most 1 over the listed states, so it drops by ``||Y||_1 - ||F Y||_1 <= ||Y -
-F Y||_1 <= r``.  Otherwise the mixtures' images follow by linearity, and each
-stack is measured on its joint range when a certificate allows (see
-:func:`_weighted_norms`); each :class:`Code` computes its before side once.
+F Y||_1 <= r``.  Otherwise both sides of the sweep are read through one
+weight matrix over the listed states: the mixtures are its rows applied to the
+states, and their images, by linearity, its rows applied to the images.  Each
+side is measured on its joint range when a certificate allows (see
+:func:`_weighted_norms`).
 
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
 equivalent to correctable via the transpose recovery.  The noiseless check
@@ -26,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -77,13 +80,14 @@ MixtureLabel = tuple[tuple[int, float], ...]
 
 @dataclass(frozen=True)
 class Code:
-    """A finite set of density operators on a common space."""
+    """A finite set of density operators on a common space, held as the complex
+    ``(m, dim, dim)`` stack ``states``; a stack is kept as given."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     dim: int
 
     def __post_init__(self):
-        if not self.states:
+        if len(self.states) == 0:
             raise ValidationError("code needs at least one state")
         for i, s in enumerate(self.states):
             if s.shape != (self.dim, self.dim):
@@ -98,26 +102,18 @@ class Code:
             tr = float(np.real(np.trace(s)))
             if abs(tr - 1.0) > CODE_STATE:
                 raise ValidationError(f"state {i} has trace {tr:.12f}")
+        object.__setattr__(self, "states", np.asarray(self.states, dtype=complex))
 
     @classmethod
-    def from_states(cls, states: Sequence[np.ndarray]) -> "Code":
-        arr = tuple(np.asarray(s, dtype=complex) for s in states)
-        if not arr:
+    def from_states(cls, states: np.ndarray | Iterable[np.ndarray]) -> "Code":
+        """A code from states of one shape, stacked once in C order; a stack is kept as given."""
+        if not isinstance(states, np.ndarray):
+            states = [np.asarray(s, dtype=complex) for s in states]
+        if len(states) == 0:
             raise ValidationError("code needs at least one state")
-        return cls(states=arr, dim=arr[0].shape[0])
-
-    @cached_property
-    def _sweep(self) -> tuple[list[MixtureLabel], np.ndarray, np.ndarray]:
-        """The before side of every sweep of this code, computed once: the labels
-        of the swept states, their weights over the listed states, and the trace
-        norms of their weighted pairs (laid out by :func:`_weighted_norms`)."""
-        collection = _mixtures(self)
-        # row m writes the m-th swept state over the listed states
-        weights = np.array([np.bincount(*zip(*lab), len(self.states)) for lab, _ in collection])
-        before = _weighted_norms(np.stack([s for _, s in collection]))
-        # every check of this code reads these arrays
-        weights.flags.writeable = before.flags.writeable = False
-        return [lab for lab, _ in collection], weights, before
+        if any(s.ndim != 2 for s in states):
+            raise ValidationError("code states must be matrices")
+        return cls(states=states, dim=states[0].shape[0])
 
 
 @dataclass(frozen=True)
@@ -158,12 +154,9 @@ def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(herm)).sum(axis=-1)
 
 
-def _hermitian_stack(ops: Sequence[np.ndarray], what: str,
-                     tol: ToleranceConfig) -> np.ndarray:
-    """Stack operators for the trace-norm sweep, refusing any whose
-    anti-Hermitian part ``(X - X^dag)/2`` has an entry above
-    ``tol.equality``."""
-    stack = np.stack(ops)
+def _hermitian_stack(stack: np.ndarray, what: str, tol: ToleranceConfig) -> np.ndarray:
+    """Pass a stack to the trace-norm sweep, refusing it if the anti-Hermitian
+    part ``(X - X^dag)/2`` of an operator has an entry above ``tol.equality``."""
     skew = float(np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)))) / 2.0
     if not skew <= tol.equality:
         raise ValidationError(
@@ -182,17 +175,14 @@ def code_support(code: Code) -> np.ndarray:
 # sampled weak-condition checks
 # ---------------------------------------------------------------------------
 
-def _mixtures(code: Code) -> list[tuple[MixtureLabel, np.ndarray]]:
-    """Listed states plus mixtures of two and of three of them whose weights
-    come from the quarter grid and sum to one."""
-    out: list[tuple[MixtureLabel, np.ndarray]] = [
-        (((i, 1.0),), s) for i, s in enumerate(code.states)
-    ]
+def _mixtures(code: Code) -> list[MixtureLabel]:
+    """The labels of the swept states: the listed states, then the mixtures of
+    two and of three of them whose weights come from the quarter grid and sum
+    to one."""
+    out: list[MixtureLabel] = [((i, 1.0),) for i in range(len(code.states))]
     for size, grid in _MIXTURE_WEIGHTS.items():
         for subset in itertools.combinations(range(len(code.states)), size):
-            for ws in grid:
-                state = sum(w * code.states[i] for w, i in zip(ws, subset))
-                out.append((tuple(zip(subset, ws)), state))
+            out.extend(tuple(zip(subset, ws)) for ws in grid)
     return out
 
 
@@ -235,7 +225,7 @@ def _weighted_norms(states: np.ndarray) -> np.ndarray:
 def _displacement(code: Code, images: np.ndarray) -> float:
     """How far a map moves the code: ``max_a ||F(rho_a) - rho_a||_1`` over
     the listed states, from their images."""
-    return float(_batched_trace_norm(images - np.stack(code.states)).max())
+    return float(_batched_trace_norm(images - code.states).max())
 
 
 def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
@@ -247,9 +237,12 @@ def _compare(code: Code, apply_map: Callable[[np.ndarray], np.ndarray],
     state with an anti-Hermitian part above ``tol.equality`` raises
     :class:`ValidationError`."""
     _hermitian_stack(code.states, "code state", tol)
-    images = _hermitian_stack(apply_map(np.stack(code.states)), "mapped state", tol)
+    images = _hermitian_stack(apply_map(code.states), "mapped state", tol)
     if images.shape[-1] != code.dim or _displacement(code, images) > tol.subspace:
-        labels, weights, before = code._sweep
+        labels = _mixtures(code)
+        # row m writes the m-th swept state over the listed states
+        weights = np.array([np.bincount(*zip(*lab), len(code.states)) for lab in labels])
+        before = _weighted_norms(np.tensordot(weights, code.states, axes=1))
         after = _weighted_norms(np.tensordot(weights, images, axes=1))
         drops = before - after
         if drops.size and drops.max() > tol.subspace:
@@ -290,7 +283,7 @@ def is_fixed(code: Code, ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL)
     _require_input(code, ch)
     if not ch.is_square:
         return False
-    images = apply_channel(ch, np.stack(code.states))
+    images = apply_channel(ch, code.states)
     _hermitian_stack(images - code.states, "fixed-point residual", tol)
     return _displacement(code, images) <= tol.equality
 
@@ -316,7 +309,8 @@ def is_noiseless(code: Code, ch: QuantumChannel,
 
 def _time_average(ch: QuantumChannel, tol: ToleranceConfig) -> SpectralSpace:
     """The guard of :func:`is_noiseless`, then the fixed space, whose ``project`` is P."""
-    gain = float(np.linalg.eigvalsh(sum(k.conj().T @ k for k in ch.kraus))[-1])
+    k = ch.kraus.reshape(-1, ch.dim_in)  # the stacked rows: sum K^dag K is one product
+    gain = float(np.linalg.eigvalsh(k.conj().T @ k)[-1])
     rounding = len(ch.kraus) * ch.dim_in * np.finfo(float).eps
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "
@@ -403,7 +397,7 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     # read the cofactor state each sector carries in the code
     mus = []
     for sector, tau in zip(structure.algebra.sectors, structure.distortion_states):
-        reduced = _partial_trace_factor(sector, np.stack(code.states))
+        reduced = _partial_trace_factor(sector, code.states)
         weights = np.real(np.trace(reduced, axis1=1, axis2=2))
         i = int(np.argmax(weights >= COFACTOR_WEIGHT))  # the first state that uses the sector
         mus.append((reduced[i] + reduced[i].conj().T) / (2.0 * weights[i])
@@ -426,9 +420,8 @@ def build_fixing_recovery(code: Code, ch: QuantumChannel,
     reset = channel_from_kraus(kraus)
     recovery = compose(reset, transpose)
 
-    states = np.stack(code.states)
-    residuals = _hermitian_stack(apply_channel(recovery, apply_channel(ch, states)) - states,
-                                 "recovery residual", tol)
+    recovered = apply_channel(recovery, apply_channel(ch, code.states))
+    residuals = _hermitian_stack(recovered - code.states, "recovery residual", tol)
     worst = float(_batched_trace_norm(residuals).max())
     if worst > RECOVERY_RESIDUAL:
         raise NumericalError(

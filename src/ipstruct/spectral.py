@@ -173,16 +173,16 @@ def _coordinates(ch: QuantumChannel) -> np.ndarray:
     """The real matrix ``M_r = Re S - Im S F`` of a square channel in Hermitian coordinates,
     in Fortran order so that LAPACK can overwrite it.
 
-    It reads ``T = S^T``, the superoperator of the map with Kraus operators ``K^T`` (views,
-    no copy), freed on return.  ``F T F = conj(T)`` makes ``M_r^T = Re T + Im T F``, whose
-    rows are those of ``T``: one pass in C order, with no temporary."""
+    It reads ``T = S^T``, the superoperator of the map with Kraus operators ``K^T`` (a view
+    of the stack), freed on return.  ``F T F = conj(T)`` makes ``M_r^T = Re T + Im T F``,
+    whose rows are those of ``T``: one pass in C order, with no temporary."""
     if not isinstance(ch, QuantumChannel):
         raise ValidationError(
             f"spectral analysis takes a QuantumChannel, not {type(ch).__name__}")
     if not ch.is_square:
         raise ValidationError("spectral analysis requires a square channel")
     d = ch.dim_in
-    t = to_superoperator(QuantumChannel(tuple(k.T for k in ch.kraus), d, d)).matrix
+    t = to_superoperator(QuantumChannel(ch.kraus.transpose(0, 2, 1), d, d)).matrix
     out = np.empty((d * d, d * d))
     # copyto and an in-place add read the strided views without a ufunc buffer
     o3, t3 = out.reshape(-1, d, d), t.reshape(-1, d, d)

@@ -30,8 +30,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import (AlgebraDecomposition, _decompose_on, _embed, _in_sectors, _matrix_units,
-                      _partial_trace_factor)
+from .algebra import (AlgebraDecomposition, _chunk, _decompose_on, _embed, _in_sectors,
+                      _matrix_units, _partial_trace_factor)
 from .channels import (
     QuantumChannel,
     _psd_support,
@@ -154,8 +154,7 @@ def transpose_channel(ch: QuantumChannel, projector: np.ndarray,
             residuals={"image_mass": mass},
         )
     norm = _pinv_sqrt(image)
-    ks = [p @ k.conj().T @ norm for k in ch.kraus]
-    return channel_from_kraus(ks)
+    return channel_from_kraus(p @ ch.kraus.conj().transpose(0, 2, 1) @ norm)
 
 
 def unconditional_recovery(ch: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
@@ -215,8 +214,8 @@ def _structure_from_space(
         taus.append(tau)
 
     # the map over the orthonormal basis V_k (E_ab (x) tau_k) V_k^dag / ||tau_k||_F of
-    # the structure states, in chunks of d^2 / 8 elements: an eighth of the superoperator
-    cofactors, step = [t / np.linalg.norm(t) for t in taus], -(-space.dim ** 2 // 8)
+    # the structure states, in chunks of _chunk(d) operators
+    cofactors, step = [t / np.linalg.norm(t) for t in taus], _chunk(space.dim)
     units = np.concatenate([_matrix_units(s, c) for s, c in zip(sectors, cofactors)])
     chunks = ((c, apply_channel(ch, units[c]))
               for c in (slice(lo, lo + step) for lo in range(0, len(units), step)))
@@ -301,12 +300,12 @@ def fixed_point_structure(ch: QuantumChannel, seed: int = 0,
     """
     structure = noiseless_structure(ch, seed=seed, tol=tol)
     p0 = structure.support_projector
-    invariance = float(np.linalg.norm((np.eye(ch.dim_in) - p0) @ np.stack(ch.kraus) @ p0))
+    invariance = float(np.linalg.norm((np.eye(ch.dim_in) - p0) @ ch.kraus @ p0))
 
     # the units live on P0, so ||[P0 K P0, U]|| is the norm compressed to P0
     units = np.concatenate([_matrix_units(s, np.eye(s.n)) for s in structure.algebra.sectors])
     squares = sum(np.linalg.norm((k_r @ units - units @ k_r).reshape(len(units), -1), axis=1) ** 2
-                  for k_r in p0 @ np.stack(ch.kraus) @ p0)
+                  for k_r in p0 @ ch.kraus @ p0)
     commutation = float(np.sqrt(np.max(squares)))
 
     return replace(structure, residuals={**structure.residuals, "kraus_invariance": invariance,
@@ -330,7 +329,7 @@ def initialization_free_check(ch: QuantumChannel, structure: FixedPointStructure
     sector = sectors[sector_index]
     p_k = sector.isometry @ sector.isometry.conj().T
     comp = np.eye(ch.dim_in) - structure.support_projector
-    residuals = tuple(map(float, np.linalg.norm(p_k @ np.stack(ch.kraus) @ comp, axis=(1, 2))))
+    residuals = tuple(map(float, np.linalg.norm(p_k @ ch.kraus @ comp, axis=(1, 2))))
     return InitializationFreeReport(
         initialization_free=math.hypot(*residuals) < tol.equality,
         kraus_residuals=residuals,

@@ -452,8 +452,7 @@ def random_cptp(d: int, kraus_count: int, seed: int) -> QuantumChannel:
     g = rng.standard_normal((d * kraus_count, d)) \
         + 1j * rng.standard_normal((d * kraus_count, d))
     q, _ = np.linalg.qr(g)
-    ks = [q[i * d:(i + 1) * d, :] for i in range(kraus_count)]
-    return channel_from_kraus(ks)
+    return channel_from_kraus(q.reshape(kraus_count, d, d))
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.stats import unitary_group
 
 from ipstruct import (DEFAULT_TOL, AlgebraDecomposition, Graph, QuantumChannel,
                       StochasticChannel, Superoperator, ToleranceConfig, ValidationError,
@@ -281,3 +282,29 @@ def numerical_abscissa(m_r: np.ndarray, r: np.ndarray, l: np.ndarray) -> float:
     """
     x = m_r - r @ l.T
     return float(np.linalg.eigvalsh((x + x.T) / 2.0)[-1])
+
+
+def collective_noise(n: int, seed: int) -> QuantumChannel:
+    """Collective noise on ``n`` qubits: the Kraus operators ``U_i^{(x)n} / sqrt(3)``
+    of three seeded Haar-random SU(2) elements ``U_i``.  The map is unital and not
+    self-adjoint, and its fixed algebra is the commutant of all collective rotations."""
+    rng = np.random.default_rng(seed)
+    ks = []
+    for _ in range(3):
+        u = unitary_group.rvs(2, random_state=rng)
+        u = u / np.sqrt(np.linalg.det(u))
+        k = np.ones((1, 1))
+        for _ in range(n):
+            k = np.kron(k, u)
+        ks.append(k / np.sqrt(3.0))
+    return channel_from_kraus(ks)
+
+
+def schur_weyl_sectors(n: int) -> list[tuple[int, int]]:
+    """The fixed algebra of :func:`collective_noise` on ``n`` qubits by Schur-Weyl
+    duality, as the sorted ``(d_k, n_k)`` of its sectors ``M_{d_k} (x) 1_{n_k}``: one
+    per total spin ``j``, with ``d_k = C(n, n/2 - j) - C(n, n/2 - j - 1)`` (the
+    multiplicity of spin ``j``) and ``n_k = 2j + 1``.  With ``m = n/2 - j`` running
+    over ``0 .. n // 2``, ``C(n, -1) = 0``."""
+    return sorted((math.comb(n, m) - (math.comb(n, m - 1) if m else 0), n - 2 * m + 1)
+                  for m in range(n // 2 + 1))

@@ -286,7 +286,7 @@ def test_degenerate_centre_draw_is_retried(monkeypatch):
     # one cluster, one sector too few; the next attempt draws afresh and succeeds
     space = space_of(5, [(2, 2), (1, 1)], haar_unitary(5, np.random.default_rng(5)))
     expected = canonical_decompose(space)
-    original = ipstruct.algebra._random_hermitian_in
+    original = ipstruct.algebra._random_element_in
     calls = []
 
     def degenerate_first(ops, rng):
@@ -295,7 +295,7 @@ def test_degenerate_centre_draw_is_retried(monkeypatch):
             return np.eye(ops.shape[1], dtype=complex)
         return original(ops, rng)
 
-    monkeypatch.setattr(ipstruct.algebra, "_random_hermitian_in", degenerate_first)
+    monkeypatch.setattr(ipstruct.algebra, "_random_element_in", degenerate_first)
     dec = canonical_decompose(space)
     assert len(calls) == 2
     assert (dec.shape, dec.cofactors) == (expected.shape, expected.cofactors)
@@ -323,12 +323,13 @@ def test_eigen_clusters_compare_each_eigenvalue_with_its_predecessor(w, bounds):
     assert v.shape == h.shape
 
 
-def _decompose_with_draws(monkeypatch, a, g):
+def _decompose_with_draws(monkeypatch, a, h):
     """``canonical_decompose`` of the full matrix algebra on ``len(a)`` dimensions
-    with the generic Hermitian element ``a`` and the generic element ``g`` on every
-    attempt: the error of the last attempt."""
-    monkeypatch.setattr(ipstruct.algebra, "_random_hermitian_in", lambda ops, rng: a)
-    monkeypatch.setattr(ipstruct.algebra, "_random_element_in", lambda ops, rng: g)
+    with the generic element ``a + i h`` on every attempt, for a diagonal ``a`` and
+    a Hermitian ``h``: its Hermitian part is ``a`` exactly, whose eigenbasis is the
+    standard one, so its blocks between the clusters of ``a`` are those of ``i h``.
+    The error of the last attempt."""
+    monkeypatch.setattr(ipstruct.algebra, "_random_element_in", lambda ops, rng: a + 1j * h)
     space = space_of(len(a), [(len(a), 1)], np.eye(len(a)))
     with pytest.raises(DecompositionError) as info:
         canonical_decompose(space)
@@ -336,7 +337,7 @@ def _decompose_with_draws(monkeypatch, a, g):
 
 
 def test_clusters_of_one_sector_that_differ_in_size_fail(monkeypatch):
-    # clusters {0, 1} and {2} of a, coupled by g into one sector
+    # clusters {0, 1} and {2} of a, coupled by h into one sector
     error = _decompose_with_draws(monkeypatch, np.diag([0.0, 0.0, 1.0]).astype(complex),
                                   np.ones((3, 3), dtype=complex))
     assert str(error) == "eigenvalue clusters of one sector differ in size"
@@ -344,13 +345,13 @@ def test_clusters_of_one_sector_that_differ_in_size_fail(monkeypatch):
 
 
 def test_rank_deficient_transport_fails_with_its_least_singular_value(monkeypatch):
-    # clusters {0, 1}, {2, 3} and {4, 5} of a, all in one sector: the block of g
+    # clusters {0, 1}, {2, 3} and {4, 5} of a, all in one sector: the block of h
     # from the first to the second is the identity, to the third it has singular
     # values 1 and 1e-12, which the error reports
     g = np.zeros((6, 6), dtype=complex)
     g[2:4, :2], g[4:, :2] = np.eye(2), np.diag([1.0, 1e-12])
     a = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]).astype(complex)
-    error = _decompose_with_draws(monkeypatch, a, g)
+    error = _decompose_with_draws(monkeypatch, a, g + g.conj().T)
     assert str(error) == "algebra transport between eigenspaces is rank deficient"
     assert error.residuals.keys() == {"min_singular"}
     assert error.residuals["min_singular"] == pytest.approx(1e-12, rel=1e-6)

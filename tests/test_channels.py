@@ -92,24 +92,31 @@ def _five_qubit_composite():
 @pytest.mark.parametrize("build", [lambda: zoo.random_cptp(6, 3, 2), _five_qubit_composite],
                          ids=["cptp-6", "five-qubit-composite"])
 def test_superoperator_ignores_the_kraus_layout(build):
-    # the Kraus operators are stacked in C order whatever their layout, so the
-    # transposed views that spectral._coordinates passes take the same product
+    # a list, tuple or generator of operators is stored as one complex C-order
+    # stack whatever their layout, and S is unchanged; a stack is kept as given
     ch = build()
-    fortran = channel_from_kraus([np.asfortranarray(k) for k in ch.kraus])
-    assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in fortran.kraus)
-    assert np.array_equal(to_superoperator(fortran).matrix, to_superoperator(ch).matrix)
+    s = to_superoperator(ch).matrix
+    fortran = [np.asfortranarray(k) for k in ch.kraus]
+    views = list(np.ascontiguousarray(ch.kraus.transpose(0, 2, 1)).transpose(0, 2, 1))
+    assert all(k.flags.f_contiguous and not k.flags.c_contiguous for k in fortran + views)
+    for given in (fortran, tuple(fortran), (k for k in fortran), views):
+        stored = channel_from_kraus(given).kraus
+        assert stored.dtype == complex and stored.flags.c_contiguous
+        assert stored.shape == ch.kraus.shape
+        assert np.array_equal(to_superoperator(channel_from_kraus(stored)).matrix, s)
+    assert channel_from_kraus(ch.kraus).kraus is ch.kraus
 
 
 @pytest.mark.parametrize("build", [*(lambda s=s: zoo.random_cptp(16, 9, s) for s in range(2)),
                                    _five_qubit_composite],
                          ids=["cptp-16-9-0", "cptp-16-9-1", "five-qubit-composite"])
 def test_hermitian_coordinates_hold_only_the_superoperator_and_the_result(build):
-    # S beside the two Kraus stacks of to_superoperator and a view object per K^T
-    # (no copy of the adjoint operators), then S beside M_r (no ufunc buffer for
-    # the strided views of S), with 16 KiB to spare: within the sum of all four
+    # S beside the two Kraus stacks of to_superoperator (the C-order copy of the
+    # one K^T view of the stack, and its conjugate), then S beside M_r (no ufunc
+    # buffer for the strided views of S), with 16 KiB to spare: within the sum of all four
     ch = build()
-    n, kraus = ch.dim_in ** 2, np.array(ch.kraus).nbytes
-    phases = max(16 * n * n + 2 * kraus + 256 * len(ch.kraus), 16 * n * n + 8 * n * n)
+    n, kraus = ch.dim_in ** 2, ch.kraus.nbytes
+    phases = max(16 * n * n + 2 * kraus, 16 * n * n + 8 * n * n)
     tracemalloc.start()
     try:
         m_r = spectral._coordinates(ch)
@@ -287,10 +294,15 @@ def test_user_tolerance_is_the_applied_one():
 
 
 def test_channel_from_kraus_validation():
-    with pytest.raises(ValidationError):
-        channel_from_kraus([])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="empty Kraus list"):
+        channel_from_kraus(k for k in ())
+    with pytest.raises(ValidationError, match="inconsistent shapes"):
         channel_from_kraus([np.eye(2), np.eye(3)])
+    for ragged in ([np.eye(2), np.ones(2)], [np.array(1.0)], np.eye(2)):
+        with pytest.raises(ValidationError, match="must be matrices"):
+            channel_from_kraus(ragged)
+    # real operators are stored as a complex stack
+    assert channel_from_kraus([np.eye(2)]).kraus.dtype == complex
     with pytest.raises(ValidationError, match="non-finite"):
         channel_from_kraus([np.diag([1.0, np.nan])])
     for shape in ((1, 0), (0, 2)):
@@ -328,6 +340,10 @@ def test_embed_classical_matches_stochastic_action():
     sc = zoo.fixture("cyclic_four")
     ch = embed_classical(sc)
     assert is_cptp(ch).trace_preserving
+    # sqrt(M[k, i]) |k><i| for each positive entry, in row-major order
+    e = np.eye(4)
+    assert np.array_equal(ch.kraus, [np.sqrt(sc.matrix[k, i]) * np.outer(e[k], e[i])
+                                     for k in range(4) for i in range(4) if sc.matrix[k, i] > 0])
     for i in range(4):
         basis = np.zeros((4, 4), dtype=complex)
         basis[i, i] = 1.0

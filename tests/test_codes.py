@@ -61,6 +61,23 @@ def test_code_validation():
         Code.from_states([np.diag([1.5, -0.5])])  # negative eigenvalue
     with pytest.raises(ValidationError, match="non-finite"):
         Code.from_states([np.diag([np.nan, 1.0])])
+    with pytest.raises(ValidationError, match="must be matrices"):
+        Code.from_states([np.array(1.0)])
+    with pytest.raises(ValidationError, match=r"state 1 has shape \(3, 3\), expected \(2, 2\)"):
+        Code.from_states([np.eye(2) / 2, np.eye(3) / 3])
+
+
+def test_code_states_are_one_complex_stack():
+    # a list, tuple or generator of states is stored as one complex C-order
+    # stack whatever their layout; a stack is kept as given
+    code = zoo.code_fixture("qutrit_half_pair")
+    fortran = [np.asfortranarray(s) for s in code.states]
+    for given in (fortran, tuple(fortran), (s for s in fortran)):
+        stored = Code.from_states(given).states
+        assert stored.dtype == complex and stored.flags.c_contiguous
+        assert np.array_equal(stored, code.states)
+    assert Code.from_states(code.states).states is code.states
+    assert Code.from_states([np.diag([1.0, 0.0])]).states.dtype == complex
 
 
 def test_code_support():
@@ -70,7 +87,7 @@ def test_code_support():
 
 def test_mixture_grid_contents():
     code = zoo.code_fixture("qutrit_half_pair")  # 3 states
-    labels = [lab for lab, _ in _mixtures(code)]
+    labels = _mixtures(code)
     singles = [lab for lab in labels if len(lab) == 1]
     pairs = [lab for lab in labels if len(lab) == 2]
     triples = [lab for lab in labels if len(lab) == 3]
@@ -373,10 +390,10 @@ def test_witness_is_first_largest_drop_in_sweep_order(code_name, channel):
     rep = sampled_preservation_check(code, channel)
     assert not rep.verdict
     # every (pair, prior) in sweep order: pairs i < j row by row, then priors
-    collection = _mixtures(code)
+    labels, states = _mixtures(code), _swept_states(code)
     sweep = []
-    for i, j in zip(*np.triu_indices(len(collection), k=1)):
-        (la, a), (lb, b) = collection[i], collection[j]
+    for i, j in zip(*np.triu_indices(len(labels), k=1)):
+        la, lb, a, b = labels[i], labels[j], states[i], states[j]
         for p in P_GRID:
             diff = p * a - (1.0 - p) * b
             drop = trace_norm(diff) - trace_norm(apply_channel(channel, diff))
@@ -403,17 +420,32 @@ def sweep_calls(monkeypatch):
     return calls
 
 
-def test_noiseless_certifies_a_fixed_code_without_a_sweep(sweep_calls):
+@pytest.fixture
+def sweep_sides(monkeypatch):
+    """Lengths of the stacks passed to ``_weighted_norms``: one per side of
+    each sweep, both sides read through one weight matrix."""
+    calls = []
+    weighted = codes._weighted_norms
+
+    def counting(states):
+        calls.append(len(states))
+        return weighted(states)
+
+    monkeypatch.setattr(codes, "_weighted_norms", counting)
+    return calls
+
+
+def test_noiseless_certifies_a_fixed_code_without_a_sweep(sweep_calls, sweep_sides):
     # the time average fixes the four states of the code: one certificate over
     # the listed states decides, and the pair sweep is never built
     code = zoo.code_fixture("unitary_a_half")
     rep = is_noiseless(code, zoo.fixture("depolarize_B"))
     assert rep == PreservationReport(True, None, 0.0, 0.0)
     assert sweep_calls == [(4, 4, 4)]
-    assert "_sweep" not in vars(code)
+    assert sweep_sides == []
 
 
-def test_preserved_certifies_a_fixed_code_at_each_stage(sweep_calls):
+def test_preserved_certifies_a_fixed_code_at_each_stage(sweep_calls, sweep_sides):
     # E and the transpose composite's time average both fix the code: one
     # certificate per stage, on every call, and no sweep
     code = zoo.code_fixture("unitary_a_half")
@@ -421,7 +453,7 @@ def test_preserved_certifies_a_fixed_code_at_each_stage(sweep_calls):
         sweep_calls.clear()
         assert is_preserved(code, zoo.fixture("depolarize_B")).verdict
         assert sweep_calls == [(4, 4, 4)] * 2
-    assert "_sweep" not in vars(code)
+    assert sweep_sides == []
 
 
 # the E sweep of product_a_ground under measure_then_depolarize: its 34 states
@@ -431,21 +463,23 @@ _BEFORE_SIDE = [(34, 4, 4), (34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2)]
 _AFTER_SIDE = [(34, 4, 4)] + [(113 * 9, 4, 4)] * 4 + [(109 * 9, 4, 4)]
 
 
-def test_moved_code_sweeps_in_chunks_and_shares_its_before_side(sweep_calls):
+def test_moved_code_sweeps_both_sides_in_chunks(sweep_calls, sweep_sides):
     # E moves the code, so its stage sweeps after the certificate; the
     # composite's time average fixes it, so that stage stops at its certificate
     code = zoo.code_fixture("product_a_ground")
     ch = zoo.fixture("measure_then_depolarize")
     assert sampled_preservation_check(code, ch).verdict
     assert sweep_calls == [(4, 4, 4)] + _BEFORE_SIDE + _AFTER_SIDE
-    # the before side is kept on the code: a second call sweeps after sides only
+    assert sweep_sides == [34, 34]
+    # nothing is kept on the code: a second call sweeps both sides again
     sweep_calls.clear()
     assert is_preserved(code, ch).verdict
-    assert sweep_calls == [(4, 4, 4)] + _AFTER_SIDE + [(4, 4, 4)]
+    assert sweep_calls == [(4, 4, 4)] + _BEFORE_SIDE + _AFTER_SIDE + [(4, 4, 4)]
+    assert sweep_sides == [34, 34] * 2
     assert max(n * m * m for n, m, _ in sweep_calls) <= codes._SWEEP_CHUNK
 
 
-def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls):
+def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls, sweep_sides):
     # the channel moves the logical code, so E is swept: its 34 states lie on
     # the 2-dim code space (a 32-dim certificate, then 2 x 2 stacks), and
     # their images have full rank.  The transpose composite's time average
@@ -457,7 +491,7 @@ def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls):
                                (455 * 9, 2, 2), (106 * 9, 2, 2)]
     assert sweep_calls[-1] == (4, 32, 32)
     assert all(shape[1:] == (32, 32) for shape in sweep_calls[5:])
-    assert "_sweep" in vars(code)
+    assert sweep_sides == [34, 34]  # the E stage alone sweeps
 
 
 def test_non_hermiticity_preserving_map_is_refused():
@@ -506,8 +540,9 @@ def test_trace_increasing_map_is_refused():
 # ---------------------------------------------------------------------------
 
 def _swept_states(code: Code) -> np.ndarray:
-    """The listed states and their quarter-grid mixtures, in sweep order."""
-    return np.stack([s for _, s in _mixtures(code)])
+    """The listed states and their quarter-grid mixtures, in sweep order,
+    each summed by hand from its label."""
+    return np.stack([sum(w * code.states[i] for i, w in lab) for lab in _mixtures(code)])
 
 
 def _seeded_code(d: int, seed: int, inside: int | None = None) -> Code:
@@ -734,7 +769,7 @@ def test_five_qubit_sweep_stays_below_the_superoperator():
 def _reference_report(code: Code, apply_map, tol) -> PreservationReport:
     """The sweep with no certificate: map every swept state and measure both
     sides with ``_weighted_norms``, witness chosen as in ``codes._compare``."""
-    labels = [lab for lab, _ in _mixtures(code)]
+    labels = _mixtures(code)
     states = _swept_states(code)
     before = codes._weighted_norms(states)
     after = codes._weighted_norms(np.stack([apply_map(s) for s in states]))
@@ -788,7 +823,8 @@ def test_every_sweep_level_matches_the_uncertified_sweep(ch, code):
     ("unitary_a_half", "depolarize_B", "E"), ("unitary_a_half", "depolarize_B", "noiseless"),
     ("cbit", "dephasing_qubit", "E"), ("cbit", "dephasing_qubit", "noiseless"),
 ])
-def test_sweep_runs_exactly_when_the_code_moves(code_name, name, level, factor, seed):
+def test_sweep_runs_exactly_when_the_code_moves(code_name, name, level, factor, seed,
+                                                sweep_sides):
     """Each listed state of a fixed code is moved toward a seeded state until
     the map moves the code by r = factor * tol.subspace: the sweep runs exactly
     when r > tol.subspace, and no sweep point drops further than r."""
@@ -806,7 +842,7 @@ def test_sweep_runs_exactly_when_the_code_moves(code_name, name, level, factor, 
     r = max(trace_norm(apply_map(s) - s) for s in code.states)
     assert abs(r - factor * DEFAULT_TOL.subspace) <= 1e-3 * r
     rep = check(code, ch)
-    assert ("_sweep" in vars(code)) == (r > DEFAULT_TOL.subspace)
+    assert sweep_sides == ([len(_mixtures(code))] * 2 if r > DEFAULT_TOL.subspace else [])
     assert rep == _reference_report(code, apply_map, DEFAULT_TOL)
     states = _swept_states(code)
     drops = (codes._weighted_norms(states)
@@ -814,7 +850,7 @@ def test_sweep_runs_exactly_when_the_code_moves(code_name, name, level, factor, 
     assert drops.max() <= r + 1e-12
 
 
-def test_non_square_map_is_always_swept(sweep_calls):
+def test_non_square_map_is_always_swept(sweep_calls, sweep_sides):
     # F(rho) - rho is undefined when the output space differs, so no
     # certificate: an isometric embedding keeps every distance and a
     # measurement of the 1/0 basis into three outcomes loses the |+>/|-> one
@@ -823,9 +859,10 @@ def test_non_square_map_is_always_swept(sweep_calls):
     for kraus, verdict in (([iso], True), (measure, False)):
         code, ch = zoo.code_fixture("plus_minus"), channel_from_kraus(kraus)
         sweep_calls.clear()
+        sweep_sides.clear()
         rep = sampled_preservation_check(code, ch)
+        assert sweep_sides == [5, 5]
         assert rep == _reference_report(code, lambda x: apply_channel(ch, x), DEFAULT_TOL)
         assert rep.verdict is verdict
-        assert "_sweep" in vars(code)
         # no (2, d, d) certificate stack: the sweep's stacks hold 5 states or 90 points
         assert all(shape[0] != len(code.states) for shape in sweep_calls)

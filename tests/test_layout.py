@@ -138,3 +138,44 @@ def test_every_command_line_tolerance_reaches_a_threshold():
     parses = {p.get_default("func").__name__ for p in sub.choices.values()
               if any("--tol" in a.option_strings for a in p._actions)}
     assert parses == {f for f, (calls, _) in flow.items() if calls}
+
+
+def _restacks(source: str) -> list[str]:
+    """The calls ``np.stack``, ``np.array`` and ``np.asarray`` whose arguments read a
+    ``.kraus`` or ``.states`` attribute other than through ``len``, outside the
+    ``__post_init__`` of a class, as ``function:line``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)}
+    counted = {id(a) for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "len" for a in node.args}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            f = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and id(node) not in exempt
+                    and isinstance(f, ast.Attribute) and f.attr in ("stack", "array", "asarray")
+                    and getattr(f.value, "id", None) == "np"
+                    and any(isinstance(a, ast.Attribute) and a.attr in ("kraus", "states")
+                            and id(a) not in counted
+                            for arg in [*node.args, *(k.value for k in node.keywords)]
+                            for a in ast.walk(arg))):
+                found.append(f"{getattr(fn, 'name', '<lambda>')}:{node.lineno}")
+    return sorted(set(found))
+
+
+def test_no_package_module_restacks_kraus_operators_or_code_states():
+    # QuantumChannel.kraus and Code.states are each one complex stack, built once
+    # by their constructors; no consumer builds its own from them
+    assert _restacks("def f(ch, code):\n    return np.stack(ch.kraus), "
+                     "np.array([s.T for s in code.states]), np.asarray(x=ch.kraus)\n") == [
+        "f:2"]
+    assert _restacks("def f(code):\n    return np.array([len(code.states)])\n") == []
+    assert _restacks("class C:\n    def __post_init__(self):\n"
+                     "        np.asarray(self.kraus)\n") == []
+    found = {path.name: _restacks(path.read_text())
+             for path in sorted((ROOT / "src" / "ipstruct").glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -35,7 +35,7 @@ from ipstruct import (
     zoo,
 )
 from ipstruct.tolerances import DEFAULT_TOL, FIXED_STATE_RESIDUAL
-from oracles import adjoint, dense_rotation_certificate
+from oracles import adjoint, collective_noise, dense_rotation_certificate, schur_weyl_sectors
 
 
 def random_state(d, rng):
@@ -598,6 +598,63 @@ def test_structures_reject_non_square():
     ch = channel_from_kraus([v])
     with pytest.raises(ValidationError):
         noiseless_structure(ch)
+
+
+# ---------------------------------------------------------------------------
+# collective noise: the Schur-Weyl answer at every size
+# ---------------------------------------------------------------------------
+
+_COLLECTIVE_ANALYSES = (noiseless_structure, unitarily_noiseless_structure,
+                        unconditional_structure)
+
+
+def test_schur_weyl_sectors_count_every_dimension():
+    # the sectors of n qubits fill the space: sum_k d_k n_k = 2^n; six qubits
+    # give the known (9, 3), (5, 5), (5, 1), (1, 7)
+    for n in range(1, 9):
+        assert sum(d * m for d, m in schur_weyl_sectors(n)) == 2 ** n
+    assert schur_weyl_sectors(6) == [(1, 7), (5, 1), (5, 5), (9, 3)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("analyze", _COLLECTIVE_ANALYSES, ids=lambda f: f.__name__)
+def test_collective_noise_has_the_schur_weyl_structure(analyze, n):
+    structure = analyze(collective_noise(n, seed=n))
+    assert sorted((s.d, s.n) for s in structure.algebra.sectors) == schur_weyl_sectors(n)
+    assert structure.support_rank == 2 ** n
+    for key, value in structure.residuals.items():
+        assert value <= RESIDUAL_BOUNDS[key], (key, value)
+
+
+def _sector_projectors(structure) -> dict:
+    return {(s.d, s.n): s.isometry @ s.isometry.conj().T for s in structure.algebra.sectors}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_collective_noise_structure_is_invariant(n):
+    # a collective basis change V^(x)n, a global unitary W and a unitary mixing of
+    # the Kraus operators: the sectors keep their shape and their projectors
+    # follow the conjugation, and the collective one leaves them in place
+    ch = collective_noise(n, seed=n)
+    rng = np.random.default_rng(n)
+    v = unitary_group.rvs(2, random_state=rng)
+    vn = np.ones((1, 1))
+    for _ in range(n):
+        vn = np.kron(vn, v)
+    w = unitary_group.rvs(2 ** n, random_state=rng)
+    mix = unitary_group.rvs(len(ch.kraus), random_state=rng)
+    variants = [(channel_from_kraus(vn @ ch.kraus @ vn.conj().T), vn),
+                (channel_from_kraus(w @ ch.kraus @ w.conj().T), w),
+                (channel_from_kraus(np.tensordot(mix, ch.kraus, axes=1)), np.eye(2 ** n))]
+    for analyze in _COLLECTIVE_ANALYSES:
+        base = _sector_projectors(analyze(ch))
+        for variant, u in variants:
+            got = _sector_projectors(analyze(variant))
+            assert got.keys() == base.keys()
+            for key, p in got.items():
+                assert np.linalg.norm(p - u @ base[key] @ u.conj().T) < 1e-8
+                if u is vn:
+                    assert np.linalg.norm(p - base[key]) < 1e-8
 
 
 # ---------------------------------------------------------------------------
