@@ -3,9 +3,10 @@
 Operators are plain complex ``numpy`` arrays.  A channel holds its Kraus
 operators ``K_i`` as one complex ``(r, dim_out, dim_in)`` stack, acting as
 ``X -> sum_i K_i X K_i^dag``; complete positivity is automatic in this
-representation.  Trace preservation is not assumed:
-:func:`is_cptp` reports it, so trace-decreasing maps (a transpose recovery on
-part of the space) share the same type.
+representation.  :func:`_operator_stack` stacks and checks these and a code's
+states; the constructors take the stack alone.  Trace preservation is not
+assumed: :func:`is_cptp` reports it, so trace-decreasing maps (a transpose
+recovery on part of the space) share the same type.
 
 Vectorization convention
 ------------------------
@@ -26,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .tolerances import DEFAULT_TOL, PROJECTOR, RANK_REL, STOCHASTIC, ToleranceConfig
 
 __all__ = [
@@ -55,24 +56,18 @@ class QuantumChannel:
 
     It need not be trace preserving: a transpose recovery on part of the
     space is trace decreasing.  :func:`is_cptp` reports how far
-    ``sum K_i^dag K_i`` is from the identity.  ``kraus`` is the complex
-    ``(r, dim_out, dim_in)`` stack of the operators; a stack is kept as given.
+    ``sum K_i^dag K_i`` is from the identity.  ``kraus`` becomes the complex
+    ``(r, dim_out, dim_in)`` stack of :func:`_operator_stack`, read for both dims.
     """
 
     kraus: np.ndarray
-    dim_in: int
-    dim_out: int
+    dim_in: int = field(init=False)
+    dim_out: int = field(init=False)
 
     def __post_init__(self):
-        ks = np.asarray(self.kraus, dtype=complex)
-        object.__setattr__(self, "kraus", ks)
-        if len(ks) == 0:
-            raise ValidationError("channel needs at least one Kraus operator")
-        if ks.shape[1:] != (self.dim_out, self.dim_in):
-            raise ValidationError(
-                f"Kraus operator shape {ks.shape[1:]} does not match "
-                f"({self.dim_out}, {self.dim_in})"
-            )
+        object.__setattr__(self, "kraus", _operator_stack(self.kraus, "Kraus operator"))
+        object.__setattr__(self, "dim_out", self.kraus.shape[1])
+        object.__setattr__(self, "dim_in", self.kraus.shape[2])
 
     @property
     def is_square(self) -> bool:
@@ -149,8 +144,10 @@ def _psd_support(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The one rank cut of a PSD operator: ``eigh`` of ``(a + a^dag)/2``, keeping
     the eigenvalues above ``RANK_REL`` times the largest modulus.  The zero
-    matrix has an empty support.
+    matrix has an empty support; a non-finite one raises :class:`NumericalError`.
     """
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"operator of shape {a.shape} has non-finite entries")
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     keep = w > RANK_REL * np.max(np.abs(w), initial=0.0)
     return w[keep][::-1], v[:, keep][:, ::-1]
@@ -169,30 +166,38 @@ def projector_onto_support(a: np.ndarray) -> np.ndarray:
 # construction and representation changes
 # ---------------------------------------------------------------------------
 
+def _operator_stack(ops: np.ndarray | Iterable[np.ndarray], noun: str) -> np.ndarray:
+    """The complex C-order ``(k, rows, cols)`` stack of operators given in any container and
+    layout; a complex C-order stack is kept as given.  No operators, non-matrices, mixed or
+    zero-size shapes and non-finite entries raise :class:`ValidationError` naming ``noun``."""
+    if not isinstance(ops, np.ndarray):
+        ops = [np.asarray(x) for x in ops]
+        for i, x in enumerate(ops):
+            if x.ndim != 2:
+                raise ValidationError(f"{noun}s must be matrices")
+            if x.shape != ops[0].shape:
+                raise ValidationError(f"{noun} {i} has shape {x.shape}, expected {ops[0].shape}")
+    elif ops.ndim != 3:
+        raise ValidationError(f"{noun}s must be matrices")
+    if len(ops) == 0:
+        raise ValidationError(f"no {noun}s given")
+    ks = np.asarray(ops, dtype=complex, order="C")
+    if ks[0].size == 0:
+        raise ValidationError(f"{noun}s of shape {ks.shape[1:]} have no entries")
+    finite = np.isfinite(ks).all(axis=(1, 2))
+    if not finite.all():
+        raise ValidationError(f"{noun} {int(np.argmin(finite))} has non-finite entries")
+    return ks
+
+
 def channel_from_kraus(kraus: np.ndarray | Iterable[np.ndarray]) -> QuantumChannel:
-    """Build a channel from Kraus operators of one shape with finite entries, stacked once in
-    C order whatever their layout; an ``(r, d_out, d_in)`` complex stack is kept as given."""
-    ks = kraus if isinstance(kraus, np.ndarray) else [np.asarray(k) for k in kraus]
-    if len(ks) == 0:
-        raise ValidationError("empty Kraus list")
-    shapes = {ks.shape[1:]} if isinstance(ks, np.ndarray) else {k.shape for k in ks}
-    if any(len(shape) != 2 for shape in shapes):
-        raise ValidationError("Kraus operators must be matrices")
-    if len(shapes) > 1:
-        raise ValidationError("Kraus operators have inconsistent shapes")
-    (d_out, d_in), = shapes
-    if 0 in (d_out, d_in):
-        raise ValidationError(f"Kraus operators of shape {(d_out, d_in)} have no entries")
-    ks = np.asarray(ks, dtype=complex)
-    if not np.all(np.isfinite(ks)):
-        raise ValidationError("Kraus operators have non-finite entries")
-    return QuantumChannel(kraus=ks, dim_in=d_in, dim_out=d_out)
+    """``QuantumChannel(kraus)``, the channel of a set of Kraus operators."""
+    return QuantumChannel(kraus)
 
 
 def to_superoperator(ch: QuantumChannel) -> Superoperator:
     """Column-stacking superoperator matrix ``sum_i conj(K_i) kron K_i``."""
-    d_in, d_out = ch.dim_in, ch.dim_out
-    ks = np.ascontiguousarray(ch.kraus)  # C order: copies only a view such as K^T
+    d_in, d_out, ks = ch.dim_in, ch.dim_out, ch.kraus
     # row (b*d_out + a), col (d*d_in + c) holds sum_i conj(K_i[b, d]) K_i[a, c]: one
     # batched product over (b, a) of (d, i) by (i, c) blocks, written once into the result
     m = np.empty((d_out, d_out, d_in, d_in), dtype=complex)

@@ -1,6 +1,7 @@
 """Codes (finite sets of density operators) and the preservation hierarchy.
 
-A :class:`Code` holds its states as one complex ``(m, dim, dim)`` stack.
+A :class:`Code` holds its states as one complex ``(m, dim, dim)`` stack, built
+by ``channels._operator_stack``, and checks that each is a density operator.
 
 A code is preserved when every weighted distinguishability is unchanged by
 the channel, i.e. ``|| E(p rho - (1-p) sigma) ||_1 = || p rho - (1-p) sigma
@@ -29,7 +30,7 @@ samples the time average ``P`` alone: for trace non-increasing ``E``, ``P o F
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -37,6 +38,7 @@ import numpy as np
 from .algebra import _embed, _partial_trace_factor
 from .channels import (
     QuantumChannel,
+    _operator_stack,
     _psd_support,
     apply_channel,
     channel_from_kraus,
@@ -80,40 +82,33 @@ MixtureLabel = tuple[tuple[int, float], ...]
 
 @dataclass(frozen=True)
 class Code:
-    """A finite set of density operators on a common space, held as the complex
-    ``(m, dim, dim)`` stack ``states``; a stack is kept as given."""
+    """A finite set of density operators on a common space: the complex ``(m, dim, dim)``
+    stack ``states`` of ``channels._operator_stack``, which sets ``dim``."""
 
     states: np.ndarray
-    dim: int
+    dim: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.states) == 0:
-            raise ValidationError("code needs at least one state")
-        for i, s in enumerate(self.states):
-            if s.shape != (self.dim, self.dim):
-                raise ValidationError(f"state {i} has shape {s.shape}, expected ({self.dim}, {self.dim})")
-            if not np.all(np.isfinite(s)):
-                raise ValidationError(f"state {i} has non-finite entries")
-            if np.max(np.abs(s - s.conj().T)) > CODE_STATE:
-                raise ValidationError(f"state {i} is not Hermitian")
-            w = np.linalg.eigvalsh((s + s.conj().T) / 2.0)
-            if w.min() < CODE_MIN_EIG:
-                raise ValidationError(f"state {i} has negative eigenvalue {w.min():.3e}")
-            tr = float(np.real(np.trace(s)))
-            if abs(tr - 1.0) > CODE_STATE:
-                raise ValidationError(f"state {i} has trace {tr:.12f}")
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=complex))
+        s = _operator_stack(self.states, "state")
+        object.__setattr__(self, "states", s)
+        if s.shape[1] != s.shape[2]:
+            raise ValidationError(f"states of shape {s.shape[1:]} are not square")
+        object.__setattr__(self, "dim", s.shape[1])
+        # one pass over the stack: the first failing state is named by its first failing check
+        s_dag = s.conj().transpose(0, 2, 1)
+        least = np.linalg.eigvalsh((s + s_dag) / 2.0)[:, 0]
+        tr = np.trace(s, axis1=1, axis2=2).real
+        fails = np.column_stack([np.abs(s - s_dag).max(axis=(1, 2)) > CODE_STATE,
+                                 least < CODE_MIN_EIG, np.abs(tr - 1.0) > CODE_STATE])
+        for i, check in np.argwhere(fails)[:1]:
+            why = ("is not Hermitian", f"has negative eigenvalue {least[i]:.3e}",
+                   f"has trace {tr[i]:.12f}")[check]
+            raise ValidationError(f"state {i} {why}")
 
     @classmethod
     def from_states(cls, states: np.ndarray | Iterable[np.ndarray]) -> "Code":
-        """A code from states of one shape, stacked once in C order; a stack is kept as given."""
-        if not isinstance(states, np.ndarray):
-            states = [np.asarray(s, dtype=complex) for s in states]
-        if len(states) == 0:
-            raise ValidationError("code needs at least one state")
-        if any(s.ndim != 2 for s in states):
-            raise ValidationError("code states must be matrices")
-        return cls(states=states, dim=states[0].shape[0])
+        """``Code(states)``: the code of a set of states (``channels._operator_stack``)."""
+        return cls(states)
 
 
 @dataclass(frozen=True)

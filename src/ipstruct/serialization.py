@@ -45,22 +45,20 @@ def dumps(obj: Any) -> str:
 
 
 def complex_matrix_to_json(a: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex matrix, or of each matrix of a stack."""
     a = np.asarray(a, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def complex_matrix_from_json(data: Any) -> np.ndarray:
     try:
-        rows = [
-            [complex(float(entry[0]), float(entry[1])) for entry in row]
-            for row in data
-        ]
-    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        # unpacking refuses an entry of any length but two; complex() refuses non-numbers
+        rows = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed complex matrix: {exc}") from exc
     if not rows:
         raise ValidationError("empty matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("ragged matrix rows")
     return np.array(rows, dtype=complex)
 
@@ -69,7 +67,7 @@ def channel_to_json(ch: QuantumChannel) -> dict:
     return {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [complex_matrix_to_json(k) for k in ch.kraus],
+        "kraus": complex_matrix_to_json(ch.kraus),
     }
 
 
@@ -80,8 +78,7 @@ def channel_from_json(data: Any) -> QuantumChannel:
         kraus_data = data["kraus"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed channel document: {exc}") from exc
-    ks = [complex_matrix_from_json(k) for k in kraus_data]
-    ch = channel_from_kraus(ks)
+    ch = channel_from_kraus([complex_matrix_from_json(k) for k in kraus_data])
     if ch.dim_in != dim_in or ch.dim_out != dim_out:
         raise ValidationError(
             f"declared dims ({dim_in}, {dim_out}) do not match Kraus shapes "
@@ -94,7 +91,7 @@ def stochastic_to_json(sc: StochasticChannel) -> dict:
     return {
         "n_in": sc.n_in,
         "n_out": sc.n_out,
-        "matrix": [[float(x) for x in row] for row in sc.matrix],
+        "matrix": sc.matrix.tolist(),
     }
 
 
@@ -112,7 +109,7 @@ def stochastic_from_json(data: Any) -> StochasticChannel:
 
 
 def code_states_to_json(states) -> dict:
-    return {"states": [complex_matrix_to_json(s) for s in states]}
+    return {"states": complex_matrix_to_json(states)}
 
 
 def code_states_from_json(data: Any) -> list[np.ndarray]:

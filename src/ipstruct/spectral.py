@@ -83,8 +83,10 @@ class OperatorSpace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex).reshape(-1, self.dim, self.dim)
-        object.__setattr__(self, "basis", basis)
+        basis = np.asarray(self.basis, dtype=complex)
+        if basis.shape[1:] != (self.dim, self.dim) and basis.shape != (0,):  # () is no operators
+            raise ValidationError(f"basis shape {basis.shape} != (k, {self.dim}, {self.dim})")
+        object.__setattr__(self, "basis", basis.reshape(-1, self.dim, self.dim))
 
     @property
     def size(self) -> int:
@@ -182,7 +184,7 @@ def _coordinates(ch: QuantumChannel) -> np.ndarray:
     if not ch.is_square:
         raise ValidationError("spectral analysis requires a square channel")
     d = ch.dim_in
-    t = to_superoperator(QuantumChannel(ch.kraus.transpose(0, 2, 1), d, d)).matrix
+    t = to_superoperator(QuantumChannel(ch.kraus.transpose(0, 2, 1))).matrix
     out = np.empty((d * d, d * d))
     # copyto and an in-place add read the strided views without a ufunc buffer
     o3, t3 = out.reshape(-1, d, d), t.reshape(-1, d, d)

@@ -258,7 +258,7 @@ def test_is_cptp_on_zoo_fixtures():
 
 
 def test_is_cptp_flags_non_tp():
-    ch = QuantumChannel(kraus=(np.eye(2, dtype=complex) * 0.5,), dim_in=2, dim_out=2)
+    ch = QuantumChannel((np.eye(2, dtype=complex) * 0.5,))
     rep = is_cptp(ch)
     assert not rep.trace_preserving
     assert rep.tp_residual > 0.1
@@ -294,9 +294,9 @@ def test_user_tolerance_is_the_applied_one():
 
 
 def test_channel_from_kraus_validation():
-    with pytest.raises(ValidationError, match="empty Kraus list"):
+    with pytest.raises(ValidationError, match="no Kraus operators given"):
         channel_from_kraus(k for k in ())
-    with pytest.raises(ValidationError, match="inconsistent shapes"):
+    with pytest.raises(ValidationError, match=r"Kraus operator 1 has shape \(3, 3\), expected \(2, 2\)"):
         channel_from_kraus([np.eye(2), np.eye(3)])
     for ragged in ([np.eye(2), np.ones(2)], [np.array(1.0)], np.eye(2)):
         with pytest.raises(ValidationError, match="must be matrices"):
@@ -310,6 +310,36 @@ def test_channel_from_kraus_validation():
             channel_from_kraus([np.zeros(shape)])
     with pytest.raises(ValidationError, match="non-finite"):
         Superoperator(dim_in=2, dim_out=2, matrix=np.diag([1.0, np.inf, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("kraus,message", [
+    (np.array(1.0), "must be matrices"),
+    (np.zeros((0, 2, 2)), "no Kraus operators given"),
+    ([np.diag([1.0, np.nan])], "Kraus operator 0 has non-finite entries"),
+    (np.stack([np.eye(2), np.diag([np.inf, 0.0])]), "Kraus operator 1 has non-finite entries"),
+    ([np.eye(2), np.eye(3)], r"Kraus operator 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ([np.eye(2), np.ones(2)], "must be matrices"),
+    (np.zeros((1, 0, 2)), r"of shape \(0, 2\) have no entries"),
+    ([np.zeros((2, 0))], r"of shape \(2, 0\) have no entries"),
+], ids=["0-d", "empty-stack", "nan", "inf-in-stack", "ragged", "vector", "zero-rows", "zero-cols"])
+def test_direct_construction_checks_the_stack(kraus, message):
+    # the constructor takes the stack alone and checks it
+    with pytest.raises(ValidationError, match=message):
+        QuantumChannel(kraus)
+
+
+def test_constructor_reads_dimensions_from_the_stack():
+    ks = np.zeros((2, 3, 2), dtype=complex)
+    ch = QuantumChannel(ks)
+    assert (ch.dim_out, ch.dim_in) == (3, 2) and not ch.is_square
+    # a complex C-order stack is kept as given; any other layout or container is stacked once
+    assert ch.kraus is ks and channel_from_kraus(ks).kraus is ks
+    for given in (np.asfortranarray(ks), ks.real, list(ks), tuple(ks), (k for k in ks)):
+        stored = QuantumChannel(given).kraus
+        assert stored.dtype == complex and stored.flags.c_contiguous
+        assert np.array_equal(stored, ks)
+    with pytest.raises(TypeError):
+        QuantumChannel(ks, 2, 3)  # the dimensions are read, never given
 
 
 def test_is_unital():

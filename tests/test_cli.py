@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from ipstruct.cli import build_parser, main
-from ipstruct import channel_from_kraus, is_cptp
+from ipstruct import channel_from_kraus, is_cptp, zoo
 from ipstruct.serialization import (
     channel_from_json,
     channel_to_json,
@@ -455,8 +455,11 @@ _MALFORMED_VERBS = {
     ("channel", "dephasing_qubit", ["dim_in"], "one"),
     ("code", "code_cbit", ["states", 0, 0, 0], [1.0, "0j"]),
     ("projector", None, ["matrix", 0, 0], ["a", 0]),
+    ("channel", "dephasing_qubit", ["kraus", 0, 0, 0], [1.0, 0.0, 99]),
+    ("channel", "dephasing_qubit", ["kraus", 0, 0, 0], None),
     ("stochastic", "cyclic_four", ["n_in"], "one"),
-], ids=["kraus-entry", "dim-in", "code-entry", "projector-entry", "stochastic-size"])
+], ids=["kraus-entry", "dim-in", "code-entry", "projector-entry", "kraus-entry-three",
+        "kraus-entry-null", "stochastic-size"])
 def test_malformed_number_exits_2(fixtures_dir, tmp_path, capsys, kind, source, path, value):
     # a number that does not parse is an input error (exit 2), not a traceback
     if source is None:
@@ -662,8 +665,55 @@ def test_classical_maxcode_guard_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# finite Kraus entries whose products overflow: a clean exit, never a traceback
+# ---------------------------------------------------------------------------
+
+def _overflowing_channel(tmp_path, d):
+    # 1e200 * identity: every entry is finite, but E(X) and S reach 1e400
+    path = tmp_path / f"overflow_{d}.json"
+    path.write_text(dumps(channel_to_json(channel_from_kraus([1e200 * np.eye(d)]))))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("mode", ["noiseless", "unitarily-noiseless", "fixed-structure"])
+def test_overflowing_superoperator_exits_2(tmp_path, capsys, d, mode):
+    # the finiteness check of Superoperator catches the overflow before any solver sees it
+    code, out, err = run_cli(capsys, "analyze", "--channel", _overflowing_channel(tmp_path, d),
+                             "--mode", mode)
+    assert code == 2 and out == ""
+    assert "superoperator matrix has non-finite entries" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("argv", [["transpose", "--full"], ["analyze", "--mode", "unconditional"]],
+                         ids=["transpose", "unconditional"])
+def test_overflowing_image_exits_3(tmp_path, capsys, d, argv):
+    # E(1) overflows to inf: its support is a numerical failure, never an all-zero recovery
+    code, out, err = run_cli(capsys, *argv, "--channel", _overflowing_channel(tmp_path, d))
+    assert code == 3 and out == ""
+    assert "numerical failure: operator of shape" in err and "non-finite entries" in err
+
+
+# ---------------------------------------------------------------------------
 # fixtures verb, determinism, entry point
 # ---------------------------------------------------------------------------
+
+def test_fixture_files_are_what_the_package_writes(fixtures_dir, capsys):
+    # every checked-in document is byte-identical to the writer's output for it
+    names = sorted(p.stem for p in fixtures_dir.glob("*.json"))
+    assert len(names) == 24
+    for name in names:
+        if name == "five_qubit_projector":
+            written = dumps({"matrix": complex_matrix_to_json(zoo.five_qubit_code_projector())})
+        else:
+            # a code_ prefix names a code fixture
+            code, written, _ = run_cli(capsys, "fixtures", "--name", name.removeprefix("code_"))
+            assert code == 0, name
+        assert written == (fixtures_dir / f"{name}.json").read_text(), name
+
 
 def test_fixtures_listing(capsys):
     code, out, _ = run_cli(capsys, "fixtures")

@@ -67,6 +67,33 @@ def test_code_validation():
         Code.from_states([np.eye(2) / 2, np.eye(3) / 3])
 
 
+@pytest.mark.parametrize("states,message", [
+    (np.array(0.5), "must be matrices"),
+    (np.zeros((0, 2, 2)), "no states given"),
+    (np.zeros((1, 0, 0)), r"of shape \(0, 0\) have no entries"),
+    ([np.eye(2) / 2, np.diag([np.nan, 1.0])], "state 1 has non-finite entries"),
+    ([np.eye(2) / 2, np.eye(3) / 3], r"state 1 has shape \(3, 3\), expected \(2, 2\)"),
+    ([np.ones((2, 3)) / 2], r"states of shape \(2, 3\) are not square"),
+    ([np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])], "state 1 is not Hermitian"),
+    ([np.eye(2) / 2, np.diag([1.5, -0.5])], "state 1 has negative eigenvalue -5.000e-01"),
+    ([np.eye(2) / 2, np.diag([0.6, 0.6])], "state 1 has trace 1.200000000000"),
+], ids=["0-d", "empty-stack", "zero-size", "nan", "ragged", "not-square", "not-hermitian",
+        "negative", "trace"])
+def test_direct_construction_checks_the_stack(states, message):
+    # Code(states) takes the stack alone; the first failing state is named
+    with pytest.raises(ValidationError, match=message):
+        Code(states)
+
+
+def test_first_failing_state_is_named_by_its_first_failing_check():
+    # state 1 fails Hermiticity and trace; state 2 fails positivity: state 1, Hermiticity
+    states = [np.eye(2) / 2, np.array([[0.6, 1.0], [0.0, 0.6]]), np.diag([1.5, -0.5])]
+    with pytest.raises(ValidationError, match="state 1 is not Hermitian"):
+        Code(states)
+    with pytest.raises(ValidationError, match="state 0 has negative eigenvalue"):
+        Code(states[::-1])
+
+
 def test_code_states_are_one_complex_stack():
     # a list, tuple or generator of states is stored as one complex C-order
     # stack whatever their layout; a stack is kept as given
@@ -77,6 +104,9 @@ def test_code_states_are_one_complex_stack():
         assert stored.dtype == complex and stored.flags.c_contiguous
         assert np.array_equal(stored, code.states)
     assert Code.from_states(code.states).states is code.states
+    assert Code(code.states).states is code.states and Code(code.states).dim == 3
+    with pytest.raises(TypeError):
+        Code(code.states, 3)  # the dimension is read, never given
     assert Code.from_states([np.diag([1.0, 0.0])]).states.dtype == complex
 
 

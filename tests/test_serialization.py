@@ -24,10 +24,14 @@ from ipstruct.serialization import (
 def test_complex_matrix_roundtrip_bit_exact():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    doc = json.loads(dumps(complex_matrix_to_json(a)))
-    b = complex_matrix_from_json(doc)
-    # float -> json -> float must be lossless
-    assert (a == b).all()
+    # signed zeros, a subnormal and the largest float too
+    a[0, :3] = [complex(-0.0, -0.0), complex(5e-324, 1.7976931348623157e308), complex(0.1, -0.0)]
+    doc = complex_matrix_to_json(a)
+    assert all(type(x) is float for row in doc for entry in row for x in entry)
+    b = complex_matrix_from_json(json.loads(dumps(doc)))
+    # float -> json -> float must be lossless, sign bits included
+    assert np.array_equal(a.view(float), b.view(float))
+    assert np.array_equal(np.signbit(a.view(float)), np.signbit(b.view(float)))
 
 
 def test_channel_roundtrip():
@@ -125,8 +129,20 @@ def test_ragged_matrix_rejected():
     (channel_from_json, {"dim_in": "one", "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}),
     (channel_from_json, {"dim_in": float("inf"), "dim_out": 1, "kraus": [[[[1.0, 0.0]]]]}),
     (stochastic_from_json, {"n_in": float("inf"), "n_out": 1, "matrix": [[1.0]]}),
+    # an entry is exactly two numbers: extra items are refused, not dropped unread
+    (complex_matrix_from_json, [[[1, 0, 99], [0, 0, "junk"]], [[0, 0], [1, 0]]]),
+    (complex_matrix_from_json, [[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]]),
+    (complex_matrix_from_json, [[[1.0]]]),
+    (complex_matrix_from_json, [[None]]),
+    (complex_matrix_from_json, [[[None, 0.0]]]),
+    (complex_matrix_from_json, [[[0.0, None]]]),
+    (complex_matrix_from_json, [[["1", "0"]]]),
+    (complex_matrix_from_json, [[1.0]]),
+    (complex_matrix_from_json, [[[10**400, 0]]]),
 ], ids=["entry-word", "entry-complex-string", "dim-word", "dim-infinite",
-        "stochastic-infinite"])
+        "stochastic-infinite", "entry-extra-items", "entry-third-zero", "entry-one-item",
+        "entry-null", "entry-null-real", "entry-null-imag", "entry-strings", "entry-scalar",
+        "entry-overflow"])
 def test_malformed_numbers_are_validation_errors(load, doc):
     with pytest.raises(ValidationError, match="malformed"):
         load(doc)

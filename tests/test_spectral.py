@@ -231,6 +231,15 @@ def test_operator_space_from_span_drops_dependent_columns():
     assert OperatorSpace(dim=2, basis=()).basis.shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("basis", [np.eye(3)[None].repeat(4, axis=0), np.ones(5), np.eye(2),
+                                   np.zeros((0, 3, 3)), np.ones((1, 1, 2, 2))],
+                         ids=["four-3x3", "size-5", "one-matrix", "empty-3x3", "4-d"])
+def test_operator_space_checks_its_basis(basis):
+    # a basis is a (k, dim, dim) stack: it is never reshaped into one
+    with pytest.raises(ValidationError, match=r"basis shape \("):
+        OperatorSpace(dim=2, basis=basis)
+
+
 def test_compressed_orthonormalizes_only_a_span_that_shrinks(monkeypatch):
     rng = np.random.default_rng(8)
     ops = np.zeros((5, 4, 4), dtype=complex)  # supported on the first three basis vectors
