@@ -18,8 +18,9 @@ most 1 over the listed states, so it drops by ``||Y||_1 - ||F Y||_1 <= ||Y -
 F Y||_1 <= r``.  Otherwise both sides of the sweep are read through one
 weight matrix over the listed states: the mixtures are its rows applied to the
 states, and their images, by linearity, its rows applied to the images.  Each
-side is measured on its joint range when a certificate allows (see
-:func:`_weighted_norms`).
+side is read in the sector blocks ``M_{d_k} (x) 1_{n_k}`` of the algebra its
+span generates, where a certificate allows, so a sweep value is ``sum_k n_k
+||y_k||_1`` over ``d_k x d_k`` blocks (see :func:`_weighted_norms`).
 
 Hierarchy: fixed implies noiseless implies preserved, and preserved is
 equivalent to correctable via the transpose recovery.  The noiseless check
@@ -35,7 +36,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algebra import _embed, _partial_trace_factor
+from .algebra import Sector, _decompose_once, _embed, _partial_trace_factor
 from .channels import (
     QuantumChannel,
     _operator_stack,
@@ -45,8 +46,8 @@ from .channels import (
     compose,
     projector_onto_support,
 )
-from .errors import NumericalError, ValidationError
-from .spectral import SpectralSpace, _joint_support, fixed_space
+from .errors import DecompositionError, NumericalError, ValidationError
+from .spectral import OperatorSpace, SpectralSpace, fixed_space
 from .structures import _structure_from_space, transpose_channel
 from .tolerances import (CODE_MIN_EIG, CODE_STATE, COFACTOR_WEIGHT, DEFAULT_TOL,
                          RECOVERY_RESIDUAL, SWEEP_COMPRESSION, WITNESS_TIE_DIGITS,
@@ -136,10 +137,13 @@ def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
     matrix it is not.  Callers check this (see :func:`_hermitian_stack`);
     the stack is symmetrized as ``(X + X^dag)/2`` here to drop rounding.
 
-    A 2x2 stack ``[[a, b], [b*, d]]`` takes the closed form: its eigenvalues
-    ``(a+d)/2 +- hypot((a-d)/2, |b|)`` have moduli summing to ``|a+d|`` if
-    they share a sign, else to ``hypot(a-d, 2|b|)``, whichever is larger.
+    A 1x1 stack reads ``|Re x|``.  A 2x2 stack ``[[a, b], [b*, d]]`` takes the
+    closed form: its eigenvalues ``(a+d)/2 +- hypot((a-d)/2, |b|)`` have moduli
+    summing to ``|a+d|`` if they share a sign, else to ``hypot(a-d, 2|b|)``,
+    whichever is larger.
     """
+    if stack.shape[-1] == 1:
+        return np.abs(stack[..., 0, 0].real)
     if stack.shape[-1] == 2:
         a, d = stack[..., 0, 0].real, stack[..., 1, 1].real
         b = np.abs(stack[..., 0, 1] + stack[..., 1, 0].conj()) / 2
@@ -151,7 +155,12 @@ def _batched_trace_norm(stack: np.ndarray) -> np.ndarray:
 
 def _hermitian_stack(stack: np.ndarray, what: str, tol: ToleranceConfig) -> np.ndarray:
     """Pass a stack to the trace-norm sweep, refusing it if the anti-Hermitian
-    part ``(X - X^dag)/2`` of an operator has an entry above ``tol.equality``."""
+    part ``(X - X^dag)/2`` of an operator has an entry above ``tol.equality``.
+    A stack with non-finite entries, such as an overflowing image, raises
+    :class:`NumericalError` naming the first such operator."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():
+        raise NumericalError(f"{what} {int(np.argmin(finite))} has non-finite entries")
     skew = float(np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)))) / 2.0
     if not skew <= tol.equality:
         raise ValidationError(
@@ -181,39 +190,55 @@ def _mixtures(code: Code) -> list[MixtureLabel]:
     return out
 
 
+def _sector_blocks(states: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(n_k, x_k)`` per sector ``V_k`` of one ``_decompose_once`` of the
+    stack's span, ``x_k`` the blocks of ``V_k^dag X V_k`` averaged over the
+    ``n_k`` cofactor copies; a common kernel is a ``d = 1`` sector, dropped if
+    its blocks are zero.  Kept if ``r = max_i ||X_i - sum_k V_k (x_{i,k} (x)
+    1) V_k^dag||_1 <= SWEEP_COMPRESSION``, else the stack is one block."""
+    m = states.shape[-1]
+    try:
+        sectors = ([Sector(m, 1, np.eye(m))] if m <= 2  # the closed forms read these whole
+                   else _decompose_once(OperatorSpace(m, states), np.random.default_rng(0)))
+    except DecompositionError:
+        return [(1, states)]
+    w = np.concatenate([s.isometry for s in sectors], axis=1)  # unitary: r is read in its basis
+    rest, blocks, lo = w.conj().T @ states @ w, [], 0
+    for s in sectors:
+        b, lo = slice(lo, lo + s.d * s.n), lo + s.d * s.n
+        x = np.einsum("kaibi->kab", rest[:, b, b].reshape(-1, s.d, s.n, s.d, s.n)) / s.n
+        rest[:, b, b] -= np.einsum("kab,ij->kaibj", x, np.eye(s.n)).reshape(rest[:, b, b].shape)
+        blocks += [(s.n, x)] if x.any() else []
+    if rest.any() and _batched_trace_norm(rest).max() > SWEEP_COMPRESSION:
+        return [(1, states)]
+    return blocks
+
+
 def _weighted_norms(states: np.ndarray) -> np.ndarray:
     """``|| p X_i - (1-p) X_j ||_1`` with one row per pair ``i < j``, in
     ``np.triu_indices`` order, and one column per prior ``p`` in ``P_GRID``.
 
-    The stack is first compressed to ``V^dag X V``, ``V`` the isometry onto
-    the joint range of its operators (``spectral._joint_support``), when the
-    certificate ``r = max_i ||X_i - Pi X_i Pi||_1``, ``Pi = V V^dag``, is at
-    most ``SWEEP_COMPRESSION``; otherwise, and when every operator is zero
-    (an empty range), it is measured as given.  This moves no value by more
-    than ``r``: a sweep point ``Y = p X_i - (1-p) X_j`` has coefficients of
-    total modulus 1 over the stack, and
-    ``||V^dag Y V||_1 = ||Pi Y Pi||_1``, so ``| ||Y||_1 - ||V^dag Y V||_1 |
-    <= ||Y - Pi Y Pi||_1 <= p r + (1-p) r = r``.  The ``p = 0`` and ``p = 1``
-    columns are ``||X_j||_1`` and ``||X_i||_1``, read from one norm per
-    operator; only the interior priors are measured per pair.
+    Each operator ``Y`` is measured in the blocks of :func:`_sector_blocks`
+    as ``sum_k n_k ||y_k||_1``, the trace norm of its reading ``R(Y) = sum_k
+    V_k (y_k (x) 1_{n_k}) V_k^dag``.  This moves no value by more than the
+    certificate ``r``: ``R`` is linear and a sweep point ``Y = p X_i - (1-p)
+    X_j`` has coefficients of total modulus 1 over the stack, so ``| ||Y||_1 -
+    ||R(Y)||_1 | <= ||Y - R(Y)||_1 <= r``.  The ``p = 0`` and ``p = 1``
+    columns are ``||X_j||_1`` and ``||X_i||_1``, one norm per operator; the
+    interior priors are measured per pair, in chunks of ``_SWEEP_CHUNK``
+    entries per sector.
     """
-    n, d = states.shape[:2]
-    v = _joint_support(states)
-    if 0 < v.shape[1] < d:
-        pi = v @ v.conj().T
-        if _batched_trace_norm(states - pi @ states @ pi).max() <= SWEEP_COMPRESSION:
-            states = v.conj().T @ states @ v
-    m = states.shape[1]
-    single = _batched_trace_norm(states)
-    ii, jj = np.triu_indices(n, k=1)
-    out = np.empty((ii.size, len(P_GRID)))
-    out[:, 0], out[:, -1] = single[jj], single[ii]
+    ii, jj = np.triu_indices(len(states), k=1)
+    out = np.zeros((ii.size, len(P_GRID)))
     w = np.asarray(P_GRID[1:-1])[None, :, None, None]
-    chunk = max(1, _SWEEP_CHUNK // (w.size * m * m))
-    for start in range(0, ii.size, chunk):
-        sel = slice(start, start + chunk)
-        diff = w * states[ii[sel]][:, None] - (1.0 - w) * states[jj[sel]][:, None]
-        out[sel, 1:-1] = _batched_trace_norm(diff.reshape(-1, m, m)).reshape(-1, w.size)
+    for n, x in _sector_blocks(states):
+        m = x.shape[-1]
+        out[:, [0, -1]] += n * _batched_trace_norm(x)[np.column_stack([jj, ii])]
+        chunk = max(1, _SWEEP_CHUNK // (w.size * m * m))
+        for start in range(0, ii.size, chunk):
+            sel = slice(start, start + chunk)
+            diff = w * x[ii[sel]][:, None] - (1.0 - w) * x[jj[sel]][:, None]
+            out[sel, 1:-1] += n * _batched_trace_norm(diff.reshape(-1, m, m)).reshape(-1, w.size)
     return out
 
 
@@ -294,7 +319,8 @@ def is_noiseless(code: Code, ch: QuantumChannel,
     operator has ``||P X||_1 = ||P(F X)||_1 <= ||F X||_1``: no ``F`` drops a
     distance further than ``P``.  A map whose ``sum K^dag K`` has an
     eigenvalue above ``1 + tol.equality``, plus a rounding allowance of
-    ``len(kraus) * dim * eps`` for the sum, raises :class:`ValidationError`.
+    ``len(kraus) * dim * eps`` for the sum, raises :class:`ValidationError`;
+    one whose sum overflows raises :class:`NumericalError`.
     """
     if not ch.is_square:
         raise ValidationError("noiseless check requires a square channel")
@@ -305,7 +331,10 @@ def is_noiseless(code: Code, ch: QuantumChannel,
 def _time_average(ch: QuantumChannel, tol: ToleranceConfig) -> SpectralSpace:
     """The guard of :func:`is_noiseless`, then the fixed space, whose ``project`` is P."""
     k = ch.kraus.reshape(-1, ch.dim_in)  # the stacked rows: sum K^dag K is one product
-    gain = float(np.linalg.eigvalsh(k.conj().T @ k)[-1])
+    gram = k.conj().T @ k
+    if not np.isfinite(gram).all():
+        raise NumericalError("sum K^dag K has non-finite entries")
+    gain = float(np.linalg.eigvalsh(gram)[-1])
     rounding = len(ch.kraus) * ch.dim_in * np.finfo(float).eps
     if not gain <= 1.0 + tol.equality + rounding:
         raise ValidationError("noiseless check requires a trace non-increasing map "

@@ -69,7 +69,7 @@ CODE_STATE = 1e-9  # a code state is Hermitian entrywise and has trace 1, each t
 CODE_MIN_EIG = -1e-10  # and no eigenvalue below this
 COFACTOR_WEIGHT = 1e-6  # a lighter cofactor part of a code state is rounding, not a state
 RECOVERY_RESIDUAL = 1e-7  # a fixing recovery restores each code state to this trace distance
-SWEEP_COMPRESSION = 1e-12  # a sweep runs on its states' joint range if that moves none further
+SWEEP_COMPRESSION = 1e-12  # a sweep reads its states in sector blocks if that moves none further
 WITNESS_TIE_DIGITS = 12  # decimals at which sweep drops tie: the first tied pair is the witness
 STOCHASTIC = 1e-12  # a stochastic matrix: no entry below minus this, column sums 1 to this
 OVERLAP_EPS = 1e-12  # inputs are confusable when both reach an output above this

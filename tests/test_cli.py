@@ -688,13 +688,24 @@ def test_overflowing_superoperator_exits_2(tmp_path, capsys, d, mode):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("d", [2, 8])
-@pytest.mark.parametrize("argv", [["transpose", "--full"], ["analyze", "--mode", "unconditional"]],
-                         ids=["transpose", "unconditional"])
-def test_overflowing_image_exits_3(tmp_path, capsys, d, argv):
-    # E(1) overflows to inf: its support is a numerical failure, never an all-zero recovery
-    code, out, err = run_cli(capsys, *argv, "--channel", _overflowing_channel(tmp_path, d))
+@pytest.mark.parametrize("argv,says", [
+    (["transpose", "--full"], "operator of shape"),
+    (["analyze", "--mode", "unconditional"], "operator of shape"),
+    (["verify-code", "--level", "fixed"], "fixed-point residual 0"),
+    (["verify-code", "--level", "preserved"], "mapped state 0"),
+    (["verify-code", "--level", "noiseless"], "sum K^dag K"),
+    (["verify-code", "--level", "correctable"], "operator of shape"),
+], ids=["transpose", "unconditional", "fixed", "preserved", "noiseless", "correctable"])
+def test_overflowing_image_exits_3(tmp_path, capsys, d, argv, says):
+    # E(1) overflows to inf: its support is a numerical failure, never an all-zero
+    # recovery, and a code level names the first overflowing image or sum K^dag K
+    # rather than reading the NaNs as a non-Hermitian input
+    doc = tmp_path / "code.json"
+    doc.write_text(dumps(code_states_to_json([np.diag(np.eye(d)[i]) for i in (0, 1)])))
+    code_arg = ["--code", str(doc)] if argv[0] == "verify-code" else []
+    code, out, err = run_cli(capsys, *argv, *code_arg, "--channel", _overflowing_channel(tmp_path, d))
     assert code == 3 and out == ""
-    assert "numerical failure: operator of shape" in err and "non-finite entries" in err
+    assert f"numerical failure: {says}" in err and "non-finite entries" in err
 
 
 # ---------------------------------------------------------------------------

@@ -486,14 +486,32 @@ def test_preserved_certifies_a_fixed_code_at_each_stage(sweep_calls, sweep_sides
     assert sweep_sides == []
 
 
+@pytest.fixture
+def sectors_read(monkeypatch):
+    """``(d_k, n_k)`` of the blocks each ``_sector_blocks`` call returns, one
+    list per stack."""
+    calls = []
+    blocks = codes._sector_blocks
+
+    def recording(states):
+        out = blocks(states)
+        calls.append([(x.shape[-1], n) for n, x in out])
+        return out
+
+    monkeypatch.setattr(codes, "_sector_blocks", recording)
+    return calls
+
+
 # the E sweep of product_a_ground under measure_then_depolarize: its 34 states
-# lie on a 2-dim range, so 561 pairs at 9 interior priors run in chunks of
-# 455 pairs of 2 x 2; their images have full rank, so chunks of 113 pairs of 4 x 4
-_BEFORE_SIDE = [(34, 4, 4), (34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2)]
-_AFTER_SIDE = [(34, 4, 4)] + [(113 * 9, 4, 4)] * 4 + [(109 * 9, 4, 4)]
+# span M_2 on a 2-dim range plus a 2-dim kernel, so after a 4-dim certificate
+# 561 pairs at 9 interior priors run in chunks of 455 pairs of 2 x 2 and one
+# chunk of 1 x 1; their images generate M_2 (x) 1_2, read as 2 x 2 blocks
+_BEFORE_SIDE = [(34, 4, 4), (34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2),
+                (34, 1, 1), (561 * 9, 1, 1)]
+_AFTER_SIDE = [(34, 4, 4), (34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2)]
 
 
-def test_moved_code_sweeps_both_sides_in_chunks(sweep_calls, sweep_sides):
+def test_moved_code_sweeps_both_sides_in_chunks(sweep_calls, sweep_sides, sectors_read):
     # E moves the code, so its stage sweeps after the certificate; the
     # composite's time average fixes it, so that stage stops at its certificate
     code = zoo.code_fixture("product_a_ground")
@@ -501,6 +519,7 @@ def test_moved_code_sweeps_both_sides_in_chunks(sweep_calls, sweep_sides):
     assert sampled_preservation_check(code, ch).verdict
     assert sweep_calls == [(4, 4, 4)] + _BEFORE_SIDE + _AFTER_SIDE
     assert sweep_sides == [34, 34]
+    assert sectors_read == [[(2, 1), (1, 2)], [(2, 2)]]
     # nothing is kept on the code: a second call sweeps both sides again
     sweep_calls.clear()
     assert is_preserved(code, ch).verdict
@@ -509,18 +528,19 @@ def test_moved_code_sweeps_both_sides_in_chunks(sweep_calls, sweep_sides):
     assert max(n * m * m for n, m, _ in sweep_calls) <= codes._SWEEP_CHUNK
 
 
-def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls, sweep_sides):
-    # the channel moves the logical code, so E is swept: its 34 states lie on
-    # the 2-dim code space (a 32-dim certificate, then 2 x 2 stacks), and
-    # their images have full rank.  The transpose composite's time average
-    # fixes the code: one 32-dim certificate over the four listed states.
+def test_five_qubit_sweeps_run_on_the_code_plane(sweep_calls, sweep_sides, sectors_read):
+    # the channel moves the logical code, so E is swept: its 34 states span
+    # M_2 on the 2-dim code space plus a 30-dim kernel, and their images
+    # generate M_2 (+) M_2 (x) 1_15, so after a 32-dim certificate per side
+    # every sweep stack is 2 x 2 or 1 x 1.  The transpose composite's time
+    # average fixes the code: one 32-dim certificate over the four listed states.
     code = zoo.code_fixture("five_qubit_logical")
     rep = is_preserved(code, zoo.fixture("five_qubit_depolarize_one"))
     assert rep.verdict
-    assert sweep_calls[:5] == [(4, 32, 32), (34, 32, 32), (34, 2, 2),
-                               (455 * 9, 2, 2), (106 * 9, 2, 2)]
-    assert sweep_calls[-1] == (4, 32, 32)
-    assert all(shape[1:] == (32, 32) for shape in sweep_calls[5:])
+    assert sectors_read == [[(2, 1), (1, 30)], [(2, 1), (2, 15)]]
+    pairs = [(34, 2, 2), (455 * 9, 2, 2), (106 * 9, 2, 2)]
+    assert sweep_calls == ([(4, 32, 32), (34, 32, 32)] + pairs + [(34, 1, 1), (561 * 9, 1, 1)]
+                           + [(34, 32, 32)] + pairs * 2 + [(4, 32, 32)])
     assert sweep_sides == [34, 34]  # the E stage alone sweeps
 
 
@@ -671,7 +691,7 @@ def test_sampled_stage_never_decides_is_preserved(ch, code):
 
 
 # ---------------------------------------------------------------------------
-# the sweep on its joint range: compression is certified, never assumed
+# the sweep in sector blocks: the reading is certified, never assumed
 # ---------------------------------------------------------------------------
 
 def _ambient_norms(states: np.ndarray) -> np.ndarray:
@@ -712,7 +732,7 @@ def test_compressed_sweep_matches_the_ambient_sweep_on_listed_pairs():
         for side, stack in _sweep_stacks(code, ch).items():
             ranks[code_name, side] = (_rank(stack), stack.shape[1])
             assert np.max(np.abs(codes._weighted_norms(stack) - _ambient_norms(stack))) <= 1e-12
-    # the comparison is not vacuous: these before sides run compressed
+    # the comparison is not vacuous: these before sides have a kernel
     assert ranks["product_a_ground", "before"] == (2, 4)
     assert ranks["ucp_sub", "before"] == (2, 3)
     assert ranks["ns_vs_code", "before"] == (3, 4)
@@ -722,26 +742,82 @@ def test_compressed_sweep_matches_the_ambient_sweep_on_listed_pairs():
 def test_compressed_sweep_matches_the_ambient_sweep_on_five_qubit():
     stacks = _sweep_stacks(zoo.code_fixture("five_qubit_logical"),
                            zoo.fixture("five_qubit_depolarize_one"))
-    for side in ("before", "RE"):
-        assert _rank(stacks[side]) == 2
+    for side in ("before", "RE", "E"):
+        assert _rank(stacks[side]) == (32 if side == "E" else 2)
         assert np.max(np.abs(codes._weighted_norms(stacks[side])
                              - _ambient_norms(stacks[side]))) <= 1e-12
 
 
+def _sector_stack(shape, kernel: int, count: int, seed: int) -> np.ndarray:
+    """``count`` operators ``U ((+)_k x_k (x) 1_{n_k} (+) 0_kernel) U^dag`` for
+    sectors ``shape = [(d_k, n_k), ...]``, Hermitian Gaussian ``x_k`` and a
+    Haar-random ``U``."""
+    rng = np.random.default_rng(seed)
+    m = sum(d * n for d, n in shape) + kernel
+    inner = np.zeros((count, m, m), dtype=complex)
+    for x in inner:
+        lo = 0
+        for d, n in shape:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            x[lo:lo + d * n, lo:lo + d * n] = np.kron((g + g.conj().T) / 2, np.eye(n))
+            lo += d * n
+    u = unitary_group.rvs(m, random_state=rng)
+    return u @ inner @ u.conj().T
+
+
+_SECTORS = [(2, 3), (3, 2), (1, 2), (2, 1)]
+
+
+def test_sector_reading_matches_the_ambient_sweep(sweep_calls):
+    # an 18-dim stack in four sectors plus a 2-dim kernel: one 18-dim
+    # certificate, then every norm is taken on a d_k x d_k block
+    stack = _sector_stack(_SECTORS, 2, 5, seed=3)
+    assert np.max(np.abs(codes._weighted_norms(stack) - _ambient_norms(stack))) <= 1e-12
+    assert sweep_calls[0] == (5, 18, 18)
+    assert sorted({shape[1:] for shape in sweep_calls[1:]}) == [(1, 1), (2, 2), (3, 3)]
+    # one single-state call per sector and per kernel, and one chunk of 10 pairs at 9 priors
+    assert sorted(sweep_calls[1:]) == sorted([(5, d, d) for d in (2, 3, 1, 2, 1)]
+                                             + [(90, d, d) for d in (2, 3, 1, 2, 1)])
+
+
+def test_generic_stack_is_read_as_one_block(sweep_calls):
+    # four generic Hermitian operators generate the full algebra M_5: one
+    # sector, read exactly, so no certificate runs
+    stack = _sector_stack([(5, 1)], 0, 4, seed=4)
+    assert np.max(np.abs(codes._weighted_norms(stack) - _ambient_norms(stack))) <= 1e-12
+    assert sweep_calls == [(4, 5, 5), (54, 5, 5)]
+
+
+def test_all_zero_stack_reads_zero(sweep_calls):
+    # one d = 1 sector whose blocks are identically zero, dropped: nothing is measured
+    assert not codes._weighted_norms(np.zeros((3, 4, 4), dtype=complex)).any()
+    assert sweep_calls == []
+
+
+def _coupled_stack() -> np.ndarray:
+    """The sector stack with the two kernel directions of its first operator
+    coupled by 1e-7: two sectors at +-1e-7, too close for the eigenvalue
+    clusters of the generic element, which read them as one kernel."""
+    eps, stack = 1e-7, _sector_stack(_SECTORS, 2, 5, seed=3)
+    w, v = np.linalg.eigh(stack.sum(axis=0))
+    kernel = v[:, np.argsort(np.abs(w))[:2]]
+    stack[0] += eps * kernel @ np.array([[0.0, 1.0], [1.0, 0.0]]) @ kernel.conj().T
+    return stack
+
+
 def test_small_eigenvalue_direction_is_measured_uncompressed(sweep_calls, monkeypatch):
-    # the 1e-7 direction squares to 1e-14 in sum X X^dag, below the rank cut:
-    # the joint range drops it, and the certificate r = 1e-7 refuses the cut
-    eps = 1e-7
-    stack = np.stack([np.diag([1.0 - eps, eps, 0.0]), np.diag([0.0, 0.0, 1.0])]).astype(complex)
-    assert _rank(stack) == 2
+    # the block reading drops the coupling, so its certificate r = ||eps
+    # sigma_x||_1 = 2e-7 refuses it: the stack is measured at dimension 18,
+    # its 10 pairs in chunks of 5
+    stack = _coupled_stack()
     exact = _ambient_norms(stack)
-    got = codes._weighted_norms(stack)
-    assert np.max(np.abs(got - exact)) <= 1e-12
-    # a certificate, then the state norms and the pairs, all at dimension 3
-    assert sweep_calls == [(2, 3, 3), (2, 3, 3), (9, 3, 3)]
-    # compressing anyway would move the p = 1 column by the dropped weight
+    assert np.max(np.abs(codes._weighted_norms(stack) - exact)) <= 1e-12
+    assert sweep_calls == [(5, 18, 18), (5, 18, 18), (45, 18, 18), (45, 18, 18)]
+    # reading it anyway moves the p = 1 column of the first operator's pairs by r
     monkeypatch.setattr(codes, "SWEEP_COMPRESSION", 1.0)
-    assert abs(np.max(np.abs(codes._weighted_norms(stack) - exact)) - eps) <= 1e-12
+    sweep_calls.clear()
+    assert abs(np.max(np.abs(codes._weighted_norms(stack) - exact)) - 2e-7) <= 1e-12
+    assert max(shape[-1] for shape in sweep_calls[1:]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +921,34 @@ def test_every_sweep_level_matches_the_uncertified_sweep(ch, code):
             assert abs(rep.distance_after - want[level].distance_after) <= 1e-12
     # the suite reaches both routes: some pairs are fixed, some are swept
     assert len(_ZOO_PAIRS) == 41
+
+
+def test_no_sweep_measures_more_than_its_joint_range(sweep_calls, monkeypatch):
+    """The sector reading replaces the joint-range compression and loses
+    nothing by it: on every zoo pair and on the five-qubit pair, at both
+    tolerances, no pair of a sweep is measured on a block larger than the
+    joint range of its stack, the size that compression measured."""
+    seen = []
+    weighted = codes._weighted_norms
+
+    def guarded(states):
+        first = len(sweep_calls)
+        out = weighted(states)
+        # every call but the ambient certificate and the single-state norms
+        pairs = [m for k, m, _ in sweep_calls[first:] if (k, m) != states.shape[:2]]
+        seen.append((_rank(states), max(pairs, default=0), states.shape[-1]))
+        return out
+
+    monkeypatch.setattr(codes, "_weighted_norms", guarded)
+    cases = [c[1:] for c in _ZOO_PAIRS] + [(zoo.fixture("five_qubit_depolarize_one"),
+                                            zoo.code_fixture("five_qubit_logical"))]
+    for ch, code in cases:
+        for tol in (DEFAULT_TOL, DEFAULT_TOL.with_user_tolerance(1e-12)):
+            for check in (sampled_preservation_check, is_noiseless, is_correctable_via_transpose):
+                check(code, ch, tol)
+    assert all(size <= rank for rank, size, _ in seen)
+    # the guard is not vacuous: many of the sweeps run on a stack with a kernel
+    assert len(seen) > 300 and sum(rank < dim for rank, _, dim in seen) > 150
 
 
 @pytest.mark.parametrize("seed", range(3))
